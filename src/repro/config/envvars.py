@@ -85,7 +85,7 @@ class EnvKnob:
 #: Keyword name (as accepted by :func:`env` / ``SimConfig``) -> knob.
 KNOBS: Dict[str, EnvKnob] = {
     "scheduler": EnvKnob(
-        SCHEDULER_ENV_VAR, "adaptive", SCHEDULER_NAMES, "scheduler backend"
+        SCHEDULER_ENV_VAR, "heap", SCHEDULER_NAMES, "scheduler backend"
     ),
     "routing": EnvKnob(
         ROUTING_ENV_VAR, "single", ROUTING_NAMES, "routing policy"
@@ -129,7 +129,7 @@ def current(knob: str) -> str:
 
 
 def scheduler_name() -> str:
-    """Effective default scheduler backend (``adaptive`` when unset)."""
+    """Effective default scheduler backend (``heap`` when unset)."""
     return current("scheduler")
 
 

@@ -728,7 +728,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         choices=SCHEDULER_NAMES,
         help="pin the event-scheduler backend for every cell "
-        "(default: adaptive, or $REPRO_SCHEDULER if set)",
+        "(default: heap, or $REPRO_SCHEDULER if set)",
     )
     parser.add_argument(
         "--routing",

@@ -47,8 +47,8 @@ from .workloads import (
 
 SCHEMA_VERSION = 1
 
-#: The backend dimension measured by default: the adaptive policy (what
-#: users get) plus every pinned backend.  Rows are named
+#: The backend dimension measured by default: the opt-in adaptive policy
+#: plus every pinned backend (``heap`` is what users get).  Rows are named
 #: ``<workload>@<scheduler>`` so each (workload, backend) pair carries
 #: its own baseline through the regression gate.
 DEFAULT_SCHEDULERS = ("adaptive", "heap", "calendar", "wheel")

@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from ..config import env as config_env
+from ..config import env as config_env, scheduler_name
 from ..experiments.common import build_topology
 from ..net.topology import dumbbell, fat_tree
 from ..sim.engine import Simulator
@@ -263,7 +263,7 @@ def run_kernel_workload(
     row = {
         "name": _row_name(workload.name, scheduler, variant),
         "workload": workload.name,
-        "scheduler": scheduler or "adaptive",
+        "scheduler": topo.sim.scheduler_name,
         "protocol": workload.protocol,
         "events": events,
         "wall_s": wall,
@@ -305,7 +305,7 @@ def run_telemetry_workload(
     row = {
         "name": _row_name(workload.name, scheduler, variant),
         "workload": workload.name,
-        "scheduler": scheduler or "adaptive",
+        "scheduler": topo.sim.scheduler_name,
         "protocol": workload.protocol,
         "telemetry": workload.telemetry,
         "events": events,
@@ -360,7 +360,7 @@ def run_churn_workload(
     row = {
         "name": _row_name(workload.name, scheduler, variant),
         "workload": workload.name,
-        "scheduler": scheduler or "adaptive",
+        "scheduler": sim.scheduler_name,
         "protocol": "timers",
         "events": events,
         "wall_s": wall,
@@ -400,7 +400,7 @@ def run_fabric_workload(
     row = {
         "name": _row_name(workload.name, scheduler, variant),
         "workload": workload.name,
-        "scheduler": scheduler or "adaptive",
+        "scheduler": topo.sim.scheduler_name,
         "protocol": workload.protocol,
         "routing": workload.routing,
         "events": events,
@@ -462,7 +462,7 @@ def run_sharded_fabric_workload(
     row = {
         "name": _row_name(workload.name, scheduler, variant),
         "workload": workload.name,
-        "scheduler": scheduler or "adaptive",
+        "scheduler": scheduler or scheduler_name(),
         "protocol": workload.protocol,
         "events": events,
         "wall_s": wall,
@@ -494,7 +494,7 @@ def run_experiment_workload(
     return {
         "name": _row_name(workload.name, scheduler),
         "workload": workload.name,
-        "scheduler": scheduler or "adaptive",
+        "scheduler": scheduler or scheduler_name(),
         "protocol": workload.protocol,
         "wall_s": wall,
         "flows_launched": result.flows_launched,

@@ -14,11 +14,12 @@ network-specific lives in :mod:`repro.net` and above.
 
 Backend selection (see :mod:`repro.sim.sched` for the data structures):
 
-* ``Simulator(scheduler="heap" | "calendar" | "wheel")`` pins a backend.
-* ``Simulator(scheduler="adaptive")`` — the default — starts on the heap
-  (lowest constants for small populations) and migrates the live event
-  population to the calendar queue once it crosses
-  ``ADAPTIVE_SWITCH_THRESHOLD``, where amortised O(1) wins.
+* ``Simulator(scheduler="heap" | "calendar" | "wheel")`` pins a backend;
+  ``heap`` is the default — the fastest backend on all four ``bench/``
+  workloads (DESIGN.md §6d).
+* ``Simulator(scheduler="adaptive")`` — opt-in — starts on the heap and
+  migrates the live event population to the calendar queue once
+  :attr:`pending_events` reaches ``ADAPTIVE_SWITCH_THRESHOLD``.
 * The ``REPRO_SCHEDULER`` environment variable overrides the default for
   simulators built without an explicit ``scheduler=`` (the experiment
   runner's ``--scheduler`` flag and the CI backend shards use this).
@@ -39,7 +40,9 @@ pinned workloads, see ``repro.perf``):
   and cancel it later — use :class:`repro.sim.timers.Timer`, which clears
   its handle before the callback runs, for restartable semantics.
 * Live (non-cancelled) events are counted incrementally, so
-  :attr:`pending_events` is O(1) on every backend.
+  :attr:`pending_events` is O(1) on every backend and exact at every
+  instant, including inside a callback (the running event is not
+  counted; same-time events not yet run are).
 * When more than half a backend's store is dead (cancelled timers that
   were never popped — long-RTO transports generate these in bulk) it is
   compacted in place, bounding both memory and ordering work.
@@ -90,10 +93,11 @@ Callback = Callable[..., None]
 _NO_HORIZON = 1 << 62
 _NO_LIMIT = 1 << 62
 
-# The adaptive policy migrates heap -> calendar when this many live
-# events are pending.  Dumbbell-scale runs (tens to hundreds of live
-# events) stay on the heap; fleet-scale runs (leaf-spine, large incast,
-# timer-churn) cross it early and stay on the calendar queue.
+# The opt-in adaptive policy migrates heap -> calendar when this many
+# live events are pending at once (counted exactly, also inside run()).
+# Dumbbell-scale runs (tens to hundreds of live events) stay on the
+# heap; fleet-scale runs (leaf-spine, large incast, timer-churn) cross
+# it early and stay on the calendar queue.
 ADAPTIVE_SWITCH_THRESHOLD = 2048
 
 HeapEntry = Tuple[int, int, "Event"]
@@ -246,7 +250,7 @@ class Simulator:
         self._core = load_core(True) if compiled in ("on", "1") else None
 
         if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "") or "adaptive"
+            scheduler = os.environ.get("REPRO_SCHEDULER", "") or "heap"
         # Past this live-event count, schedule() migrates the population
         # to the calendar backend; pinned backends never adapt (sentinel).
         self._adapt_at = _NO_LIMIT
@@ -482,6 +486,7 @@ class Simulator:
                             event.cancelled = True
                             event.callback = None
                             event.args = ()
+                            self._live -= 1
                             callback(*args)
                             free.append(event)
                             processed += 1
@@ -512,6 +517,11 @@ class Simulator:
                         event.cancelled = True
                         event.callback = None
                         event.args = ()
+                        # Settled per event, before dispatch (here and at
+                        # the six sibling sites): callbacks read
+                        # pending_events, and schedule() compares _live
+                        # with the adaptive threshold.
+                        self._live -= 1
                         callback(*args)
                         free.append(event)
                         processed += 1
@@ -541,6 +551,7 @@ class Simulator:
                                     event.cancelled = True
                                     event.callback = None
                                     event.args = ()
+                                    self._live -= 1
                                     callback(*args)
                                     free.append(event)
                                     processed += 1
@@ -554,6 +565,7 @@ class Simulator:
                         event.cancelled = True
                         event.callback = None
                         event.args = ()
+                        self._live -= 1
                         callback(*args)
                         free.append(event)
                         processed += 1
@@ -585,6 +597,7 @@ class Simulator:
                             event.cancelled = True
                             event.callback = None
                             event.args = ()
+                            self._live -= 1
                             callback(*args)
                             free.append(event)
                             processed += 1
@@ -612,6 +625,7 @@ class Simulator:
                             event.cancelled = True
                             event.callback = None
                             event.args = ()
+                            self._live -= 1
                             callback(*args)
                             free.append(event)
                             processed += 1
@@ -628,6 +642,7 @@ class Simulator:
                         event.cancelled = True
                         event.callback = None
                         event.args = ()
+                        self._live -= 1
                         callback(*args)
                         free.append(event)
                         processed += 1
@@ -637,10 +652,12 @@ class Simulator:
                 # drained into the new one, so rebind and keep going.
         finally:
             self._running = False
-            # Batched counter updates: nothing reads these mid-run, and
-            # per-event attribute writes are measurable at this call rate.
+            # Batched counter update: nothing reads this one mid-run.
             self._events_processed += processed
-            self._live -= processed
+            if batch:
+                # A callback raised mid-group: its unrun same-time
+                # siblings were already popped and never fire.
+                self._live -= sum(not event.cancelled for event in batch)
         if until_ns is not None and self._now < until_ns:
             # Park the clock at the horizon unless a live event remains
             # inside it (only possible when max_events stopped us early).

@@ -5,13 +5,13 @@ by ``tests/sim/test_golden_determinism.py`` and the cross-backend
 differential fuzz in ``tests/sim/test_sched_backends.py``):
 
 * ``heap``     — the PR-2 tuple heap; O(log n), lowest constant factors,
-                 best for small event populations (the default start).
+                 the default backend (fastest on every ``bench/`` workload).
 * ``calendar`` — adaptive-width calendar queue; amortised O(1), best for
                  large mixed populations.
 * ``wheel``    — hierarchical timer wheel; O(1) schedule, best for heavy
                  armed-then-cancelled timer churn (RTO / delayed-ACK).
 
-``adaptive`` (the default policy) is not a backend class: the simulator
+``adaptive`` (an opt-in policy) is not a backend class: the simulator
 starts on the heap and migrates the live population to the calendar queue
 once it crosses a threshold — see ``Simulator`` in :mod:`repro.sim.engine`.
 

@@ -39,13 +39,20 @@ def test_knob_table_covers_every_surface():
 def test_defaults_when_unset(monkeypatch):
     for knob in KNOBS.values():
         monkeypatch.delenv(knob.var, raising=False)
-    assert scheduler_name() == "adaptive"
+    assert scheduler_name() == "heap"
     assert routing_name() == "single"
     assert telemetry_mode() == "off"
     assert telemetry_dir() is None
     assert lossless_mode() == "off"
     assert current("batch") == "on"
     assert current("compiled") == "off"
+
+
+def test_adaptive_is_opt_in_by_name(monkeypatch):
+    monkeypatch.setenv("REPRO_SCHEDULER", "adaptive")
+    assert scheduler_name() == "adaptive"
+    with env(scheduler="adaptive"):
+        assert os.environ["REPRO_SCHEDULER"] == "adaptive"
 
 
 def test_current_validates_and_names_the_variable(monkeypatch):

@@ -66,15 +66,24 @@ def test_from_env_pins_current_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_ROUTING", "ecmp")
     cfg = SimConfig.from_env(seed=7)
     assert cfg.seed == 7
-    assert cfg.scheduler == "adaptive"
+    assert cfg.scheduler == "heap"
     assert cfg.routing == "ecmp"
     assert cfg.telemetry == "off"
     assert cfg.telemetry_dir is None
 
 
-def test_simulator_accepts_config():
+def test_from_env_reads_opt_in_adaptive(monkeypatch):
+    monkeypatch.setenv("REPRO_SCHEDULER", "adaptive")
+    assert SimConfig.from_env().scheduler == "adaptive"
+
+
+def test_simulator_accepts_config(monkeypatch):
+    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     assert Simulator(config=SimConfig(scheduler="heap")).scheduler_name == "heap"
-    assert Simulator(config=SimConfig()).scheduler_name == "adaptive"
+    assert Simulator(config=SimConfig()).scheduler_name == "heap"
+    adaptive = Simulator(config=SimConfig(scheduler="adaptive"))
+    assert adaptive.scheduler_name == "adaptive"
+    assert adaptive.active_backend == "heap"  # until the live threshold
     # explicit argument wins over the config
     assert (
         Simulator(scheduler="calendar", config=SimConfig(scheduler="heap"))

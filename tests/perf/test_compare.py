@@ -11,6 +11,7 @@ from repro.perf.workloads import (
     KERNEL_WORKLOADS,
     TimerChurnWorkload,
     run_churn_workload,
+    run_kernel_workload,
 )
 
 
@@ -166,6 +167,23 @@ def test_kernel_workloads_run_at_smoke_scale():
         assert row["events_per_sec"] > 0
         assert row["scheduler"] == "adaptive"
         assert row["workload"] in {w.name for w in KERNEL_WORKLOADS}
+
+
+def test_unpinned_rows_record_the_backend_that_ran(monkeypatch):
+    """``scheduler=None`` rows carry the name the simulator resolved, not
+    a hard-coded default: the shipped ``heap``, or whatever
+    ``REPRO_SCHEDULER`` names."""
+    tiny = TimerChurnWorkload("churn_probe", 8, 0.0005)
+    dumbbell = KERNEL_WORKLOADS[0]
+    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    assert run_churn_workload(tiny)["scheduler"] == "heap"
+    assert run_kernel_workload(dumbbell, 0.005)["scheduler"] == "heap"
+    monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
+    assert run_churn_workload(tiny)["scheduler"] == "wheel"
+    assert run_kernel_workload(dumbbell, 0.005)["scheduler"] == "wheel"
+    assert run_kernel_workload(dumbbell, 0.005, "adaptive")["scheduler"] == (
+        "adaptive"
+    )
 
 
 def test_churn_workload_is_backend_invariant():

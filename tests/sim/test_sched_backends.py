@@ -49,10 +49,17 @@ def test_env_var_selects_backend(monkeypatch):
     assert Simulator().active_backend == "wheel"
     monkeypatch.setenv("REPRO_SCHEDULER", "")
     sim = Simulator()
-    assert sim.scheduler_name == "adaptive"
+    assert sim.scheduler_name == "heap"
     assert sim.active_backend == "heap"
     monkeypatch.delenv("REPRO_SCHEDULER")
-    assert Simulator().scheduler_name == "adaptive"
+    assert Simulator().scheduler_name == "heap"
+
+
+def test_env_var_selects_adaptive_policy(monkeypatch):
+    monkeypatch.setenv("REPRO_SCHEDULER", "adaptive")
+    sim = Simulator()
+    assert sim.scheduler_name == "adaptive"
+    assert sim.active_backend == "heap"  # starts there, migrates at scale
 
 
 def test_explicit_argument_beats_env(monkeypatch):
