@@ -22,7 +22,11 @@ from .port import Port
 
 
 class Node:
-    """A network element with ports and a forwarding table."""
+    """A network element with ports and a forwarding table.
+
+    ``multipath_table`` values are immutable tuples that may be shared
+    across nodes and destinations.
+    """
 
     def __init__(self, sim: Simulator, node_id: int, name: str, tracer: Tracer):
         self.sim = sim
