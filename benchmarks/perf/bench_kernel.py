@@ -12,8 +12,8 @@ numbers) so the history of the speedup stays in the committed file.
 ``--quick`` is the CI smoke mode: 1 repeat, 10% simulated durations,
 lead backend only.  Quick numbers are *not* baseline-comparable, so the
 snapshot on disk is left untouched — the run only proves the suite still
-executes and prints the measured rows (including the ``+unbatched`` /
-``+compiled`` variant dimension).
+executes and prints the measured rows (including the ``+compiled``
+variant row when the mypyc core is built).
 """
 
 import os

@@ -3,12 +3,12 @@
 Two pieces:
 
 * :class:`SimConfig` — a frozen dataclass carrying routing, transport,
-  telemetry, kernel-mode and seed selection, accepted by
+  telemetry, compiled-core and seed selection, accepted by
   ``Simulator(config=...)``, ``Network(config=...)`` and the experiment
   runner (``run_cells(config=...)``).
 * :func:`env` — the single validated context manager behind every
   ``REPRO_*`` environment knob (routing policy, telemetry mode and
-  directory, lossless fabric, kernel modes, shard count).  The historical
+  directory, lossless fabric, compiled kernel core, shard count).  The historical
   per-subsystem helper ``repro.routing.routing_env`` is a thin
   deprecation shim over it.
 
@@ -21,7 +21,6 @@ selection surface from one import::
 from ..obs.session import TELEMETRY_MODES
 from ..routing import ROUTING_NAMES
 from .envvars import (
-    BATCH_ENV_VAR,
     COMPILED_ENV_VAR,
     KNOBS,
     LOSSLESS_ENV_VAR,
@@ -31,7 +30,6 @@ from .envvars import (
     TELEMETRY_DIR_ENV_VAR,
     TELEMETRY_ENV_VAR,
     EnvKnob,
-    batch_mode,
     compiled_mode,
     current,
     env,
@@ -53,7 +51,6 @@ __all__ = [
     "telemetry_mode",
     "telemetry_dir",
     "lossless_mode",
-    "batch_mode",
     "compiled_mode",
     "shard_count",
     "ROUTING_NAMES",
@@ -63,7 +60,6 @@ __all__ = [
     "TELEMETRY_ENV_VAR",
     "TELEMETRY_DIR_ENV_VAR",
     "LOSSLESS_ENV_VAR",
-    "BATCH_ENV_VAR",
     "COMPILED_ENV_VAR",
     "SHARDS_ENV_VAR",
 ]

@@ -28,7 +28,6 @@ ROUTING_ENV_VAR = "REPRO_ROUTING"
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 TELEMETRY_DIR_ENV_VAR = "REPRO_TELEMETRY_DIR"
 LOSSLESS_ENV_VAR = "REPRO_LOSSLESS"
-BATCH_ENV_VAR = "REPRO_BATCH"
 COMPILED_ENV_VAR = "REPRO_COMPILED"
 SHARDS_ENV_VAR = "REPRO_SHARDS"
 
@@ -93,9 +92,6 @@ KNOBS: Dict[str, EnvKnob] = {
     "lossless": EnvKnob(
         LOSSLESS_ENV_VAR, "off", LOSSLESS_MODES, "lossless fabric mode"
     ),
-    "batch": EnvKnob(
-        BATCH_ENV_VAR, "on", ONOFF, "hot-loop batching mode"
-    ),
     "compiled": EnvKnob(
         COMPILED_ENV_VAR, "off", ONOFF, "compiled kernel core mode"
     ),
@@ -142,11 +138,6 @@ def lossless_mode() -> str:
     return current("lossless")
 
 
-def batch_mode() -> str:
-    """Effective hot-loop batching mode (``on`` when unset)."""
-    return current("batch")
-
-
 def compiled_mode() -> str:
     """Effective compiled-core mode (``off`` when unset)."""
     return current("compiled")
@@ -187,7 +178,6 @@ def env(
     telemetry: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
     lossless: Optional[str] = None,
-    batch: Optional[str] = None,
     compiled: Optional[str] = None,
     shards: Optional[str] = None,
 ) -> _EnvContext:
@@ -204,7 +194,6 @@ def env(
         "telemetry": telemetry,
         "telemetry_dir": telemetry_dir,
         "lossless": lossless,
-        "batch": batch,
         "compiled": compiled,
         "shards": shards,
     }

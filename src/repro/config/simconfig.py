@@ -6,9 +6,9 @@ transport helpers, and whatever ``REPRO_*`` variables happened to be
 exported.  ``SimConfig`` carries all of it in one validated, frozen value
 that every layer accepts:
 
-* ``Simulator(config=cfg)`` — kernel modes (batching, compiled core);
-* ``Network(config=cfg)`` — seed, routing, kernel modes (via its
-  simulator) and telemetry (a session is installed when
+* ``Simulator(config=cfg)`` — the compiled-core mode;
+* ``Network(config=cfg)`` — seed, routing, the compiled-core mode (via
+  its simulator) and telemetry (a session is installed when
   ``telemetry != off``);
 * ``run_cells(..., config=cfg)`` / ``runner --telemetry DIR`` — the
   runner pins the whole config process-wide (via :func:`repro.config.
@@ -42,14 +42,13 @@ class SimConfig:
     telemetry: Optional[str] = None
     telemetry_dir: Optional[str] = None
     lossless: Optional[str] = None
-    batch: Optional[str] = None
     compiled: Optional[str] = None
     #: Shard count for single-simulation parallelism (repro.sim.shard);
     #: None = serial.  Carried as an int; exported as ``REPRO_SHARDS``.
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for knob in ("routing", "telemetry", "lossless", "batch", "compiled"):
+        for knob in ("routing", "telemetry", "lossless", "compiled"):
             value = getattr(self, knob)
             if value is not None:
                 KNOBS[knob].validate(value)
@@ -71,7 +70,6 @@ class SimConfig:
             telemetry=current("telemetry"),
             telemetry_dir=current("telemetry_dir") or None,
             lossless=current("lossless"),
-            batch=current("batch"),
             compiled=current("compiled"),
             shards=shard_count(),
         )
@@ -115,7 +113,6 @@ class SimConfig:
             telemetry=self.telemetry,
             telemetry_dir=self.telemetry_dir,
             lossless=self.lossless,
-            batch=self.batch,
             compiled=self.compiled,
             shards=None if self.shards is None else str(self.shards),
         )

@@ -65,21 +65,13 @@ class Network:
         config: Optional["SimConfig"] = None,
     ):
         # ``config`` (a repro.config.SimConfig) supplies seed, routing,
-        # kernel-mode and telemetry defaults; explicit arguments win.
+        # compiled-core and telemetry defaults; explicit arguments win.
         if config is not None:
             if seed is None:
                 seed = config.seed
             if routing is None:
                 routing = config.routing
         self.sim = Simulator(config=config)
-        # Port TX burst drain (DESIGN.md §6h): resolved once here, wired
-        # onto every port cable() creates.
-        batch = config.batch if config is not None else None
-        if batch is None:
-            from ..config.envvars import batch_mode
-
-            batch = batch_mode()
-        self.burst_enabled = batch != "off"
         self.tracer = Tracer()
         self.seeds = SeedSequence(seed if seed is not None else 0)
         # Policy name, instance, or None (= $REPRO_ROUTING, then "single").
@@ -160,14 +152,6 @@ class Network:
         link_ba = Link(self.sim, rate_bps, delay_ns, a, port_a_index)
         port_a = Port(self.sim, a, port_a_index, link_ab, queue_for(a), self.tracer)
         port_b = Port(self.sim, b, port_b_index, link_ba, queue_for(b), self.tracer)
-        if self.burst_enabled:
-            # The burst chain dequeues members directly (deque.popleft) so
-            # it is only safe on queues with stock dequeue semantics; a
-            # subclass overriding dequeue() keeps the serial path.
-            for port in (port_a, port_b):
-                port.burst_enabled = (
-                    type(port.queue).dequeue is DropTailQueue.dequeue
-                )
         a.add_port(port_a)
         b.add_port(port_b)
         self._adjacency[a.node_id].append((b.node_id, port_a_index))

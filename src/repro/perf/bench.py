@@ -51,16 +51,12 @@ SCHEMA_VERSION = 1
 def default_variants() -> tuple:
     """Kernel-mode variants measured by default.
 
-    ``unbatched`` always (the plain/unbatched ratio is the batching
-    speedup); ``compiled`` only when the mypyc twin is actually built —
-    an interpreted-fallback row would just duplicate the plain number.
+    ``compiled`` only when the mypyc twin is actually built — an
+    interpreted-fallback row would just duplicate the plain number.
     """
-    variants = ["unbatched"]
     from ..sim.engine import load_core
 
-    if load_core(True).COMPILED:
-        variants.append("compiled")
-    return tuple(variants)
+    return ("compiled",) if load_core(True).COMPILED else ()
 
 
 def machine_info() -> Dict[str, object]:
@@ -207,8 +203,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="auto",
         help=(
             "comma-separated kernel-mode variants to measure (kernel "
-            "kind only); 'auto' = unbatched plus "
-            "compiled-when-built, 'none' disables the dimension"
+            "kind only); 'auto' = compiled when built, 'none' disables "
+            "the dimension"
         ),
     )
     parser.add_argument(

@@ -20,6 +20,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bench import run_experiment_suite, run_kernel_suite
+from .workloads import VARIANT_NAMES
 
 DEFAULT_THRESHOLD = 0.15
 
@@ -30,18 +31,20 @@ def _canonical(name: str) -> str:
 
 
 def snapshot_variants(results: List[Dict[str, float]]) -> List[str]:
-    """Kernel-mode variants the snapshot covers (empty for old baselines).
+    """Kernel-mode variants the snapshot covers that the suite can measure.
 
     Pre-variant snapshots have no ``+`` rows, so the fresh run measures
     none either and the gate behaves exactly as before this dimension
-    existed.
+    existed.  Rows of a variant that no longer exists are left out here;
+    :func:`compare_results` then reports them as missing from the fresh
+    run.
     """
     seen: List[str] = []
     for row in results:
         variant = row.get("variant")
         if not variant and "+" in row["name"]:
             variant = row["name"].rsplit("+", 1)[1]
-        if variant and variant not in seen:
+        if variant and variant in VARIANT_NAMES and variant not in seen:
             seen.append(variant)
     return seen
 

@@ -27,9 +27,7 @@ rows of the committed snapshots, so those keep gating.
 Kernel workloads additionally take a ``variant`` — a named kernel-mode
 override measured against the plain row:
 
-* ``""`` (plain) — the shipped defaults: batching on, interpreted core;
-* ``"unbatched"`` — ``REPRO_BATCH=off``, the pre-batching serial kernel
-  (the plain/unbatched ratio is the batching speedup, DESIGN.md §6h);
+* ``""`` (plain) — the shipped defaults: interpreted core;
 * ``"compiled"`` — ``REPRO_COMPILED=on``, the mypyc core when built
   (falls back to the interpreted module, making the row a no-op twin).
 
@@ -190,15 +188,13 @@ EXPERIMENT_WORKLOADS: Tuple[ExperimentWorkload, ...] = (
 
 
 #: Kernel-mode variants the bench suite can measure (see module docstring).
-VARIANT_NAMES = ("", "unbatched", "compiled")
+VARIANT_NAMES = ("", "compiled")
 
 
 def _variant_env(variant: Optional[str]) -> Dict[str, str]:
     """``config_env`` overrides implementing a named kernel variant."""
     if not variant:
         return {}
-    if variant == "unbatched":
-        return {"batch": "off"}
     if variant == "compiled":
         return {"compiled": "on"}
     raise ValueError(

@@ -1,12 +1,12 @@
 """Typed hot-loop kernels, written to compile cleanly under mypyc.
 
-This module is the single source of truth for the helpers the engine and
-port layer route through when ``REPRO_COMPILED=on``: plain module-level
-functions over concrete built-in containers, no closures, no dynamic
+This module is the single source of truth for the helper the engine
+routes through when ``REPRO_COMPILED=on``: a plain module-level
+function over concrete built-in containers, no closures, no dynamic
 attribute tricks — exactly the subset mypyc compiles to C extensions with
 real speedups.  The same file runs unmodified on the interpreter, which
 is what keeps the pure-Python fallback from rotting: tier-1 tests
-exercise these functions interpreted on every run.
+exercise it interpreted on every run.
 
 Build story (opt-in, nothing here imports mypy):
 
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from heapq import heappop as _heappop
 from typing import List, Tuple
-
-_SECOND = 1_000_000_000
 
 COMPILED: bool = not __file__.endswith((".py", ".pyc"))
 
@@ -70,24 +68,3 @@ def heap_pop_batch(
         return n, ndead
     return 0, ndead
 
-
-def burst_times(
-    sizes: List[int], rate_bps: int, start_ns: int
-) -> Tuple[List[int], List[int]]:
-    """Cumulative serialisation schedule for a back-to-back frame burst.
-
-    For each frame size (in bytes) returns its serialisation start and
-    completion time, chaining per-frame ceil-rounded transmission times
-    exactly as the serial per-event path does (sum of ceils, never the
-    ceil of a sum — the two differ, and golden determinism pins the
-    former).
-    """
-    starts: List[int] = []
-    dones: List[int] = []
-    t = start_ns
-    for size in sizes:
-        starts.append(t)
-        bits = size * 8
-        t += -(-bits * _SECOND // rate_bps)  # ceil division
-        dones.append(t)
-    return starts, dones

@@ -34,19 +34,13 @@ Fast-path design (DESIGN.md §6c–§6d):
   that were never popped — long-RTO transports generate these in bulk)
   it is compacted in place, bounding both memory and sift work.
 
-Batching (``REPRO_BATCH``, default ``on``; see DESIGN.md §6h): the port
-layer (``repro.net.port``) precomputes whole TX burst schedules,
-replacing the general per-frame completion path with a lean chained one
-— same events, same order, less work per event.
-
-Compiled core (``REPRO_COMPILED``, default ``off``): the hot batch
-helpers live in :mod:`repro.sim.core`, written to compile under mypyc
+Compiled core (``REPRO_COMPILED``, default ``off``): the same-time group
+pop lives in :mod:`repro.sim.core`, written to compile under mypyc
 (``pip install .[compiled]`` + ``benchmarks/perf/build_compiled.py``).
 When the knob is on the engine routes through :func:`load_core`, which
 prefers the compiled twin and silently falls back to the interpreted
-module; with batching also on, :meth:`Simulator.run` then pops each
-same-time group in one core call.  Same bit-identical results either
-way.
+module, and :meth:`Simulator.run` pops each same-time group in one core
+call.  Same bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -172,7 +166,6 @@ class Simulator:
         "_dead",
         "_running",
         "_events_processed",
-        "_batch",
         "_core",
     )
 
@@ -188,17 +181,13 @@ class Simulator:
         self._dead: int = 0  # heap entries whose event is cancelled
         self._running = False
         self._events_processed = 0
-        batch = getattr(config, "batch", None) if config is not None else None
-        if batch is None:
-            batch = os.environ.get("REPRO_BATCH", "") or "on"
-        self._batch = batch != "off"
         compiled = (
             getattr(config, "compiled", None) if config is not None else None
         )
         if compiled is None:
             compiled = os.environ.get("REPRO_COMPILED", "") or "off"
-        # None = pure inlined fast paths; a module = route batch pops and
-        # burst schedules through repro.sim.core (compiled when built).
+        # None = pure inlined fast paths; a module = route same-time group
+        # pops through repro.sim.core (compiled when built).
         # "1" is accepted as an alias for "on" (CI shard convenience).
         self._core = load_core(True) if compiled in ("on", "1") else None
 
@@ -287,7 +276,10 @@ class Simulator:
         """Sweep dead entries out of the heap.
 
         In place (slice assignment): :meth:`run` holds an alias of the
-        list while a callback's ``cancel()`` may trigger this.
+        list while a callback's ``cancel()`` may trigger this.  Only the
+        swept entries leave ``_dead``: a cancelled member of a group the
+        compiled drain already popped is still charged there until the
+        drain skips it.
         """
         heap = self._heap
         free = self._free
@@ -297,9 +289,9 @@ class Simulator:
                 free.append(entry[2])
             else:
                 live_entries.append(entry)
+        self._dead -= len(heap) - len(live_entries)
         heap[:] = live_entries
         heapify(heap)
-        self._dead = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -329,9 +321,7 @@ class Simulator:
         # running them, so it only engages when no max_events bound can
         # land mid-group; otherwise the inlined per-event loop runs.
         batch: Optional[List[Event]] = (
-            []
-            if core is not None and self._batch and limit == _NO_LIMIT
-            else None
+            [] if core is not None and limit == _NO_LIMIT else None
         )
         try:
             if batch is not None:

@@ -51,19 +51,19 @@ def test_shards_field_validates_and_exports(monkeypatch):
 
 
 def test_with_overrides_revalidates():
-    cfg = SimConfig(batch="off")
+    cfg = SimConfig(compiled="on")
     assert cfg.with_overrides(routing="ecmp").routing == "ecmp"
-    assert cfg.with_overrides(routing="ecmp").batch == "off"
+    assert cfg.with_overrides(routing="ecmp").compiled == "on"
     with pytest.raises(ValueError):
-        cfg.with_overrides(batch="bogus")
+        cfg.with_overrides(compiled="bogus")
 
 
 def test_from_env_pins_current_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
+    monkeypatch.delenv("REPRO_COMPILED", raising=False)
     monkeypatch.setenv("REPRO_ROUTING", "ecmp")
     cfg = SimConfig.from_env(seed=7)
     assert cfg.seed == 7
-    assert cfg.batch == "on"
+    assert cfg.compiled == "off"
     assert cfg.routing == "ecmp"
     assert cfg.telemetry == "off"
     assert cfg.telemetry_dir is None
@@ -117,7 +117,6 @@ def test_to_dict_from_dict_round_trip_all_fields():
         telemetry="counters",
         telemetry_dir="/tmp/somewhere",
         lossless="pfc",
-        batch="on",
         compiled="off",
         shards=3,
     )
@@ -143,6 +142,24 @@ def test_from_dict_rejects_the_removed_scheduler_field():
         SimConfig.from_dict({"scheduler": "heap"})
 
 
+def test_the_removed_batch_field_is_rejected():
+    with pytest.raises(TypeError, match="batch"):
+        SimConfig(batch="on")
+    with pytest.raises(ValueError, match="unknown SimConfig field"):
+        SimConfig.from_dict({"batch": "on"})
+
+
+def test_fields_are_the_seed_the_transport_and_the_knobs():
+    """One field per ``REPRO_*`` knob, plus the seed and the transport."""
+    from dataclasses import fields
+
+    from repro.config import KNOBS
+
+    names = [f.name for f in fields(SimConfig)]
+    assert len(names) == 8
+    assert set(names) == {"seed", "transport"} | set(KNOBS)
+
+
 def test_from_dict_validates_values():
-    with pytest.raises(ValueError, match="unknown hot-loop batching mode"):
-        SimConfig.from_dict({"batch": "bogus"})
+    with pytest.raises(ValueError, match="unknown compiled kernel core mode"):
+        SimConfig.from_dict({"compiled": "bogus"})

@@ -212,7 +212,7 @@ def test_run_cells_accepts_simconfig(tmp_path):
     """A prebuilt SimConfig is honoured verbatim (seed included)."""
     from repro.config import SimConfig
 
-    cfg = SimConfig(seed=7, batch="on", telemetry="full",
+    cfg = SimConfig(seed=7, compiled="off", telemetry="full",
                     telemetry_dir=str(tmp_path))
     results = run_cells(QUICK_SPECS, jobs=1, config=cfg)
     assert results == run_cells(QUICK_SPECS, jobs=1, root_seed=7)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.chaos import FAULT_KINDS
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector
 from repro.faults.engine import reverse_port
@@ -164,3 +165,32 @@ def test_chaos_runs_are_deterministic():
     assert first.goodput_series == second.goodput_series
     assert [r.kind for r in first.records] == [r.kind for r in second.records]
     assert first.goodput_series != other.goodput_series
+
+
+@pytest.mark.parametrize("fault", FAULT_KINDS)
+def test_every_fault_is_bit_identical_on_the_compiled_core(monkeypatch, fault):
+    """Each catalogue fault (cut cables, rate changes, loss, switch
+    resets, killed delimiters, stalled hosts) lands on the compiled-core
+    group drain exactly as on the inlined loop."""
+    from repro.experiments.chaos import run_chaos
+
+    kwargs = dict(
+        warmup_ns=milliseconds(10),
+        fault_ns=milliseconds(5),
+        tail_ns=milliseconds(15),
+    )
+
+    def observe():
+        result = run_chaos(fault, seed=9, **kwargs)
+        return (
+            result.goodput_series,
+            result.records,
+            result.invariant_checks,
+            result.violations,
+            result.report,
+        )
+
+    monkeypatch.setenv("REPRO_COMPILED", "off")
+    reference = observe()
+    monkeypatch.setenv("REPRO_COMPILED", "on")
+    assert observe() == reference

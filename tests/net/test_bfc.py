@@ -129,7 +129,6 @@ def test_enable_bfc_installs_agents_and_nic_queues():
         for port in host.ports:
             assert isinstance(protocol_agent(port.agent), BfcHostAgent)
             assert isinstance(port.queue, BfcQueue)
-            assert not port.burst_enabled
 
 
 # ----------------------------------------------------------------------
@@ -156,25 +155,36 @@ def test_incast_pauses_per_flow_without_drops():
     assert fabric.unknown_upstream == 0
 
 
-def test_bfc_runs_are_bit_identical():
-    def run():
-        topo = build_topology(
-            dumbbell, "bfc", buffer_bytes=256_000, n_senders=4, seed=1
-        )
-        senders = [
-            open_flow(topo.host(i), topo.host(4), "bfc", awnd_bytes=200_000)
-            for i in range(4)
-        ]
-        topo.network.run_for(milliseconds(20))
-        fabric = topo.network.bfc
-        return (
-            topo.network.sim.events_processed,
-            fabric.pause_frames,
-            fabric.resume_frames,
-            [s.stats.bytes_acked for s in senders],
-        )
+def _bfc_incast_fingerprint():
+    topo = build_topology(
+        dumbbell, "bfc", buffer_bytes=256_000, n_senders=4, seed=1
+    )
+    senders = [
+        open_flow(topo.host(i), topo.host(4), "bfc", awnd_bytes=200_000)
+        for i in range(4)
+    ]
+    topo.network.run_for(milliseconds(20))
+    fabric = topo.network.bfc
+    return (
+        topo.network.sim.events_processed,
+        fabric.pause_frames,
+        fabric.resume_frames,
+        [s.stats.bytes_acked for s in senders],
+    )
 
-    assert run() == run()
+
+def test_bfc_runs_are_bit_identical():
+    assert _bfc_incast_fingerprint() == _bfc_incast_fingerprint()
+
+
+def test_bfc_runs_are_bit_identical_on_the_compiled_core(monkeypatch):
+    """Per-flow queues leave ports idle and restart them by ``kick``; the
+    compiled-core group drain runs that event for event like the
+    inlined loop."""
+    monkeypatch.setenv("REPRO_COMPILED", "off")
+    reference = _bfc_incast_fingerprint()
+    monkeypatch.setenv("REPRO_COMPILED", "on")
+    assert _bfc_incast_fingerprint() == reference
 
 
 # ----------------------------------------------------------------------
@@ -255,3 +265,34 @@ def test_per_flow_pause_avoids_hol_victim_collapse():
         for port in node.ports:
             if isinstance(port.queue, BfcQueue):
                 assert victim_key not in port.queue.paused_flows
+
+
+def _hol_fingerprint(protocol, **build_kwargs):
+    topo, culprits, victim = _run_hol(protocol, **build_kwargs)
+    net = topo.network
+    return (
+        net.sim.events_processed,
+        [s.stats.bytes_acked for s in culprits + [victim]],
+        [
+            (port.tx_packets, port.queue.max_bytes_seen, port.queue.drops)
+            for node in net.nodes
+            for port in node.ports
+        ],
+    )
+
+
+@pytest.mark.parametrize("protocol", ["pfc", "bfc"])
+def test_hol_head_to_head_is_bit_identical_on_the_compiled_core(
+    monkeypatch, protocol
+):
+    """Whole-link (PFC) and per-flow (BFC) pauses on a shared uplink:
+    the compiled-core group drain reproduces both fabrics exactly."""
+    kwargs = {}
+    if protocol == "pfc":
+        kwargs["pfc_params"] = PfcParams(
+            xoff_bytes=32_000, xon_bytes=8_000, headroom_bytes=32_000
+        )
+    monkeypatch.setenv("REPRO_COMPILED", "off")
+    reference = _hol_fingerprint(protocol, **kwargs)
+    monkeypatch.setenv("REPRO_COMPILED", "on")
+    assert _hol_fingerprint(protocol, **kwargs) == reference

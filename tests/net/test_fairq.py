@@ -112,21 +112,29 @@ def test_reset_forgets_measured_state():
     assert not agent._slot_bytes
 
 
-def test_fairq_runs_are_bit_identical():
-    def run():
-        topo = build_topology(
-            dumbbell, "fairq", buffer_bytes=256_000, n_senders=4, seed=1
-        )
-        senders = [
-            open_flow(topo.host(i), topo.host(4), "fairq") for i in range(4)
-        ]
-        topo.network.run_for(milliseconds(10))
-        agent = topo.bottleneck("main").agent
-        return (
-            topo.network.sim.events_processed,
-            agent.marked_packets,
-            agent.slot_index,
-            [s.stats.bytes_acked for s in senders],
-        )
+def _fairq_fingerprint():
+    topo = build_topology(
+        dumbbell, "fairq", buffer_bytes=256_000, n_senders=4, seed=1
+    )
+    senders = [
+        open_flow(topo.host(i), topo.host(4), "fairq") for i in range(4)
+    ]
+    topo.network.run_for(milliseconds(10))
+    agent = topo.bottleneck("main").agent
+    return (
+        topo.network.sim.events_processed,
+        agent.marked_packets,
+        agent.slot_index,
+        [s.stats.bytes_acked for s in senders],
+    )
 
-    assert run() == run()
+
+def test_fairq_runs_are_bit_identical():
+    assert _fairq_fingerprint() == _fairq_fingerprint()
+
+
+def test_fairq_runs_are_bit_identical_on_the_compiled_core(monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILED", "off")
+    reference = _fairq_fingerprint()
+    monkeypatch.setenv("REPRO_COMPILED", "on")
+    assert _fairq_fingerprint() == reference

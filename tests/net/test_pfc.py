@@ -273,26 +273,36 @@ def test_tfc_under_lossless_fabric_never_pauses():
 # ----------------------------------------------------------------------
 # Determinism
 # ----------------------------------------------------------------------
+def _pfc_incast_fingerprint():
+    topo, senders = _incast("pfc")
+    net = topo.network
+    fab = net.lossless
+    return (
+        net.sim.events_processed,
+        fab.pause_frames,
+        fab.resume_frames,
+        [s.stats.bytes_acked for s in senders],
+        sorted(
+            (ingress.name, ingress.max_bytes_seen)
+            for ingress in fab.ingresses.values()
+        ),
+    )
+
+
 def test_pfc_runs_are_bit_identical():
     """Same seed, same results — down to per-ingress peak occupancy and
     the exact pause/resume frame counts."""
+    assert _pfc_incast_fingerprint() == _pfc_incast_fingerprint()
 
-    def run():
-        topo, senders = _incast("pfc")
-        net = topo.network
-        fab = net.lossless
-        return (
-            net.sim.events_processed,
-            fab.pause_frames,
-            fab.resume_frames,
-            [s.stats.bytes_acked for s in senders],
-            sorted(
-                (ingress.name, ingress.max_bytes_seen)
-                for ingress in fab.ingresses.values()
-            ),
-        )
 
-    assert run() == run()
+def test_pfc_runs_are_bit_identical_on_the_compiled_core(monkeypatch):
+    """XOFF/XON pause and resume host ports and release ingress buffer
+    from ``on_dequeue``; the compiled-core group drain reproduces every
+    count of the inlined loop."""
+    monkeypatch.setenv("REPRO_COMPILED", "off")
+    reference = _pfc_incast_fingerprint()
+    monkeypatch.setenv("REPRO_COMPILED", "on")
+    assert _pfc_incast_fingerprint() == reference
 
 
 # ----------------------------------------------------------------------

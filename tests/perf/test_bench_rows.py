@@ -66,7 +66,7 @@ def test_lead_only_workloads_measure_one_backend_and_no_variants():
     rows = run_kernel_suite(
         repeats=1,
         duration_scale=0.02,
-        variants=("unbatched",),
+        variants=("compiled",),
         workloads=["fattree8_tfc_serial"],
     )
     assert [row["name"] for row in rows] == ["fattree8_tfc_serial@heap"]

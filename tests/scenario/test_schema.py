@@ -121,9 +121,10 @@ def test_link_flap_requires_duration():
 
 
 def test_config_block_round_trips_and_rejects_reserved():
-    doc = minimal(config={"lossless": "pfc", "batch": "on"})
+    doc = minimal(config={"lossless": "pfc", "compiled": "off"})
     scenario = scenario_from_dict(doc)
     assert scenario.config.lossless == "pfc"
+    assert scenario.config.compiled == "off"
     assert scenario.config.seed == scenario.seed
     doc = minimal(config={"telemetry": "counters"})
     with pytest.raises(ScenarioError, match=r"\.config\.telemetry"):
@@ -132,6 +133,12 @@ def test_config_block_round_trips_and_rejects_reserved():
 
 def test_config_block_naming_the_removed_scheduler_rejected():
     doc = minimal(config={"scheduler": "heap"})
+    with pytest.raises(ScenarioError, match="unknown SimConfig field"):
+        scenario_from_dict(doc)
+
+
+def test_config_block_naming_the_removed_batch_knob_rejected():
+    doc = minimal(config={"batch": "on"})
     with pytest.raises(ScenarioError, match="unknown SimConfig field"):
         scenario_from_dict(doc)
 

@@ -42,11 +42,7 @@ def make_spec(pod_shards=2, k=4, protocol="tfc", seed=0, end_ns=END_NS,
 # ----------------------------------------------------------------------
 # The pinned equivalence cross-check
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", ("heap", "calendar", "adaptive"))
-def test_sharded_bit_identical_to_serial(monkeypatch, scheduler):
-    # REPRO_SCHEDULER chose an event-queue backend before the kernel kept
-    # one heap; it is no longer read, so a stale value must steer nothing.
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+def test_sharded_bit_identical_to_serial():
     spec = make_spec(pod_shards=2)
     serial = run_serial_reference(spec)
     sharded = run_sharded(spec, mode="inline")
@@ -55,6 +51,19 @@ def test_sharded_bit_identical_to_serial(monkeypatch, scheduler):
     assert sharded.shards == 3
     assert sharded.epochs > 1
     assert sharded.messages > 0
+
+
+def test_sharded_compiled_core_bit_identical_to_serial(monkeypatch):
+    """Shards advance by horizon-bounded ``run()`` calls; on the
+    compiled-core group drain they still reproduce the serial run on the
+    inlined loop."""
+    spec = make_spec(pod_shards=2)
+    monkeypatch.setenv("REPRO_COMPILED", "off")
+    serial = run_serial_reference(spec)
+    monkeypatch.setenv("REPRO_COMPILED", "on")
+    sharded = run_sharded(spec, mode="inline")
+    assert sharded.merged() == serial.metrics
+    assert sharded.epochs > 1
 
 
 @pytest.mark.parametrize("protocol", ("tcp", "dctcp"))

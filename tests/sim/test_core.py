@@ -1,9 +1,9 @@
-"""Unit tests for the batching primitives: the ``repro.sim.core`` typed
-kernels and the compiled-core loader.
+"""Unit tests for the compiled-core primitives: the ``repro.sim.core``
+group pop and the compiled-core loader.
 
-The golden and model-based suites prove batching end-to-end; these pin
-the primitives in isolation so a regression names the broken layer
-directly.
+The golden and model-based suites prove the group drain end-to-end;
+these pin the primitives in isolation so a regression names the broken
+layer directly.
 """
 
 import heapq
@@ -13,11 +13,6 @@ import pytest
 
 from repro.sim import core
 from repro.sim.engine import Event, load_core
-
-#: The one event queue ``Simulator`` keeps: a ``heapq`` list of
-#: ``(time, seq, event)``.  The parameter keeps the test ids stable.
-BACKENDS = ("heap",)
-
 
 def _event(time_ns: int, seq: int) -> Event:
     return Event(time_ns, seq, lambda: None, ())
@@ -37,8 +32,7 @@ def _pop_batch(heap, horizon_ns, out):
 # ----------------------------------------------------------------------
 # core.heap_pop_batch — the same-time group pop of the compiled drain
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pop_batch_pops_the_whole_same_time_group(backend):
+def test_pop_batch_pops_the_whole_same_time_group():
     heap = []
     for seq in (3, 1, 2):
         _push(heap, 100, seq)
@@ -52,8 +46,7 @@ def test_pop_batch_pops_the_whole_same_time_group(backend):
     assert _pop_batch(heap, 1_000, out2) == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pop_batch_respects_horizon(backend):
+def test_pop_batch_respects_horizon():
     heap = []
     _push(heap, 500, 1)
     out = []
@@ -62,8 +55,7 @@ def test_pop_batch_respects_horizon(backend):
     assert _pop_batch(heap, 500, out) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pop_batch_skips_dead_entries(backend):
+def test_pop_batch_skips_dead_entries():
     heap = []
     doomed_head = _push(heap, 100, 1)
     _push(heap, 100, 2)
@@ -76,9 +68,47 @@ def test_pop_batch_skips_dead_entries(backend):
     assert [e.seq for e in out] == [2, 4]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def test_pop_batch_on_an_empty_heap_pops_nothing():
+    out = []
+    assert core.heap_pop_batch([], [], 1_000, out) == (0, 0)
+    assert out == []
+
+
+def test_pop_batch_recycles_an_all_dead_heap():
+    heap, free = [], []
+    doomed = [_push(heap, 100 + i, i) for i in range(5)]
+    for event in doomed:
+        event.cancelled = True
+    assert core.heap_pop_batch(heap, free, 1_000, []) == (0, 5)
+    assert heap == []
+    assert free == doomed
+
+
+def test_pop_batch_recycles_dead_heads_even_past_the_horizon():
+    """Dead entries are unobservable, so they are swept off the head
+    whatever the horizon; the live entry behind them stays."""
+    heap, free = [], []
+    dead = _push(heap, 50, 1)
+    dead.cancelled = True
+    _push(heap, 500, 2)
+    assert core.heap_pop_batch(heap, free, 100, []) == (0, 1)
+    assert free == [dead]
+    assert [entry[0] for entry in heap] == [500]
+
+
+def test_pop_batch_takes_the_whole_group_sitting_on_the_horizon():
+    heap = []
+    for seq in range(4):
+        _push(heap, 300, seq)
+    _push(heap, 301, 4)
+    out = []
+    assert _pop_batch(heap, 300, out) == 4  # the horizon is inclusive
+    assert [e.seq for e in out] == [0, 1, 2, 3]
+    assert _pop_batch(heap, 300, []) == 0
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_pop_batch_matches_pop_due_sequence(backend, seed):
+def test_pop_batch_matches_pop_due_sequence(seed):
     """Differential: draining by group pops yields the exact order of
     popping one live head at a time."""
     rng = random.Random(seed)
@@ -129,35 +159,12 @@ def test_heap_pop_batch_mirrors_heap_backend():
     assert core.heap_pop_batch(heap, [], 1_000, []) == (0, 0)
 
 
-def test_burst_times_is_the_sum_of_per_frame_ceils():
-    from repro.sim.units import transmission_time_ns
-
-    rate = 1_000_000_000  # 1 Gbps
-    sizes = [1500, 40, 1500, 9000]
-    starts, dones = core.burst_times(sizes, rate, 7)
-    t = 7
-    for size, start, done in zip(sizes, starts, dones):
-        assert start == t
-        t += transmission_time_ns(size, rate)
-        assert done == t
-
-
-def test_burst_times_ceil_rounding_accumulates_per_frame():
-    # 3 bytes at 7 bps: 24 bits -> ceil(24e9/7) = 3428571429 ns each.
-    # Summing ceils differs from ceiling the sum — the golden contract.
-    starts, dones = core.burst_times([3, 3], 7, 0)
-    per_frame = -(-24 * 1_000_000_000 // 7)
-    assert dones == [per_frame, 2 * per_frame]
-    assert starts == [0, per_frame]
-
-
 # ----------------------------------------------------------------------
 # Compiled-core loader
 # ----------------------------------------------------------------------
 def test_load_core_falls_back_to_pure_python():
     loaded = load_core(True)
     assert hasattr(loaded, "heap_pop_batch")
-    assert hasattr(loaded, "burst_times")
     try:
         import repro.sim._core_compiled  # noqa: F401
     except ImportError:

@@ -1,19 +1,35 @@
-"""Unit tests for the discrete-event kernel."""
+"""Unit tests for the discrete-event kernel.
+
+Every kernel test runs on both ``run()`` paths: the inlined heap loop
+(``default``) and the compiled-core group drain (``compiled``, the
+interpreted fallback when the extension is not built).
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import SimConfig
 from repro.sim.engine import SimulationError, Simulator
 
+#: Kernel modes by the ``SimConfig.compiled`` value that selects them.
+MODES = {"default": "off", "compiled": "on"}
 
-def test_clock_starts_at_zero():
-    sim = Simulator()
+
+def make_sim(mode):
+    return Simulator(config=SimConfig(compiled=MODES[mode]))
+
+
+@pytest.fixture(params=sorted(MODES))
+def sim(request):
+    return make_sim(request.param)
+
+
+def test_clock_starts_at_zero(sim):
     assert sim.now == 0
     assert sim.now_seconds == 0.0
 
 
-def test_events_run_in_time_order():
-    sim = Simulator()
+def test_events_run_in_time_order(sim):
     log = []
     sim.schedule(30, log.append, "c")
     sim.schedule(10, log.append, "a")
@@ -22,8 +38,7 @@ def test_events_run_in_time_order():
     assert log == ["a", "b", "c"]
 
 
-def test_same_time_events_run_fifo():
-    sim = Simulator()
+def test_same_time_events_run_fifo(sim):
     log = []
     for tag in range(10):
         sim.schedule(5, log.append, tag)
@@ -31,8 +46,7 @@ def test_same_time_events_run_fifo():
     assert log == list(range(10))
 
 
-def test_clock_advances_to_event_time():
-    sim = Simulator()
+def test_clock_advances_to_event_time(sim):
     seen = []
     sim.schedule(42, lambda: seen.append(sim.now))
     sim.run()
@@ -40,8 +54,7 @@ def test_clock_advances_to_event_time():
     assert sim.now == 42
 
 
-def test_schedule_in_past_rejected():
-    sim = Simulator()
+def test_schedule_in_past_rejected(sim):
     with pytest.raises(SimulationError):
         sim.schedule(-1, lambda: None)
     sim.schedule(10, lambda: None)
@@ -57,8 +70,7 @@ def test_scheduler_argument_is_refused():
     assert Simulator().active_backend == "heap"
 
 
-def test_order_fifo_and_cancel():
-    sim = Simulator()
+def test_order_fifo_and_cancel(sim):
     log = []
     sim.schedule(30, log.append, "c")
     sim.schedule(10, log.append, "a")
@@ -71,10 +83,9 @@ def test_order_fifo_and_cancel():
     assert sim.pending_events == 0
 
 
-def test_horizon_probe_then_earlier_insert():
+def test_horizon_probe_then_earlier_insert(sim):
     """A run(until) that finds nothing due must not hide a later insert
     landing before an already-stored far event."""
-    sim = Simulator()
     log = []
     sim.schedule(1_000_000, log.append, "far")
     sim.run(until_ns=500)  # probe: nothing due, clock parks at 500
@@ -85,8 +96,7 @@ def test_horizon_probe_then_earlier_insert():
     assert log == ["near", "far"]
 
 
-def test_far_future_delays():
-    sim = Simulator()
+def test_far_future_delays(sim):
     fired = []
     delays = [
         0, 1, 1023, 1024, 262_143, 262_144, 1 << 20, (1 << 26) + 7,
@@ -99,8 +109,7 @@ def test_far_future_delays():
     assert sim.now == max(delays)
 
 
-def test_peek_time_reports_earliest_live_event():
-    sim = Simulator()
+def test_peek_time_reports_earliest_live_event(sim):
     assert sim.peek_time() is None  # empty
     sim.schedule(500, lambda: None)
     handle = sim.schedule(100, lambda: None)
@@ -114,8 +123,7 @@ def test_peek_time_reports_earliest_live_event():
     assert sim.peek_time() == sim.now  # a due event is "now", not future
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
+def test_cancelled_event_does_not_fire(sim):
     log = []
     event = sim.schedule(10, log.append, "x")
     sim.schedule(5, event.cancel)
@@ -123,8 +131,7 @@ def test_cancelled_event_does_not_fire():
     assert log == []
 
 
-def test_cancel_is_idempotent():
-    sim = Simulator()
+def test_cancel_is_idempotent(sim):
     event = sim.schedule(10, lambda: None)
     event.cancel()
     event.cancel()
@@ -132,8 +139,7 @@ def test_cancel_is_idempotent():
     assert sim.events_processed == 0
 
 
-def test_run_until_is_inclusive_and_advances_clock():
-    sim = Simulator()
+def test_run_until_is_inclusive_and_advances_clock(sim):
     log = []
     sim.schedule(100, log.append, "at-horizon")
     sim.schedule(101, log.append, "beyond")
@@ -143,8 +149,7 @@ def test_run_until_is_inclusive_and_advances_clock():
     assert sim.now == 100  # clock parked at the horizon
 
 
-def test_run_until_leaves_future_events_runnable():
-    sim = Simulator()
+def test_run_until_leaves_future_events_runnable(sim):
     log = []
     sim.schedule(50, log.append, 1)
     sim.schedule(150, log.append, 2)
@@ -153,8 +158,7 @@ def test_run_until_leaves_future_events_runnable():
     assert log == [1, 2]
 
 
-def test_run_for_is_relative():
-    sim = Simulator()
+def test_run_for_is_relative(sim):
     sim.schedule(10, lambda: None)
     sim.run_for(100)
     assert sim.now == 100
@@ -163,8 +167,7 @@ def test_run_for_is_relative():
     assert sim.now == 200
 
 
-def test_events_can_schedule_events():
-    sim = Simulator()
+def test_events_can_schedule_events(sim):
     log = []
 
     def chain(n):
@@ -178,8 +181,7 @@ def test_events_can_schedule_events():
     assert sim.now == 50
 
 
-def test_max_events_bound():
-    sim = Simulator()
+def test_max_events_bound(sim):
 
     def forever():
         sim.schedule(1, forever)
@@ -189,8 +191,7 @@ def test_max_events_bound():
     assert processed == 100
 
 
-def test_not_reentrant():
-    sim = Simulator()
+def test_not_reentrant(sim):
     errors = []
 
     def reenter():
@@ -204,17 +205,17 @@ def test_not_reentrant():
     assert len(errors) == 1
 
 
-def test_pending_events_counts_live_only():
-    sim = Simulator()
+def test_pending_events_counts_live_only(sim):
     sim.schedule(10, lambda: None)
     dead = sim.schedule(20, lambda: None)
     dead.cancel()
     assert sim.pending_events == 1
 
 
+@pytest.mark.parametrize("mode", sorted(MODES))
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
-def test_property_execution_order_is_sorted(delays):
-    sim = Simulator()
+def test_property_execution_order_is_sorted(mode, delays):
+    sim = make_sim(mode)
     fired = []
     for delay in delays:
         sim.schedule(delay, lambda d=delay: fired.append(sim.now))
@@ -223,12 +224,13 @@ def test_property_execution_order_is_sorted(delays):
     assert len(fired) == len(delays)
 
 
+@pytest.mark.parametrize("mode", sorted(MODES))
 @given(
     st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=30),
     st.integers(min_value=0, max_value=1000),
 )
-def test_property_run_until_never_executes_beyond_horizon(delays, horizon):
-    sim = Simulator()
+def test_property_run_until_never_executes_beyond_horizon(mode, delays, horizon):
+    sim = make_sim(mode)
     fired = []
     for delay in delays:
         sim.schedule(delay, lambda: fired.append(sim.now))
@@ -240,9 +242,8 @@ def test_property_run_until_never_executes_beyond_horizon(delays, horizon):
 # ----------------------------------------------------------------------
 # Fast-path machinery: free list, compaction, cancel reference-dropping
 # ----------------------------------------------------------------------
-def test_cancel_drops_callback_and_args_references():
+def test_cancel_drops_callback_and_args_references(sim):
     """Cancelling must not pin the callback/args until the heap drains."""
-    sim = Simulator()
     payload = object()
     event = sim.schedule(10, lambda p: None, payload)
     event.cancel()
@@ -250,9 +251,8 @@ def test_cancel_drops_callback_and_args_references():
     assert event.args == ()
 
 
-def test_pending_events_is_live_counter():
+def test_pending_events_is_live_counter(sim):
     """pending_events tracks schedules, cancels, and executions exactly."""
-    sim = Simulator()
     events = [sim.schedule(i + 1, lambda: None) for i in range(10)]
     assert sim.pending_events == 10
     for event in events[:4]:
@@ -263,9 +263,8 @@ def test_pending_events_is_live_counter():
     assert sim.pending_events == 5
 
 
-def test_executed_events_are_recycled():
+def test_executed_events_are_recycled(sim):
     """The free list reuses retired Event objects instead of allocating."""
-    sim = Simulator()
     first = sim.schedule(1, lambda: None)
     sim.run()
     second = sim.schedule(1, lambda: None)
@@ -273,9 +272,8 @@ def test_executed_events_are_recycled():
     sim.run()
 
 
-def test_stale_cancel_of_fired_event_is_harmless():
+def test_stale_cancel_of_fired_event_is_harmless(sim):
     """cancel() on a handle that already fired must not kill later events."""
-    sim = Simulator()
     fired = []
     handle = sim.schedule(1, lambda: fired.append("a"))
     sim.run()
@@ -286,9 +284,8 @@ def test_stale_cancel_of_fired_event_is_harmless():
     assert sim.pending_events == 0
 
 
-def test_heap_compaction_preserves_order_and_counts():
+def test_heap_compaction_preserves_order_and_counts(sim):
     """Mass-cancelling (timer churn) compacts without losing live events."""
-    sim = Simulator()
     fired = []
     live = []
     # Interleave many cancelled "timers" with a few real events.
@@ -304,9 +301,8 @@ def test_heap_compaction_preserves_order_and_counts():
     assert sim.pending_events == 0
 
 
-def test_compaction_during_run_keeps_heap_consistent():
+def test_compaction_during_run_keeps_heap_consistent(sim):
     """A callback that mass-cancels mid-run must not break the loop."""
-    sim = Simulator()
     fired = []
     doomed = [sim.schedule(1_000_000 + i, lambda: None) for i in range(600)]
 
@@ -320,3 +316,116 @@ def test_compaction_during_run_keeps_heap_consistent():
     sim.run()
     assert fired == ["cancelled", "after"]
     assert sim.pending_events == 0
+
+
+def test_dead_count_survives_compaction_inside_a_same_time_group(sim):
+    """A callback cancels a same-time sibling (already popped by the group
+    drain) and then enough far timers to compact the heap.  The dead-entry
+    count must still equal the dead entries the heap holds, or later
+    compactions fire at the wrong moment."""
+    doomed = [sim.schedule(1_000_000 + i, lambda: None) for i in range(300)]
+    group = []
+
+    def canceller():
+        group[1].cancel()
+        for event in doomed:
+            event.cancel()
+
+    group.append(sim.schedule(10, canceller))
+    group.append(sim.schedule(10, lambda: None))
+    group.append(sim.schedule(10, lambda: None))
+    assert sim.run(until_ns=100) == 2
+    assert sim._dead == sum(entry[2].cancelled for entry in sim._heap) == 0
+    assert sim.pending_events == 0
+
+
+def test_zero_delay_schedule_joins_the_end_of_its_instant(sim):
+    log = []
+
+    def first():
+        log.append(("first", sim.now))
+        sim.schedule(0, lambda: log.append(("late", sim.now)))
+
+    sim.schedule(10, first)
+    sim.schedule(10, lambda: log.append(("second", sim.now)))
+    sim.schedule(11, lambda: log.append(("next", sim.now)))
+    sim.run()
+    assert log == [("first", 10), ("second", 10), ("late", 10), ("next", 11)]
+
+
+def test_kernel_is_reusable_after_a_callback_raises(sim):
+    log = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(1, log.append, "a")
+    sim.schedule(2, boom)
+    sim.schedule(3, log.append, "b")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.events_processed == 1  # the raiser itself is not counted
+    assert sim.now == 2
+    assert sim.run() == 1
+    assert log == ["a", "b"]
+    assert sim.events_processed == 2
+
+
+def test_bounded_and_unbounded_runs_continue_one_order(sim):
+    """Alternating ``max_events`` runs (the per-event loop) with unbounded
+    ones (the group drain when compiled) dispatches the same sequence as a
+    single run, same-time groups cut at any point included."""
+    log = []
+    for i in range(40):
+        sim.schedule((i % 7) * 10, log.append, i)
+    total = 0
+    for bound in (1, None, 3, None):
+        total += sim.run(until_ns=total * 5 + 15, max_events=bound)
+    total += sim.run()
+    assert total == 40
+    assert log == sorted(range(40), key=lambda i: ((i % 7) * 10, i))
+
+
+def test_schedule_at_now_runs_within_the_current_instant(sim):
+    log = []
+
+    def first():
+        log.append("first")
+        sim.schedule_at(sim.now, log.append, "now")
+
+    sim.schedule(5, first)
+    sim.schedule(5, log.append, "sibling")
+    sim.schedule(6, log.append, "later")
+    sim.run()
+    assert log == ["first", "sibling", "now", "later"]
+
+
+def test_run_on_an_empty_queue_parks_the_clock_at_the_horizon(sim):
+    assert sim.run(until_ns=250) == 0
+    assert sim.now == 250
+    assert sim.run() == 0
+    assert sim.now == 250  # an unbounded drain of nothing leaves the clock
+
+
+def test_max_events_zero_runs_nothing_and_keeps_the_clock(sim):
+    log = []
+    sim.schedule(10, log.append, "a")
+    assert sim.run(until_ns=100, max_events=0) == 0
+    assert log == []
+    assert sim.now == 0  # a live event inside the horizon is still due
+    assert sim.pending_events == 1
+    assert sim.run(until_ns=100) == 1
+    assert sim.now == 100
+
+
+def test_cancelled_head_does_not_stop_the_horizon_probe(sim):
+    """A dead entry at the head, before the horizon, is discarded and the
+    live event behind it still fires."""
+    log = []
+    dead = sim.schedule(10, log.append, "dead")
+    sim.schedule(10, log.append, "live")
+    sim.schedule(30, log.append, "beyond")
+    dead.cancel()
+    assert sim.run(until_ns=20) == 1
+    assert log == ["live"]
+    assert sim.peek_time() == 30

@@ -2,8 +2,7 @@
 
 Same contract as :mod:`tests.sim.test_golden_determinism`, extended to
 the four baselines DESIGN.md §6k adds (bfc, tbtcp, tracks, fairq): the
-constants below were captured once and must stay bit-identical with
-hot-loop batching on or off.  If a
+constants below were captured once and must stay bit-identical.  If a
 change here is intentional, recapture the constants and say so in the
 commit — never loosen the assertions.
 
@@ -19,6 +18,12 @@ transport leaves its own signature in the constants:
   with the receiver's tail timer keeping RTOs to a minimum;
 * **fairq** — zero drops, selective marks keep the queue short of the
   ECN threshold.
+
+The same scenario also pins the paper's own transport and the two classic
+baselines it is measured against (``REFERENCE``): **tfc** (zero drops, one
+delimiter election), **tcp** (drop-tail losses recovered mostly by fast
+retransmit) and **dctcp** (zero drops, ECN keeps the queue short).  Every
+constant must also hold on the compiled-core group drain.
 """
 
 import hashlib
@@ -78,6 +83,42 @@ GOLDEN = {
     ),
 }
 
+#: The paper's transport and its classic baselines, same layout as GOLDEN.
+REFERENCE = {
+    "tfc": (
+        11080,
+        [13_863_762, 13_932_373, 13_877_062, 13_891_199],
+        0,
+        {
+            "tfc.delimiter_elected": 1,
+            "tfc.window_update": 99,
+            "transport.flow_complete": 4,
+        },
+        "990623089cdd7de1",
+    ),
+    "tcp": (
+        11935,
+        [17_639_642, 10_842_582, 13_429_407, 14_669_633],
+        187,
+        {
+            "net.packet_drop": 187,
+            "transport.fast_retransmit": 7,
+            "transport.flow_complete": 4,
+            "transport.rto": 1,
+        },
+        "a2b54622f6ffa2ed",
+    ),
+    "dctcp": (
+        11040,
+        [13_363_215, 13_098_243, 13_061_089, 13_528_256],
+        0,
+        {"transport.flow_complete": 4},
+        "9a05569426f0f909",
+    ),
+}
+
+PINNED = {**GOLDEN, **REFERENCE}
+
 
 def _digest(obj) -> str:
     return hashlib.sha256(
@@ -107,7 +148,7 @@ def _port_state(network):
 
 
 def _run_and_check(protocol):
-    events, complete_ns, drops, counters, digest = GOLDEN[protocol]
+    events, complete_ns, drops, counters, digest = PINNED[protocol]
     topo = build_topology(
         dumbbell, protocol, buffer_bytes=256_000, n_senders=4, seed=1
     )
@@ -128,34 +169,18 @@ def _run_and_check(protocol):
     return net
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+@pytest.mark.parametrize("protocol", sorted(PINNED))
 def test_golden_baseline_dumbbell(protocol):
     _run_and_check(protocol)
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-@pytest.mark.parametrize(
-    "backend", ["heap", "calendar", "wheel", "adaptive"]
-)
-def test_golden_baseline_every_scheduler_backend(
-    monkeypatch, backend, protocol
-):
-    """``REPRO_SCHEDULER`` once chose among these event-queue backends;
-    the kernel now keeps one heap and no longer reads the variable, so a
-    value left in a shell or CI config changes no golden constant."""
-    monkeypatch.setenv("REPRO_SCHEDULER", backend)
+@pytest.mark.parametrize("protocol", sorted(PINNED))
+def test_golden_baseline_compiled_core_bit_identical(monkeypatch, protocol):
+    """``REPRO_COMPILED=on`` pops each same-time group in one core call;
+    every transport's constants hold on that path too."""
+    monkeypatch.setenv("REPRO_COMPILED", "on")
     net = _run_and_check(protocol)
-    assert net.sim.active_backend == "heap"
-
-
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-@pytest.mark.parametrize("batch", ["on", "off"])
-def test_golden_baseline_batching_bit_identical(monkeypatch, batch, protocol):
-    """Hot-loop batching changes nothing — note BFC disables the TX burst
-    chain structurally (its per-flow queue overrides ``dequeue``), so
-    batch on/off only toggles kernel micro-batching there."""
-    monkeypatch.setenv("REPRO_BATCH", batch)
-    _run_and_check(protocol)
+    assert net.sim._core is not None
 
 
 def test_golden_bfc_composes_with_pfc_fabric(monkeypatch):

@@ -256,53 +256,19 @@ def test_golden_dumbbell_lossless_bit_identical(monkeypatch, lossless, mode):
     drain_pending()
 
 
-@pytest.mark.parametrize(
-    "backend", ["heap", "calendar", "wheel", "adaptive"]
-)
-def test_golden_dumbbell_every_scheduler_backend(monkeypatch, backend):
-    """``REPRO_SCHEDULER`` once chose among these event-queue backends;
-    the kernel now keeps one heap and no longer reads the variable, so a
-    value left in a shell or CI config changes no golden constant."""
-    monkeypatch.setenv("REPRO_SCHEDULER", backend)
+def test_golden_dumbbell_ignores_stale_kernel_env(monkeypatch):
+    """``REPRO_SCHEDULER`` once chose an event-queue backend and
+    ``REPRO_BATCH`` once toggled hot-loop batching; the kernel reads
+    neither any more, so values left in a shell or CI config change no
+    golden constant."""
+    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
+    monkeypatch.setenv("REPRO_BATCH", "off")
     topo = build_topology(
         dumbbell, "tfc", buffer_bytes=256_000, n_senders=4, seed=1
     )
-    assert topo.sim.active_backend == "heap"
     senders = [open_flow(topo.host(i), topo.host(4), "tfc") for i in range(4)]
     topo.network.run_for(seconds(0.1))
     net = topo.network
-
-    assert net.sim.events_processed == 79280
-    assert net.sim.now == 100_000_000
-    assert [s.stats.bytes_acked for s in senders] == [
-        2_889_340,
-        2_887_880,
-        2_892_260,
-        2_887_880,
-    ]
-    assert _digest(_port_state(net)) == "4b5cbc0840abe309"
-
-
-@pytest.mark.parametrize("batch", ["on", "off"])
-@pytest.mark.parametrize(
-    "backend", ["heap", "calendar", "wheel", "adaptive"]
-)
-def test_golden_dumbbell_batching_bit_identical(monkeypatch, backend, batch):
-    """Hot-loop batching (``REPRO_BATCH``, DESIGN.md §6h) changes *nothing*:
-    the kernel micro-batch dispatches in the exact (time, seq) order the
-    single-pop loop would, and the port TX burst chain consumes the same
-    seq numbers at the same times as the serial path — so every golden
-    constant holds with batching on or off, whatever stale
-    ``REPRO_SCHEDULER`` value the environment still carries."""
-    monkeypatch.setenv("REPRO_BATCH", batch)
-    monkeypatch.setenv("REPRO_SCHEDULER", backend)
-    topo = build_topology(
-        dumbbell, "tfc", buffer_bytes=256_000, n_senders=4, seed=1
-    )
-    net = topo.network
-    assert net.burst_enabled == (batch == "on")
-    senders = [open_flow(topo.host(i), topo.host(4), "tfc") for i in range(4)]
-    net.run_for(seconds(0.1))
 
     assert net.sim.events_processed == 79280
     assert net.sim.now == 100_000_000
@@ -319,12 +285,36 @@ def test_golden_dumbbell_batching_bit_identical(monkeypatch, backend, batch):
     assert _digest(_port_state(net)) == "4b5cbc0840abe309"
 
 
-@pytest.mark.parametrize("batch", ["on", "off"])
-def test_golden_fig13_batching_bit_identical(monkeypatch, batch):
+def test_golden_dumbbell_compiled_core_bit_identical(monkeypatch):
+    """``REPRO_COMPILED=on`` routes the hot loop through ``repro.sim.core``
+    (the compiled twin when built, the pure-Python module otherwise);
+    either way the golden constants must hold bit-identically."""
+    monkeypatch.setenv("REPRO_COMPILED", "on")
+    topo = build_topology(
+        dumbbell, "tfc", buffer_bytes=256_000, n_senders=4, seed=1
+    )
+    assert topo.sim._core is not None
+    senders = [open_flow(topo.host(i), topo.host(4), "tfc") for i in range(4)]
+    topo.network.run_for(seconds(0.1))
+    net = topo.network
+
+    assert net.sim.events_processed == 79280
+    assert net.sim.now == 100_000_000
+    assert [s.stats.bytes_acked for s in senders] == [
+        2_889_340,
+        2_887_880,
+        2_892_260,
+        2_887_880,
+    ]
+    assert _digest(_port_state(net)) == "4b5cbc0840abe309"
+
+
+def test_golden_fig13_compiled_core_bit_identical(monkeypatch):
     """The stochastic-workload golden cell (handshakes, timer churn, RNG
-    draws) is bit-identical with batching on or off."""
-    monkeypatch.setenv("REPRO_BATCH", batch)
+    draws) is bit-identical on the compiled-core group drain."""
+    monkeypatch.setenv("REPRO_COMPILED", "on")
     topo = build_topology(build_testbed, "tfc", buffer_bytes=256_000, seed=0)
+    assert topo.sim._core is not None
     collector = FctCollector()
     workload = BenchmarkWorkload(
         topo.hosts,
@@ -356,30 +346,6 @@ def test_golden_fig13_batching_bit_identical(monkeypatch, batch):
     )
     assert _digest([list(r) for r in records]) == "143d85e14736aa91"
     assert _digest(_port_state(net)) == "3255488c8e6eca49"
-
-
-def test_golden_dumbbell_compiled_core_bit_identical(monkeypatch):
-    """``REPRO_COMPILED=on`` routes the hot loop through ``repro.sim.core``
-    (the compiled twin when built, the pure-Python module otherwise);
-    either way the golden constants must hold bit-identically."""
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    topo = build_topology(
-        dumbbell, "tfc", buffer_bytes=256_000, n_senders=4, seed=1
-    )
-    assert topo.sim._core is not None
-    senders = [open_flow(topo.host(i), topo.host(4), "tfc") for i in range(4)]
-    topo.network.run_for(seconds(0.1))
-    net = topo.network
-
-    assert net.sim.events_processed == 79280
-    assert net.sim.now == 100_000_000
-    assert [s.stats.bytes_acked for s in senders] == [
-        2_889_340,
-        2_887_880,
-        2_892_260,
-        2_887_880,
-    ]
-    assert _digest(_port_state(net)) == "4b5cbc0840abe309"
 
 
 @pytest.mark.parametrize("policy", ["single", "ecmp", "flowlet", "spray"])

@@ -24,13 +24,11 @@ import pytest
 
 from repro.sim.engine import Simulator
 
-#: The kernel modes that select different ``run()`` code: the inlined
-#: heap loop, the same loop with batching off, and the compiled-core
+#: The two ``run()`` paths: the inlined heap loop and the compiled-core
 #: group drain (interpreted fallback when the extension is not built).
 MODES = {
-    "default": {"REPRO_BATCH": "on", "REPRO_COMPILED": "off"},
-    "batch-off": {"REPRO_BATCH": "off", "REPRO_COMPILED": "off"},
-    "compiled": {"REPRO_BATCH": "on", "REPRO_COMPILED": "on"},
+    "default": {"REPRO_COMPILED": "off"},
+    "compiled": {"REPRO_COMPILED": "on"},
 }
 
 OPS = 3_000
@@ -202,7 +200,7 @@ def _play(side, seed):
     return log
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_kernel_matches_sorted_list_oracle(monkeypatch, mode, seed):
     for var, value in MODES[mode].items():

@@ -4,11 +4,8 @@ The count used to be settled only when ``run()`` returned, so a callback
 read ``live + events already run by this call``.  These tests keep an
 independent ledger (+1 per schedule, −1 per dispatch or cancel) and
 compare it with the simulator from inside callbacks, on every dispatch
-path ``run()`` has: the inlined heap loop (batching on or off) and the
-compiled-core batch drain (interpreted fallback).  Each mode also runs
-under every value ``REPRO_SCHEDULER`` took when it chose an event-queue
-backend: the variable is no longer read, and a stale value must steer
-nothing.
+path ``run()`` has: the inlined heap loop and the compiled-core group
+drain (interpreted fallback).
 """
 
 import pytest
@@ -18,22 +15,15 @@ from repro.sim.engine import Simulator
 #: Kernel modes by the env knobs that select them.  ``compiled`` routes
 #: the heap through ``core.heap_pop_batch`` — true same-time group pops.
 MODES = {
-    "batch": {"REPRO_BATCH": "on", "REPRO_COMPILED": "off"},
-    "unbatched": {"REPRO_BATCH": "off", "REPRO_COMPILED": "off"},
-    "compiled": {"REPRO_BATCH": "on", "REPRO_COMPILED": "on"},
+    "default": {"REPRO_COMPILED": "off"},
+    "compiled": {"REPRO_COMPILED": "on"},
 }
 
 
-FORMER_SCHEDULERS = ("heap", "calendar", "wheel", "adaptive")
-
-
-@pytest.fixture(params=[(b, m) for b in FORMER_SCHEDULERS for m in MODES],
-                ids=lambda p: f"{p[0]}-{p[1]}")
+@pytest.fixture(params=sorted(MODES))
 def sim(request, monkeypatch):
-    backend, mode = request.param
-    for var, value in MODES[mode].items():
+    for var, value in MODES[request.param].items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setenv("REPRO_SCHEDULER", backend)
     return Simulator()
 
 
@@ -169,10 +159,68 @@ def test_raising_callback_leaves_the_true_live_population(sim):
     assert sim.pending_events == 0
 
 
-def test_bare_simulator_stays_on_the_heap(monkeypatch):
+def test_exact_when_callbacks_join_their_own_instant(sim):
+    """Zero-delay schedules from inside a same-time group queue behind
+    the rest of the group and are counted from the moment they exist."""
+    ledger = Ledger(sim)
+
+    def spawn(depth):
+        if depth:
+            ledger.schedule(0, spawn, depth - 1)
+            ledger.schedule(0)
+
+    for _ in range(3):
+        ledger.schedule(10, spawn, 2)
+    sim.run()
+    assert len(ledger.seen) == 3 + 3 * 4
+    assert ledger.seen[:3] == [2, 3, 4]
+    assert sim.pending_events == ledger.expected == 0
+
+
+def test_exact_after_cancelling_the_rest_of_the_group(sim):
+    ledger = Ledger(sim)
+    group = []
+
+    def cancel_rest():
+        for event in group[1:]:
+            ledger.cancel(event)
+
+    group.append(ledger.schedule(50, cancel_rest))
+    group.extend(ledger.schedule(50) for _ in range(5))
+    ledger.schedule(60)
+    sim.run(until_ns=55)
+    assert ledger.seen == [6]
+    assert sim.pending_events == ledger.expected == 1
+    sim.run()
+    assert ledger.seen == [6, 0]
+    assert sim.pending_events == ledger.expected == 0
+
+
+def test_exact_across_a_compaction_inside_a_callback(sim):
+    """Mass-cancelling far timers from inside a group compacts the heap
+    while a cancelled sibling sits in the group; the count stays exact
+    through it and through every later compaction."""
+    ledger = Ledger(sim)
+    group = []
+
+    def churn(n):
+        timers = [ledger.schedule(1_000_000 + i) for i in range(n)]
+        if len(group) > 1:
+            ledger.cancel(group.pop())
+        for event in timers:
+            ledger.cancel(event)
+
+    for _ in range(3):
+        group[:] = [ledger.schedule(10, churn, 300), ledger.schedule(10)]
+        sim.run(until_ns=sim.now + 10)
+        ledger.check()
+    assert ledger.seen == [1, 1, 1]
+    assert sim.pending_events == ledger.expected == 0
+
+
+def test_bare_simulator_stays_on_the_heap():
     """Neither many schedule() calls inside one run() nor thousands of
     live events move a bare simulator off its one heap."""
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     sim = Simulator()
     left = 8_000
 

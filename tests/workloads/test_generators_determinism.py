@@ -162,19 +162,14 @@ def test_same_seed_same_schedule(name):
     assert _drive(build) == _drive(build)
 
 
-#: Values ``REPRO_SCHEDULER`` took when it chose an event-queue backend.
-#: The kernel now keeps one heap and no longer reads the variable; these
-#: tests pin that a value left in a shell or CI config steers nothing.
-FORMER_SCHEDULERS = ("heap", "calendar", "wheel", "adaptive")
-
-
 @pytest.mark.parametrize("name", sorted(GENERATORS))
-@pytest.mark.parametrize("scheduler", FORMER_SCHEDULERS)
-def test_identical_across_scheduler_backends(monkeypatch, name, scheduler):
+def test_compiled_core_same_schedule(monkeypatch, name):
+    """The compiled-core group drain (``REPRO_COMPILED=on``) dispatches
+    every generator's events exactly as the inlined loop does."""
     build = GENERATORS[name]
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    monkeypatch.setenv("REPRO_COMPILED", "off")
     baseline = _drive(build)
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+    monkeypatch.setenv("REPRO_COMPILED", "on")
     assert _drive(build) == baseline
 
 
@@ -205,11 +200,8 @@ def test_transports_same_seed_same_schedule(protocol):
 
 
 @pytest.mark.parametrize("protocol", NEW_TRANSPORTS)
-@pytest.mark.parametrize("scheduler", FORMER_SCHEDULERS)
-def test_transports_identical_across_scheduler_backends(
-    monkeypatch, protocol, scheduler
-):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+def test_transports_compiled_core_same_schedule(monkeypatch, protocol):
+    monkeypatch.setenv("REPRO_COMPILED", "off")
     baseline = _drive_protocol(protocol)
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+    monkeypatch.setenv("REPRO_COMPILED", "on")
     assert _drive_protocol(protocol) == baseline
