@@ -9,11 +9,10 @@ Usage::
 Keeps the existing snapshot's ``baseline`` block (the pre-fast-path seed
 numbers) so the history of the speedup stays in the committed file.
 
-``--quick`` is the CI smoke mode: 1 repeat, 10% simulated durations,
-lead backend only.  Quick numbers are *not* baseline-comparable, so the
-snapshot on disk is left untouched — the run only proves the suite still
-executes and prints the measured rows (including the ``+compiled``
-variant row when the mypyc core is built).
+``--quick`` is the CI smoke mode: 1 repeat, 10% simulated durations.
+Quick numbers are *not* baseline-comparable, so the snapshot on disk is
+left untouched — the run only proves the suite still executes and prints
+one measured row per pinned workload.
 """
 
 import os

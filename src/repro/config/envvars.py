@@ -28,11 +28,7 @@ ROUTING_ENV_VAR = "REPRO_ROUTING"
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 TELEMETRY_DIR_ENV_VAR = "REPRO_TELEMETRY_DIR"
 LOSSLESS_ENV_VAR = "REPRO_LOSSLESS"
-COMPILED_ENV_VAR = "REPRO_COMPILED"
 SHARDS_ENV_VAR = "REPRO_SHARDS"
-
-# Two-state switches share one value vocabulary.
-ONOFF: Tuple[str, ...] = ("on", "off")
 
 # Defined here rather than imported from repro.net.pfc: the config layer
 # must stay importable without pulling in the datapath (and net imports
@@ -92,9 +88,6 @@ KNOBS: Dict[str, EnvKnob] = {
     "lossless": EnvKnob(
         LOSSLESS_ENV_VAR, "off", LOSSLESS_MODES, "lossless fabric mode"
     ),
-    "compiled": EnvKnob(
-        COMPILED_ENV_VAR, "off", ONOFF, "compiled kernel core mode"
-    ),
     "shards": EnvKnob(
         SHARDS_ENV_VAR,
         "",  # unset: serial, single-simulator runs
@@ -138,11 +131,6 @@ def lossless_mode() -> str:
     return current("lossless")
 
 
-def compiled_mode() -> str:
-    """Effective compiled-core mode (``off`` when unset)."""
-    return current("compiled")
-
-
 def shard_count() -> Optional[int]:
     """Requested shard count, or None for serial (the default)."""
     value = current("shards")
@@ -178,7 +166,6 @@ def env(
     telemetry: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
     lossless: Optional[str] = None,
-    compiled: Optional[str] = None,
     shards: Optional[str] = None,
 ) -> _EnvContext:
     """Pin any subset of the ``REPRO_*`` knobs while a block runs.
@@ -194,7 +181,6 @@ def env(
         "telemetry": telemetry,
         "telemetry_dir": telemetry_dir,
         "lossless": lossless,
-        "compiled": compiled,
         "shards": shards,
     }
     pins: Dict[str, str] = {}

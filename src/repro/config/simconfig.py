@@ -6,10 +6,8 @@ transport helpers, and whatever ``REPRO_*`` variables happened to be
 exported.  ``SimConfig`` carries all of it in one validated, frozen value
 that every layer accepts:
 
-* ``Simulator(config=cfg)`` — the compiled-core mode;
-* ``Network(config=cfg)`` — seed, routing, the compiled-core mode (via
-  its simulator) and telemetry (a session is installed when
-  ``telemetry != off``);
+* ``Network(config=cfg)`` — seed, routing and telemetry (a session is
+  installed when ``telemetry != off``);
 * ``run_cells(..., config=cfg)`` / ``runner --telemetry DIR`` — the
   runner pins the whole config process-wide (via :func:`repro.config.
   env`) so worker processes and internally built networks inherit it.
@@ -42,13 +40,12 @@ class SimConfig:
     telemetry: Optional[str] = None
     telemetry_dir: Optional[str] = None
     lossless: Optional[str] = None
-    compiled: Optional[str] = None
     #: Shard count for single-simulation parallelism (repro.sim.shard);
     #: None = serial.  Carried as an int; exported as ``REPRO_SHARDS``.
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for knob in ("routing", "telemetry", "lossless", "compiled"):
+        for knob in ("routing", "telemetry", "lossless"):
             value = getattr(self, knob)
             if value is not None:
                 KNOBS[knob].validate(value)
@@ -70,7 +67,6 @@ class SimConfig:
             telemetry=current("telemetry"),
             telemetry_dir=current("telemetry_dir") or None,
             lossless=current("lossless"),
-            compiled=current("compiled"),
             shards=shard_count(),
         )
 
@@ -113,7 +109,6 @@ class SimConfig:
             telemetry=self.telemetry,
             telemetry_dir=self.telemetry_dir,
             lossless=self.lossless,
-            compiled=self.compiled,
             shards=None if self.shards is None else str(self.shards),
         )
 

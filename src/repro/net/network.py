@@ -64,14 +64,14 @@ class Network:
         routing: Optional[Union[str, RoutingPolicy]] = None,
         config: Optional["SimConfig"] = None,
     ):
-        # ``config`` (a repro.config.SimConfig) supplies seed, routing,
-        # compiled-core and telemetry defaults; explicit arguments win.
+        # ``config`` (a repro.config.SimConfig) supplies seed, routing
+        # and telemetry defaults; explicit arguments win.
         if config is not None:
             if seed is None:
                 seed = config.seed
             if routing is None:
                 routing = config.routing
-        self.sim = Simulator(config=config)
+        self.sim = Simulator()
         self.tracer = Tracer()
         self.seeds = SeedSequence(seed if seed is not None else 0)
         # Policy name, instance, or None (= $REPRO_ROUTING, then "single").

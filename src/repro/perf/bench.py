@@ -8,7 +8,7 @@ The JSON schema (version 1)::
       "git_sha": "<commit the numbers were measured at>",
       "machine": {"python": ..., "platform": ..., "cpu_count": ...},
       "repeats": 3,
-      "results": [{"name": "<workload>@heap[+<variant>]",
+      "results": [{"name": "<workload>@heap",
                    "workload": ...,
                    "events_per_sec" | "wall_s": ...}, ...],
       "baseline": {           # optional: what compare.py diffs against
@@ -48,17 +48,6 @@ from .workloads import (
 SCHEMA_VERSION = 1
 
 
-def default_variants() -> tuple:
-    """Kernel-mode variants measured by default.
-
-    ``compiled`` only when the mypyc twin is actually built — an
-    interpreted-fallback row would just duplicate the plain number.
-    """
-    from ..sim.engine import load_core
-
-    return ("compiled",) if load_core(True).COMPILED else ()
-
-
 def machine_info() -> Dict[str, object]:
     """Enough machine context to judge whether two snapshots are comparable."""
     return {
@@ -89,23 +78,14 @@ def git_sha() -> str:
 def run_kernel_suite(
     repeats: int = 3,
     duration_scale: float = 1.0,
-    variants: Sequence[str] = (),
     workloads: Optional[Sequence[str]] = None,
 ) -> List[Dict[str, float]]:
     """Best-of-``repeats`` events/sec for every pinned kernel workload.
 
-    One plain row per workload.  Repeats interleave across workloads so
+    One row per workload.  Repeats interleave across workloads so
     machine noise spreads evenly instead of biasing whichever ran last.
-
-    ``variants`` adds one extra row per (workload, variant)
-    (``<workload>@heap+<variant>``).  Each variant cell runs immediately
-    after its workload's plain cell: the pair is the comparison readers
-    make, so it must not straddle minutes of machine drift.
-
-    Workloads that declare ``lead_only`` (the sharded-fabric twins) skip
-    the variant dimension: they compare against their serial/sharded
-    twin.  ``workloads`` filters the suite to the named subset (unknown
-    names raise, so a CI filter cannot silently measure nothing).
+    ``workloads`` filters the suite to the named subset (unknown names
+    raise, so a CI filter cannot silently measure nothing).
     """
     if workloads is not None:
         wanted = set(workloads)
@@ -119,21 +99,16 @@ def run_kernel_suite(
         pool = [w for w in KERNEL_WORKLOADS if w.name in wanted]
     else:
         pool = list(KERNEL_WORKLOADS)
-    cells: List[tuple] = []
-    for workload in pool:
-        cells.append((workload, None))
-        if not getattr(workload, "lead_only", False):
-            cells.extend((workload, variant) for variant in variants if variant)
     best: Dict[int, Dict[str, float]] = {}
     for _ in range(max(repeats, 1)):
-        for idx, (workload, variant) in enumerate(cells):
-            run = run_kernel_workload(workload, duration_scale, variant)
+        for idx, workload in enumerate(pool):
+            run = run_kernel_workload(workload, duration_scale)
             if (
                 idx not in best
                 or run["events_per_sec"] > best[idx]["events_per_sec"]
             ):
                 best[idx] = run
-    return [best[idx] for idx in range(len(cells))]
+    return [best[idx] for idx in range(len(pool))]
 
 
 def run_experiment_suite(
@@ -199,15 +174,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="carry the 'baseline' block over from an existing snapshot",
     )
     parser.add_argument(
-        "--variants",
-        default="auto",
-        help=(
-            "comma-separated kernel-mode variants to measure (kernel "
-            "kind only); 'auto' = compiled when built, 'none' disables "
-            "the dimension"
-        ),
-    )
-    parser.add_argument(
         "--workloads",
         default=None,
         help=(
@@ -225,12 +191,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.variants == "auto":
-        variants = list(default_variants())
-    elif args.variants == "none":
-        variants = []
-    else:
-        variants = [v for v in args.variants.split(",") if v.strip()]
     if args.quick:
         args.repeats = 1
         args.duration_scale = min(args.duration_scale, 0.1)
@@ -247,7 +207,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         results = run_kernel_suite(
             args.repeats,
             args.duration_scale,
-            variants,
             workloads=workload_filter,
         )
         metric = "events_per_sec"

@@ -20,7 +20,6 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bench import run_experiment_suite, run_kernel_suite
-from .workloads import VARIANT_NAMES
 
 DEFAULT_THRESHOLD = 0.15
 
@@ -28,25 +27,6 @@ DEFAULT_THRESHOLD = 0.15
 def _canonical(name: str) -> str:
     """Row key: bare pre-backend names alias to the adaptive default."""
     return name if "@" in name else f"{name}@adaptive"
-
-
-def snapshot_variants(results: List[Dict[str, float]]) -> List[str]:
-    """Kernel-mode variants the snapshot covers that the suite can measure.
-
-    Pre-variant snapshots have no ``+`` rows, so the fresh run measures
-    none either and the gate behaves exactly as before this dimension
-    existed.  Rows of a variant that no longer exists are left out here;
-    :func:`compare_results` then reports them as missing from the fresh
-    run.
-    """
-    seen: List[str] = []
-    for row in results:
-        variant = row.get("variant")
-        if not variant and "+" in row["name"]:
-            variant = row["name"].rsplit("+", 1)[1]
-        if variant and variant in VARIANT_NAMES and variant not in seen:
-            seen.append(variant)
-    return seen
 
 
 def _throughputs(kind: str, results: List[Dict[str, float]]) -> Dict[str, float]:
@@ -124,10 +104,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         snapshot = json.load(fh)
     kind = snapshot.get("kind", "kernel")
     committed = snapshot["results"]
-    variants = snapshot_variants(committed)
 
     if kind == "kernel":
-        fresh = run_kernel_suite(repeats=args.repeats, variants=variants)
+        fresh = run_kernel_suite(repeats=args.repeats)
     else:
         fresh = run_experiment_suite(repeats=args.repeats)
 

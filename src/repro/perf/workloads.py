@@ -23,22 +23,13 @@ Three tiers:
 
 Rows are named ``<workload>@heap``: the suffix matches the ``@heap``
 rows of the committed snapshots, so those keep gating.
-
-Kernel workloads additionally take a ``variant`` — a named kernel-mode
-override measured against the plain row:
-
-* ``""`` (plain) — the shipped defaults: interpreted core;
-* ``"compiled"`` — ``REPRO_COMPILED=on``, the mypyc core when built
-  (falls back to the interpreted module, making the row a no-op twin).
-
-Variant rows are named ``<workload>@heap+<variant>``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from ..config import env as config_env
 from ..experiments.common import build_topology
@@ -114,9 +105,7 @@ class ShardedFabricWorkload:
     results — pinned by tests/shard) run once on one Simulator and once
     across ``pod_shards`` pod partitions plus the core shard with the
     conservative-lookahead coordinator.  ``pod_shards=0`` is the serial
-    reference.  ``lead_only`` keeps the suite from multiplying these
-    (comparatively slow) rows across the kernel-mode variants — the
-    shard/serial ratio is what the row measures.
+    reference.
     """
 
     name: str
@@ -126,7 +115,6 @@ class ShardedFabricWorkload:
     flows_per_pod: int
     seed: int
     duration_s: float
-    lead_only: bool = True
 
 
 @dataclass(frozen=True)
@@ -187,36 +175,13 @@ EXPERIMENT_WORKLOADS: Tuple[ExperimentWorkload, ...] = (
 )
 
 
-#: Kernel-mode variants the bench suite can measure (see module docstring).
-VARIANT_NAMES = ("", "compiled")
-
-
-def _variant_env(variant: Optional[str]) -> Dict[str, str]:
-    """``config_env`` overrides implementing a named kernel variant."""
-    if not variant:
-        return {}
-    if variant == "compiled":
-        return {"compiled": "on"}
-    raise ValueError(
-        f"unknown kernel variant {variant!r} (expected one of "
-        f"{VARIANT_NAMES[1:]})"
-    )
-
-
-def _row_name(workload_name: str, variant: Optional[str] = None) -> str:
-    name = f"{workload_name}@heap"
-    return f"{name}+{variant}" if variant else name
-
-
-def _annotate_variant(row: Dict[str, float], variant: Optional[str]) -> None:
-    if variant:
-        row["variant"] = variant
+def _row_name(workload_name: str) -> str:
+    return f"{workload_name}@heap"
 
 
 def run_kernel_workload(
     workload: AnyKernelWorkload,
     duration_scale: float = 1.0,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one kernel workload; returns events, wall_s, events_per_sec.
 
@@ -224,49 +189,46 @@ def run_kernel_workload(
     scaled runs are *not* comparable against the committed baselines.
     """
     if isinstance(workload, TimerChurnWorkload):
-        return run_churn_workload(workload, duration_scale, variant)
+        return run_churn_workload(workload, duration_scale)
     if isinstance(workload, FabricWorkload):
-        return run_fabric_workload(workload, duration_scale, variant)
+        return run_fabric_workload(workload, duration_scale)
     if isinstance(workload, TelemetryWorkload):
-        return run_telemetry_workload(workload, duration_scale, variant)
+        return run_telemetry_workload(workload, duration_scale)
     if isinstance(workload, ShardedFabricWorkload):
-        return run_sharded_fabric_workload(workload, duration_scale, variant)
-    with config_env(**_variant_env(variant)):
-        topo = build_topology(
-            dumbbell,
-            workload.protocol,
-            buffer_bytes=256_000,
-            n_senders=workload.n_senders,
-            seed=workload.seed,
-        )
-        receiver = topo.host(workload.n_senders)
-        for i in range(workload.n_senders):
-            open_flow(topo.host(i), receiver, workload.protocol)
-        start = time.perf_counter()
-        topo.network.run_for(seconds(workload.duration_s * duration_scale))
-        wall = time.perf_counter() - start
+        return run_sharded_fabric_workload(workload, duration_scale)
+    topo = build_topology(
+        dumbbell,
+        workload.protocol,
+        buffer_bytes=256_000,
+        n_senders=workload.n_senders,
+        seed=workload.seed,
+    )
+    receiver = topo.host(workload.n_senders)
+    for i in range(workload.n_senders):
+        open_flow(topo.host(i), receiver, workload.protocol)
+    start = time.perf_counter()
+    topo.network.run_for(seconds(workload.duration_s * duration_scale))
+    wall = time.perf_counter() - start
     events = topo.sim.events_processed
     row = {
-        "name": _row_name(workload.name, variant),
+        "name": _row_name(workload.name),
         "workload": workload.name,
         "protocol": workload.protocol,
         "events": events,
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
 def run_telemetry_workload(
     workload: TelemetryWorkload,
     duration_scale: float = 1.0,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one telemetry-on dumbbell workload."""
     from ..obs import drain_pending
 
-    with config_env(telemetry=workload.telemetry, **_variant_env(variant)):
+    with config_env(telemetry=workload.telemetry):
         topo = build_topology(
             dumbbell,
             workload.protocol,
@@ -283,7 +245,7 @@ def run_telemetry_workload(
     drain_pending()  # nothing exports; keep the pending queue clean
     events = topo.sim.events_processed
     row = {
-        "name": _row_name(workload.name, variant),
+        "name": _row_name(workload.name),
         "workload": workload.name,
         "protocol": workload.protocol,
         "telemetry": workload.telemetry,
@@ -291,18 +253,15 @@ def run_telemetry_workload(
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
 def run_churn_workload(
     workload: TimerChurnWorkload,
     duration_scale: float = 1.0,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one timer-churn workload."""
-    with config_env(**_variant_env(variant)):
-        sim = Simulator()
+    sim = Simulator()
     timers = workload.timer_delays_ns
     # Per-slot base delay precomputed (the j*977 de-aliasing stagger is
     # static); the ack handler only adds the per-step jitter.
@@ -336,45 +295,42 @@ def run_churn_workload(
     wall = time.perf_counter() - start
     events = sim.events_processed
     row = {
-        "name": _row_name(workload.name, variant),
+        "name": _row_name(workload.name),
         "workload": workload.name,
         "protocol": "timers",
         "events": events,
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
 def run_fabric_workload(
     workload: FabricWorkload,
     duration_scale: float = 1.0,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one fat-tree multi-path workload."""
-    with config_env(**_variant_env(variant)):
-        topo = build_topology(
-            fat_tree,
+    topo = build_topology(
+        fat_tree,
+        workload.protocol,
+        buffer_bytes=256_000,
+        k=workload.k,
+        seed=workload.seed,
+        routing=workload.routing,
+    )
+    n_hosts = len(topo.hosts)
+    for i in range(workload.n_flows):
+        open_flow(
+            topo.hosts[i],
+            topo.hosts[n_hosts // 2 + i],
             workload.protocol,
-            buffer_bytes=256_000,
-            k=workload.k,
-            seed=workload.seed,
-            routing=workload.routing,
         )
-        n_hosts = len(topo.hosts)
-        for i in range(workload.n_flows):
-            open_flow(
-                topo.hosts[i],
-                topo.hosts[n_hosts // 2 + i],
-                workload.protocol,
-            )
-        start = time.perf_counter()
-        topo.network.run_for(seconds(workload.duration_s * duration_scale))
-        wall = time.perf_counter() - start
+    start = time.perf_counter()
+    topo.network.run_for(seconds(workload.duration_s * duration_scale))
+    wall = time.perf_counter() - start
     events = topo.sim.events_processed
     row = {
-        "name": _row_name(workload.name, variant),
+        "name": _row_name(workload.name),
         "workload": workload.name,
         "protocol": workload.protocol,
         "routing": workload.routing,
@@ -382,14 +338,12 @@ def run_fabric_workload(
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
 def run_sharded_fabric_workload(
     workload: ShardedFabricWorkload,
     duration_scale: float = 1.0,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one sharded-fabric workload (serial when ``pod_shards == 0``).
 
@@ -419,22 +373,21 @@ def run_sharded_fabric_workload(
             "flows_per_pod": workload.flows_per_pod,
         },
     )
-    with config_env(**_variant_env(variant)):
-        if workload.pod_shards == 0:
-            outcome = run_serial_reference(spec)
-            events, wall = outcome.events, outcome.wall_s
-            extra: Dict[str, float] = {"shards": 0}
-        else:
-            result = run_sharded(spec)
-            events, wall = result.events, result.wall_s
-            extra = {
-                "shards": result.shards,
-                "epochs": result.epochs,
-                "messages": result.messages,
-                "exec_mode": result.mode,
-            }
+    if workload.pod_shards == 0:
+        outcome = run_serial_reference(spec)
+        events, wall = outcome.events, outcome.wall_s
+        extra: Dict[str, float] = {"shards": 0}
+    else:
+        result = run_sharded(spec)
+        events, wall = result.events, result.wall_s
+        extra = {
+            "shards": result.shards,
+            "epochs": result.epochs,
+            "messages": result.messages,
+            "exec_mode": result.mode,
+        }
     row = {
-        "name": _row_name(workload.name, variant),
+        "name": _row_name(workload.name),
         "workload": workload.name,
         "protocol": workload.protocol,
         "events": events,
@@ -442,7 +395,6 @@ def run_sharded_fabric_workload(
         "events_per_sec": events / wall if wall > 0 else 0.0,
         **extra,
     }
-    _annotate_variant(row, variant)
     return row
 
 

@@ -12,7 +12,7 @@ The kernel is deliberately tiny: components interact only through
 ``schedule`` / ``cancel`` and the read-only ``now`` property.  Everything
 network-specific lives in :mod:`repro.net` and above.
 
-Fast-path design (DESIGN.md §6c–§6d):
+Fast-path design (DESIGN.md §6d):
 
 * The heap stores ``(time, seq, event)`` tuples, not :class:`Event`
   objects, so sift comparisons are C tuple comparisons instead of
@@ -33,19 +33,10 @@ Fast-path design (DESIGN.md §6c–§6d):
   the heap head.  When more than half the heap is dead (cancelled timers
   that were never popped — long-RTO transports generate these in bulk)
   it is compacted in place, bounding both memory and sift work.
-
-Compiled core (``REPRO_COMPILED``, default ``off``): the same-time group
-pop lives in :mod:`repro.sim.core`, written to compile under mypyc
-(``pip install .[compiled]`` + ``benchmarks/perf/build_compiled.py``).
-When the knob is on the engine routes through :func:`load_core`, which
-prefers the compiled twin and silently falls back to the interpreted
-module, and :meth:`Simulator.run` pops each same-time group in one core
-call.  Same bit-identical results either way.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -63,28 +54,6 @@ _NO_LIMIT = 1 << 62
 COMPACT_MIN_ENTRIES = 256
 
 HeapEntry = Tuple[int, int, "Event"]
-
-
-def load_core(compiled: bool):
-    """The kernel-helper module: compiled twin when asked for and built.
-
-    With ``compiled`` False this returns the interpreted
-    :mod:`repro.sim.core`.  With True it prefers the mypyc-built
-    ``repro.sim._core_compiled`` (produced by
-    ``benchmarks/perf/build_compiled.py``) and falls back to the
-    interpreted module when the build is absent — opting in never breaks
-    an environment without the extension.
-    """
-    if compiled:
-        try:
-            from . import _core_compiled  # type: ignore[attr-defined]
-
-            return _core_compiled
-        except ImportError:
-            pass
-    from . import core
-
-    return core
 
 
 class Event:
@@ -166,13 +135,9 @@ class Simulator:
         "_dead",
         "_running",
         "_events_processed",
-        "_core",
     )
 
-    def __init__(self, *, config: Optional[Any] = None) -> None:
-        # ``config`` is a repro.config.SimConfig (duck-typed here so the
-        # kernel stays free of upper-layer imports); its None fields
-        # defer to the REPRO_* environment, then to the built-in default.
+    def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
         self._heap: List[HeapEntry] = []
@@ -181,15 +146,6 @@ class Simulator:
         self._dead: int = 0  # heap entries whose event is cancelled
         self._running = False
         self._events_processed = 0
-        compiled = (
-            getattr(config, "compiled", None) if config is not None else None
-        )
-        if compiled is None:
-            compiled = os.environ.get("REPRO_COMPILED", "") or "off"
-        # None = pure inlined fast paths; a module = route same-time group
-        # pops through repro.sim.core (compiled when built).
-        # "1" is accepted as an alias for "on" (CI shard convenience).
-        self._core = load_core(True) if compiled in ("on", "1") else None
 
     # ------------------------------------------------------------------
     # Clock
@@ -276,10 +232,7 @@ class Simulator:
         """Sweep dead entries out of the heap.
 
         In place (slice assignment): :meth:`run` holds an alias of the
-        list while a callback's ``cancel()`` may trigger this.  Only the
-        swept entries leave ``_dead``: a cancelled member of a group the
-        compiled drain already popped is still charged there until the
-        drain skips it.
+        list while a callback's ``cancel()`` may trigger this.
         """
         heap = self._heap
         free = self._free
@@ -289,7 +242,7 @@ class Simulator:
                 free.append(entry[2])
             else:
                 live_entries.append(entry)
-        self._dead -= len(heap) - len(live_entries)
+        self._dead = 0
         heap[:] = live_entries
         heapify(heap)
 
@@ -316,80 +269,39 @@ class Simulator:
         free = self._free
         horizon = _NO_HORIZON if until_ns is None else until_ns
         limit = _NO_LIMIT if max_events is None else max_events
-        core = self._core
-        # The compiled-core drain pops whole same-time groups before
-        # running them, so it only engages when no max_events bound can
-        # land mid-group; otherwise the inlined per-event loop runs.
-        batch: Optional[List[Event]] = (
-            [] if core is not None and limit == _NO_LIMIT else None
-        )
         try:
-            if batch is not None:
-                # Compiled-core heap drain: same-time groups pop in one
-                # core call (C when the extension is built), then dispatch
-                # here.  Members stay cancellable mid-batch: a cancelled
-                # member mirrors the heap's lazy skip (its cancel()
-                # charged _dead as if still stored).
-                pop_batch = core.heap_pop_batch
-                while True:
-                    n, ndead = pop_batch(heap, free, horizon, batch)
-                    if ndead:
-                        self._dead -= ndead
-                    if n == 0:
-                        break
-                    self._now = batch[0].time
-                    for event in batch:
-                        if event.cancelled:
-                            self._dead -= 1
-                            free.append(event)
-                            continue
-                        callback = event.callback
-                        args = event.args
-                        event.cancelled = True
-                        event.callback = None
-                        event.args = ()
-                        self._live -= 1
-                        callback(*args)
-                        free.append(event)
-                        processed += 1
-                    del batch[:]
-            else:
-                # Inlined heap drain: no function call per event.
-                while processed < limit:
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        _heappop(heap)
-                        self._dead -= 1
-                        free.append(event)
-                        continue
-                    if entry[0] > horizon:
-                        break
+            # Inlined heap drain: no function call per event.
+            while processed < limit:
+                if not heap:
+                    break
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
                     _heappop(heap)
-                    self._now = entry[0]
-                    callback = event.callback
-                    args = event.args
-                    # Retire the handle before the callback runs: a stale
-                    # cancel() inside it must not double-count.
-                    event.cancelled = True
-                    event.callback = None
-                    event.args = ()
-                    # Settled per event, before dispatch: callbacks read
-                    # pending_events.
-                    self._live -= 1
-                    callback(*args)
+                    self._dead -= 1
                     free.append(event)
-                    processed += 1
+                    continue
+                if entry[0] > horizon:
+                    break
+                _heappop(heap)
+                self._now = entry[0]
+                callback = event.callback
+                args = event.args
+                # Retire the handle before the callback runs: a stale
+                # cancel() inside it must not double-count.
+                event.cancelled = True
+                event.callback = None
+                event.args = ()
+                # Settled per event, before dispatch: callbacks read
+                # pending_events.
+                self._live -= 1
+                callback(*args)
+                free.append(event)
+                processed += 1
         finally:
             self._running = False
             # Batched counter update: nothing reads this one mid-run.
             self._events_processed += processed
-            if batch:
-                # A callback raised mid-group: its unrun same-time
-                # siblings were already popped and never fire.
-                self._live -= sum(not event.cancelled for event in batch)
         if until_ns is not None and self._now < until_ns:
             # Park the clock at the horizon unless a live event remains
             # inside it (only possible when max_events stopped us early).

@@ -20,14 +20,12 @@ from repro.config import (
 
 def test_knob_table_covers_every_surface():
     assert set(KNOBS) == {
-        "routing", "telemetry", "telemetry_dir", "lossless", "compiled",
-        "shards",
+        "routing", "telemetry", "telemetry_dir", "lossless", "shards",
     }
     assert KNOBS["routing"].names == ROUTING_NAMES
     assert KNOBS["telemetry"].names == TELEMETRY_MODES
     assert KNOBS["telemetry_dir"].names is None  # free-form path
     assert KNOBS["lossless"].names == LOSSLESS_MODES
-    assert KNOBS["compiled"].names == ("on", "off")
     assert KNOBS["shards"].names is None  # a count, checked not enumerated
     assert KNOBS["shards"].var == "REPRO_SHARDS"
 
@@ -39,7 +37,7 @@ def test_defaults_when_unset(monkeypatch):
     assert telemetry_mode() == "off"
     assert telemetry_dir() is None
     assert lossless_mode() == "off"
-    assert current("compiled") == "off"
+    assert current("shards") == ""
 
 
 def test_current_validates_and_names_the_variable(monkeypatch):
@@ -51,22 +49,22 @@ def test_current_validates_and_names_the_variable(monkeypatch):
 
 
 def test_env_pins_and_restores(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILED", "off")
+    monkeypatch.setenv("REPRO_LOSSLESS", "off")
     monkeypatch.delenv("REPRO_ROUTING", raising=False)
-    with env(compiled="on", routing="ecmp", telemetry="full",
+    with env(lossless="pfc", routing="ecmp", telemetry="full",
              telemetry_dir="/tmp/t"):
-        assert os.environ["REPRO_COMPILED"] == "on"
+        assert os.environ["REPRO_LOSSLESS"] == "pfc"
         assert os.environ["REPRO_ROUTING"] == "ecmp"
         assert os.environ["REPRO_TELEMETRY"] == "full"
         assert os.environ["REPRO_TELEMETRY_DIR"] == "/tmp/t"
-    assert os.environ["REPRO_COMPILED"] == "off"  # previous value back
+    assert os.environ["REPRO_LOSSLESS"] == "off"  # previous value back
     assert "REPRO_ROUTING" not in os.environ  # unset restored to unset
     assert "REPRO_TELEMETRY" not in os.environ
 
 
 def test_env_none_knobs_are_untouched(monkeypatch):
     monkeypatch.setenv("REPRO_ROUTING", "spray")
-    with env(compiled="off"):
+    with env(lossless="off"):
         assert os.environ["REPRO_ROUTING"] == "spray"
     with env():  # a no-op context
         pass
@@ -105,24 +103,17 @@ def test_env_refuses_the_removed_batch_knob():
         env(batch="off")
 
 
+def test_env_refuses_the_removed_compiled_knob():
+    with pytest.raises(TypeError, match="compiled"):
+        env(compiled="on")
+
+
 def test_env_keywords_are_exactly_the_knobs():
     """Every knob is settable through :func:`env`, and :func:`env` sets
     nothing that is not a knob."""
     import inspect
 
     assert list(inspect.signature(env).parameters) == list(KNOBS)
-
-
-def test_compiled_knob_selects_the_run_path(monkeypatch):
-    from repro.sim.engine import Simulator
-
-    monkeypatch.delenv("REPRO_COMPILED", raising=False)
-    assert Simulator()._core is None
-    with env(compiled="on"):
-        assert Simulator()._core is not None
-    with env(compiled="off"):
-        assert Simulator()._core is None
-    assert "REPRO_COMPILED" not in os.environ
 
 
 def test_env_restores_on_exception(monkeypatch):

@@ -51,34 +51,34 @@ def test_shards_field_validates_and_exports(monkeypatch):
 
 
 def test_with_overrides_revalidates():
-    cfg = SimConfig(compiled="on")
+    cfg = SimConfig(lossless="pfc")
     assert cfg.with_overrides(routing="ecmp").routing == "ecmp"
-    assert cfg.with_overrides(routing="ecmp").compiled == "on"
+    assert cfg.with_overrides(routing="ecmp").lossless == "pfc"
     with pytest.raises(ValueError):
-        cfg.with_overrides(compiled="bogus")
+        cfg.with_overrides(lossless="bogus")
 
 
 def test_from_env_pins_current_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_COMPILED", raising=False)
+    monkeypatch.delenv("REPRO_LOSSLESS", raising=False)
     monkeypatch.setenv("REPRO_ROUTING", "ecmp")
     cfg = SimConfig.from_env(seed=7)
     assert cfg.seed == 7
-    assert cfg.compiled == "off"
+    assert cfg.lossless == "off"
     assert cfg.routing == "ecmp"
     assert cfg.telemetry == "off"
     assert cfg.telemetry_dir is None
 
 
-def test_simulator_accepts_config(monkeypatch):
-    monkeypatch.delenv("REPRO_COMPILED", raising=False)
-    assert Simulator(config=SimConfig())._core is None
-    assert Simulator(config=SimConfig(compiled="on"))._core is not None
+def test_simulator_refuses_config():
+    """The kernel has one run loop and reads no knob: a config has
+    nothing left to select there."""
+    with pytest.raises(TypeError):
+        Simulator(config=SimConfig())
 
 
 def test_network_accepts_config():
-    cfg = SimConfig(seed=5, routing="ecmp", compiled="on")
+    cfg = SimConfig(seed=5, routing="ecmp")
     net = Network(config=cfg)
-    assert net.sim._core is not None
     assert net.routing.name == "ecmp"
     assert net.seeds.root_seed == Network(seed=5).seeds.root_seed
     assert net.telemetry is None  # telemetry deferred -> off
@@ -117,7 +117,6 @@ def test_to_dict_from_dict_round_trip_all_fields():
         telemetry="counters",
         telemetry_dir="/tmp/somewhere",
         lossless="pfc",
-        compiled="off",
         shards=3,
     )
     data = cfg.to_dict()
@@ -149,6 +148,13 @@ def test_the_removed_batch_field_is_rejected():
         SimConfig.from_dict({"batch": "on"})
 
 
+def test_the_removed_compiled_field_is_rejected():
+    with pytest.raises(TypeError, match="compiled"):
+        SimConfig(compiled="on")
+    with pytest.raises(ValueError, match="unknown SimConfig field"):
+        SimConfig.from_dict({"compiled": "on"})
+
+
 def test_fields_are_the_seed_the_transport_and_the_knobs():
     """One field per ``REPRO_*`` knob, plus the seed and the transport."""
     from dataclasses import fields
@@ -156,10 +162,10 @@ def test_fields_are_the_seed_the_transport_and_the_knobs():
     from repro.config import KNOBS
 
     names = [f.name for f in fields(SimConfig)]
-    assert len(names) == 8
+    assert len(names) == 7
     assert set(names) == {"seed", "transport"} | set(KNOBS)
 
 
 def test_from_dict_validates_values():
-    with pytest.raises(ValueError, match="unknown compiled kernel core mode"):
-        SimConfig.from_dict({"compiled": "bogus"})
+    with pytest.raises(ValueError, match="unknown lossless fabric mode"):
+        SimConfig.from_dict({"lossless": "bogus"})

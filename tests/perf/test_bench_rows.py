@@ -23,7 +23,6 @@ def test_sharded_twin_workloads_are_pinned():
     # Identical workload physics — only the execution mode differs.
     for field in ("protocol", "k", "flows_per_pod", "seed", "duration_s"):
         assert getattr(serial, field) == getattr(sharded, field)
-    assert serial.lead_only and sharded.lead_only
 
 
 def test_snapshot_carries_sharded_rows_with_machine_aware_speedup():
@@ -60,16 +59,6 @@ def test_snapshot_carries_sharded_rows_with_machine_aware_speedup():
         # Single-/few-core snapshot: parallel speedup is physically
         # unavailable; the honest measured ratio is still pinned > 0.
         assert speedup > 0
-
-
-def test_lead_only_workloads_measure_one_backend_and_no_variants():
-    rows = run_kernel_suite(
-        repeats=1,
-        duration_scale=0.02,
-        variants=("compiled",),
-        workloads=["fattree8_tfc_serial"],
-    )
-    assert [row["name"] for row in rows] == ["fattree8_tfc_serial@heap"]
 
 
 def test_workload_filter_rejects_unknown_names():

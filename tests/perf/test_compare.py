@@ -4,11 +4,9 @@ workloads themselves (at smoke scale, so CI never waits on a benchmark)."""
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.perf import bench, compare, workloads
+from repro.perf import bench, compare
 from repro.perf.bench import build_payload, machine_info, run_kernel_suite
-from repro.perf.compare import compare_results, snapshot_variants
+from repro.perf.compare import compare_results
 from repro.perf.workloads import KERNEL_WORKLOADS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -91,49 +89,12 @@ def test_compare_matches_legacy_bare_names_to_adaptive_rows():
     assert any("dumbbell@heap: new workload" in line for line in report)
 
 
-def test_snapshot_variants_extraction():
-    rows = [
-        {"name": "a@heap", "scheduler": "heap"},
-        {"name": "a@heap+unbatched", "variant": "unbatched"},
-        {"name": "b@heap+unbatched", "variant": "unbatched"},
-        {"name": "a@heap+compiled"},  # variant key absent: name parse
-    ]
-    # ``unbatched`` is no longer measurable: its rows stay in committed
-    # snapshots but are not requested from the fresh run.
-    assert snapshot_variants(rows) == ["compiled"]
-    # Pre-variant snapshots yield no variants, so the gate measures none.
-    assert snapshot_variants([{"name": "a@heap"}, {"name": "legacy"}]) == []
-
-
-def test_variant_cells_pair_with_their_lead_plain_cell(monkeypatch):
-    """A variant cell runs immediately after its workload's plain cell —
-    the pair readers compare must not straddle machine drift
-    accumulated over the rest of the suite."""
-    from repro.perf import bench
-
-    calls = []
-
-    def fake(workload, duration_scale=1.0, variant=None):
-        calls.append((workload.name, variant))
-        return {"name": workload.name, "events_per_sec": 1.0}
-
-    monkeypatch.setattr(bench, "run_kernel_workload", fake)
-    run_kernel_suite(repeats=1, variants=("compiled",))
-    expected = []
-    for workload in KERNEL_WORKLOADS:
-        expected.append((workload.name, None))
-        if not getattr(workload, "lead_only", False):
-            # Sharded-fabric twins measure no variant rows.
-            expected.append((workload.name, "compiled"))
-    assert calls == expected
-
-
 def test_compare_reports_committed_unbatched_rows_as_missing(
     monkeypatch, capsys
 ):
     """The committed kernel snapshot still carries ``+unbatched`` rows.
-    Comparing against it must not ask the suite for that variant (which
-    would raise); those rows are reported as missing instead."""
+    The suite measures one row per workload, so those rows are reported
+    as missing instead."""
     snapshot = REPO_ROOT / "BENCH_kernel.json"
     unbatched = [
         row["name"]
@@ -142,11 +103,8 @@ def test_compare_reports_committed_unbatched_rows_as_missing(
     ]
     assert unbatched
 
-    def fake(workload, duration_scale=1.0, variant=None):
-        workloads._variant_env(variant)  # the real variant check
-        suffix = f"+{variant}" if variant else ""
-        return {"name": f"{workload.name}@heap{suffix}",
-                "events_per_sec": 1e12}
+    def fake(workload, duration_scale=1.0):
+        return {"name": f"{workload.name}@heap", "events_per_sec": 1e12}
 
     monkeypatch.setattr(bench, "run_kernel_workload", fake)
     assert compare.main([str(snapshot), "--repeats", "1"]) == 0
@@ -166,36 +124,3 @@ def test_kernel_workloads_run_at_smoke_scale():
         assert row["events"] > 0
         assert row["events_per_sec"] > 0
         assert row["workload"] in {w.name for w in KERNEL_WORKLOADS}
-
-
-def test_variant_env_covers_exactly_the_measurable_variants():
-    assert workloads.VARIANT_NAMES == ("", "compiled")
-    assert workloads._variant_env("") == {}
-    assert workloads._variant_env(None) == {}
-    assert workloads._variant_env("compiled") == {"compiled": "on"}
-    with pytest.raises(ValueError, match=r"\('compiled',\)"):
-        workloads._variant_env("unbatched")  # a removed variant
-
-
-def test_default_variants_add_the_compiled_core_only_when_built():
-    from repro.sim.engine import load_core
-
-    built = load_core(True).COMPILED
-    assert bench.default_variants() == (("compiled",) if built else ())
-
-
-def test_bench_variants_option(monkeypatch, capsys):
-    """``--variants`` takes ``auto``, ``none`` or a comma list and hands
-    the kernel suite exactly that list."""
-    seen = []
-
-    def fake(repeats, duration_scale, variants, workloads=None):
-        seen.append(list(variants))
-        return [{"name": "w@heap", "events_per_sec": 1.0}]
-
-    monkeypatch.setattr(bench, "run_kernel_suite", fake)
-    monkeypatch.setattr(bench, "default_variants", lambda: ("compiled",))
-    for option in ("auto", "none", "compiled", "compiled,,"):
-        assert bench.main(["--variants", option, "--repeats", "1"]) == 0
-    assert seen == [["compiled"], [], ["compiled"], ["compiled"]]
-    capsys.readouterr()

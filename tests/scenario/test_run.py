@@ -1,5 +1,6 @@
 """Running scenarios: determinism, per-tenant accounting, faults, runner."""
 
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,72 @@ def test_scenario_repeat_is_bit_identical(name):
     assert run_scenario(scenario, quick=True) == run_scenario(
         scenario, quick=True
     )
+
+
+#: scenario -> (per-tenant goodput and flow-count scalars, digest of every
+#: scalar and series), quick runs captured once.  If a change here is
+#: intentional, recapture the constants and say so in the commit.
+SCENARIO_PINS = {
+    "chaos-linkflap": (
+        {
+            "flows:benchmark": 22.0,
+            "goodput_mbps:benchmark": 1321.8933333333332,
+        },
+        "5d30561ce907bafa",
+    ),
+    "incast-burst": (
+        {
+            "flows:background": 2.0,
+            "flows:burst": 6.0,
+            "goodput_mbps:background": 537.28,
+            "goodput_mbps:burst": 1328.64,
+        },
+        "2c0cacb255887add",
+    ),
+    "ml-allreduce": (
+        {"flows:training": 96.0, "goodput_mbps:training": 11684.48},
+        "087db8d24ce2577c",
+    ),
+    "ml-tree-allreduce": (
+        {"flows:training": 27.0, "goodput_mbps:training": 2816.0},
+        "9791b7bacfd15ead",
+    ),
+    "multi-tenant-mix": (
+        {
+            "flows:search": 25.0,
+            "flows:storage": 2.0,
+            "flows:training": 32.0,
+            "goodput_mbps:search": 439.612,
+            "goodput_mbps:storage": 384.0,
+            "goodput_mbps:training": 2688.0,
+        },
+        "00149f4b7feeb350",
+    ),
+    "storage-chain": (
+        {"flows:storage": 4.0, "goodput_mbps:storage": 768.0},
+        "1b4325d35c409132",
+    ),
+    "storage-fanout": (
+        {"flows:storage": 12.0, "goodput_mbps:storage": 2304.0},
+        "9e6fcf44e6174d04",
+    ),
+}
+
+
+def _scenario_pin(result):
+    tenants = {
+        key: value
+        for key, value in sorted(result.scalars.items())
+        if key.startswith(("goodput_mbps:", "flows:"))
+    }
+    blob = json.dumps([result.scalars, result.series], sort_keys=True)
+    return tenants, hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_PINS))
+def test_committed_scenario_result_is_pinned(name):
+    result = run_scenario(get_scenario(name), quick=True)
+    assert _scenario_pin(result) == SCENARIO_PINS[name]
 
 
 def test_telemetry_on_off_bit_identical():

@@ -121,10 +121,10 @@ def test_link_flap_requires_duration():
 
 
 def test_config_block_round_trips_and_rejects_reserved():
-    doc = minimal(config={"lossless": "pfc", "compiled": "off"})
+    doc = minimal(config={"lossless": "pfc", "shards": 2})
     scenario = scenario_from_dict(doc)
     assert scenario.config.lossless == "pfc"
-    assert scenario.config.compiled == "off"
+    assert scenario.config.shards == 2
     assert scenario.config.seed == scenario.seed
     doc = minimal(config={"telemetry": "counters"})
     with pytest.raises(ScenarioError, match=r"\.config\.telemetry"):
@@ -139,6 +139,12 @@ def test_config_block_naming_the_removed_scheduler_rejected():
 
 def test_config_block_naming_the_removed_batch_knob_rejected():
     doc = minimal(config={"batch": "on"})
+    with pytest.raises(ScenarioError, match="unknown SimConfig field"):
+        scenario_from_dict(doc)
+
+
+def test_config_block_naming_the_removed_compiled_knob_rejected():
+    doc = minimal(config={"compiled": "on"})
     with pytest.raises(ScenarioError, match="unknown SimConfig field"):
         scenario_from_dict(doc)
 

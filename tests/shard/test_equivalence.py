@@ -53,19 +53,6 @@ def test_sharded_bit_identical_to_serial():
     assert sharded.messages > 0
 
 
-def test_sharded_compiled_core_bit_identical_to_serial(monkeypatch):
-    """Shards advance by horizon-bounded ``run()`` calls; on the
-    compiled-core group drain they still reproduce the serial run on the
-    inlined loop."""
-    spec = make_spec(pod_shards=2)
-    monkeypatch.setenv("REPRO_COMPILED", "off")
-    serial = run_serial_reference(spec)
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    sharded = run_sharded(spec, mode="inline")
-    assert sharded.merged() == serial.metrics
-    assert sharded.epochs > 1
-
-
 @pytest.mark.parametrize("protocol", ("tcp", "dctcp"))
 def test_sharded_bit_identical_other_transports(protocol):
     spec = make_spec(pod_shards=2, protocol=protocol)

@@ -1,27 +1,20 @@
 """Unit tests for the discrete-event kernel.
 
-Every kernel test runs on both ``run()`` paths: the inlined heap loop
-(``default``) and the compiled-core group drain (``compiled``, the
-interpreted fallback when the extension is not built).
+Every kernel test runs in each of ``KERNEL_ENVS``: a stale kernel switch
+left in the environment must change nothing.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import SimConfig
 from repro.sim.engine import SimulationError, Simulator
-
-#: Kernel modes by the ``SimConfig.compiled`` value that selects them.
-MODES = {"default": "off", "compiled": "on"}
+from tests.sim.kernel_envs import KERNEL_ENVS, exported
 
 
-def make_sim(mode):
-    return Simulator(config=SimConfig(compiled=MODES[mode]))
-
-
-@pytest.fixture(params=sorted(MODES))
+@pytest.fixture(params=sorted(KERNEL_ENVS))
 def sim(request):
-    return make_sim(request.param)
+    with exported(request.param):
+        yield Simulator()
 
 
 def test_clock_starts_at_zero(sim):
@@ -212,29 +205,31 @@ def test_pending_events_counts_live_only(sim):
     assert sim.pending_events == 1
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(KERNEL_ENVS))
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
 def test_property_execution_order_is_sorted(mode, delays):
-    sim = make_sim(mode)
     fired = []
-    for delay in delays:
-        sim.schedule(delay, lambda d=delay: fired.append(sim.now))
-    sim.run()
+    with exported(mode):
+        sim = Simulator()
+        for delay in delays:
+            sim.schedule(delay, lambda d=delay: fired.append(sim.now))
+        sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(KERNEL_ENVS))
 @given(
     st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=30),
     st.integers(min_value=0, max_value=1000),
 )
 def test_property_run_until_never_executes_beyond_horizon(mode, delays, horizon):
-    sim = make_sim(mode)
     fired = []
-    for delay in delays:
-        sim.schedule(delay, lambda: fired.append(sim.now))
-    sim.run(until_ns=horizon)
+    with exported(mode):
+        sim = Simulator()
+        for delay in delays:
+            sim.schedule(delay, lambda: fired.append(sim.now))
+        sim.run(until_ns=horizon)
     assert all(t <= horizon for t in fired)
     assert len(fired) == sum(1 for d in delays if d <= horizon)
 
@@ -319,10 +314,10 @@ def test_compaction_during_run_keeps_heap_consistent(sim):
 
 
 def test_dead_count_survives_compaction_inside_a_same_time_group(sim):
-    """A callback cancels a same-time sibling (already popped by the group
-    drain) and then enough far timers to compact the heap.  The dead-entry
-    count must still equal the dead entries the heap holds, or later
-    compactions fire at the wrong moment."""
+    """A callback cancels a same-time sibling still in the heap and then
+    enough far timers to compact the heap.  The dead-entry count must
+    still equal the dead entries the heap holds, or later compactions
+    fire at the wrong moment."""
     doomed = [sim.schedule(1_000_000 + i, lambda: None) for i in range(300)]
     group = []
 
@@ -372,9 +367,9 @@ def test_kernel_is_reusable_after_a_callback_raises(sim):
 
 
 def test_bounded_and_unbounded_runs_continue_one_order(sim):
-    """Alternating ``max_events`` runs (the per-event loop) with unbounded
-    ones (the group drain when compiled) dispatches the same sequence as a
-    single run, same-time groups cut at any point included."""
+    """Alternating ``max_events`` runs with unbounded ones dispatches the
+    same sequence as a single run, same-time groups cut at any point
+    included."""
     log = []
     for i in range(40):
         sim.schedule((i % 7) * 10, log.append, i)

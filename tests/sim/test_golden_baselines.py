@@ -22,8 +22,7 @@ transport leaves its own signature in the constants:
 The same scenario also pins the paper's own transport and the two classic
 baselines it is measured against (``REFERENCE``): **tfc** (zero drops, one
 delimiter election), **tcp** (drop-tail losses recovered mostly by fast
-retransmit) and **dctcp** (zero drops, ECN keeps the queue short).  Every
-constant must also hold on the compiled-core group drain.
+retransmit) and **dctcp** (zero drops, ECN keeps the queue short).
 """
 
 import hashlib
@@ -172,15 +171,6 @@ def _run_and_check(protocol):
 @pytest.mark.parametrize("protocol", sorted(PINNED))
 def test_golden_baseline_dumbbell(protocol):
     _run_and_check(protocol)
-
-
-@pytest.mark.parametrize("protocol", sorted(PINNED))
-def test_golden_baseline_compiled_core_bit_identical(monkeypatch, protocol):
-    """``REPRO_COMPILED=on`` pops each same-time group in one core call;
-    every transport's constants hold on that path too."""
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    net = _run_and_check(protocol)
-    assert net.sim._core is not None
 
 
 def test_golden_bfc_composes_with_pfc_fabric(monkeypatch):

@@ -257,12 +257,14 @@ def test_golden_dumbbell_lossless_bit_identical(monkeypatch, lossless, mode):
 
 
 def test_golden_dumbbell_ignores_stale_kernel_env(monkeypatch):
-    """``REPRO_SCHEDULER`` once chose an event-queue backend and
-    ``REPRO_BATCH`` once toggled hot-loop batching; the kernel reads
-    neither any more, so values left in a shell or CI config change no
+    """``REPRO_SCHEDULER`` once chose an event-queue backend,
+    ``REPRO_BATCH`` once toggled hot-loop batching and ``REPRO_COMPILED``
+    once routed ``run()`` through a compiled core; the kernel reads none
+    of them any more, so values left in a shell or CI config change no
     golden constant."""
     monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
     monkeypatch.setenv("REPRO_BATCH", "off")
+    monkeypatch.setenv("REPRO_COMPILED", "on")
     topo = build_topology(
         dumbbell, "tfc", buffer_bytes=256_000, n_senders=4, seed=1
     )
@@ -283,69 +285,6 @@ def test_golden_dumbbell_ignores_stale_kernel_env(monkeypatch):
         2_887_880,
     ]
     assert _digest(_port_state(net)) == "4b5cbc0840abe309"
-
-
-def test_golden_dumbbell_compiled_core_bit_identical(monkeypatch):
-    """``REPRO_COMPILED=on`` routes the hot loop through ``repro.sim.core``
-    (the compiled twin when built, the pure-Python module otherwise);
-    either way the golden constants must hold bit-identically."""
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    topo = build_topology(
-        dumbbell, "tfc", buffer_bytes=256_000, n_senders=4, seed=1
-    )
-    assert topo.sim._core is not None
-    senders = [open_flow(topo.host(i), topo.host(4), "tfc") for i in range(4)]
-    topo.network.run_for(seconds(0.1))
-    net = topo.network
-
-    assert net.sim.events_processed == 79280
-    assert net.sim.now == 100_000_000
-    assert [s.stats.bytes_acked for s in senders] == [
-        2_889_340,
-        2_887_880,
-        2_892_260,
-        2_887_880,
-    ]
-    assert _digest(_port_state(net)) == "4b5cbc0840abe309"
-
-
-def test_golden_fig13_compiled_core_bit_identical(monkeypatch):
-    """The stochastic-workload golden cell (handshakes, timer churn, RNG
-    draws) is bit-identical on the compiled-core group drain."""
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    topo = build_topology(build_testbed, "tfc", buffer_bytes=256_000, seed=0)
-    assert topo.sim._core is not None
-    collector = FctCollector()
-    workload = BenchmarkWorkload(
-        topo.hosts,
-        "tfc",
-        duration_ns=seconds(0.25),
-        query_rate_per_s=200.0,
-        query_fanin=6,
-        short_rate_per_s=30.0,
-        background_rate_per_s=30.0,
-        min_rto_ns=200_000_000,
-        seed_name="benchmark:testbed:0",
-        collector=collector,
-    )
-    topo.network.run_for(seconds(0.5))
-    net = topo.network
-
-    assert net.sim.events_processed == 57510
-    assert workload.flows_launched == 373
-    assert collector.completed() == 373
-    assert dict(sorted(net.tracer.counters.items())) == {
-        "tfc.ack_delayed": 37,
-        "tfc.delimiter_elected": 338,
-        "tfc.window_update": 1014,
-        "transport.flow_complete": 373,
-    }
-    records = sorted(
-        (r.category, r.size_bytes, r.fct_ns, r.timeouts)
-        for r in collector.records
-    )
-    assert _digest([list(r) for r in records]) == "143d85e14736aa91"
-    assert _digest(_port_state(net)) == "3255488c8e6eca49"
 
 
 @pytest.mark.parametrize("policy", ["single", "ecmp", "flowlet", "spray"])

@@ -10,7 +10,9 @@ schedules, cancels of live events — same-time siblings included — and a
 stale cancel of its own retired handle).  The two logs must match entry
 for entry: every firing with the clock and ``pending_events`` seen from
 inside the callback, and after every op the clock, ``peek_time()``,
-``pending_events`` and the op's return value.
+``pending_events`` and the op's return value.  After every op the
+kernel's dead-entry count must also equal the cancelled entries its heap
+holds: compaction fires off that count.
 
 Cancels target only live handles, keyed by tag: the kernel recycles a
 fired handle into a later event, so cancelling a retained one is outside
@@ -23,13 +25,7 @@ from bisect import insort
 import pytest
 
 from repro.sim.engine import Simulator
-
-#: The two ``run()`` paths: the inlined heap loop and the compiled-core
-#: group drain (interpreted fallback when the extension is not built).
-MODES = {
-    "default": {"REPRO_COMPILED": "off"},
-    "compiled": {"REPRO_COMPILED": "on"},
-}
+from tests.sim.kernel_envs import KERNEL_ENVS, exported
 
 OPS = 3_000
 
@@ -98,6 +94,9 @@ class OracleSide:
     def run(self, fire, until_ns=None, max_events=None):
         return self.model.run(fire, until_ns, max_events)
 
+    def check(self):
+        pass
+
 
 class KernelSide:
     def __init__(self):
@@ -134,6 +133,10 @@ class KernelSide:
     def run(self, fire, until_ns=None, max_events=None):
         self.fire = fire
         return self.sim.run(until_ns=until_ns, max_events=max_events)
+
+    def check(self):
+        heap = self.sim._heap
+        assert self.sim._dead == sum(entry[2].cancelled for entry in heap)
 
 
 def _delay(rng):
@@ -195,16 +198,15 @@ def _play(side, seed):
         else:
             result = side.run(fire, max_events=rng.randrange(1, 40))
         log.append(("op", op, result, side.now(), side.peek(), side.pending()))
+        side.check()
     result = side.run(fire)
     log.append(("drain", result, side.now(), side.peek(), side.pending()))
     return log
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(KERNEL_ENVS))
 def test_kernel_matches_sorted_list_oracle(monkeypatch, mode, seed):
-    for var, value in MODES[mode].items():
-        monkeypatch.setenv(var, value)
     compactions = []
     compact = Simulator._compact
 
@@ -213,7 +215,8 @@ def test_kernel_matches_sorted_list_oracle(monkeypatch, mode, seed):
         compact(sim)
 
     monkeypatch.setattr(Simulator, "_compact", counted)
-    kernel = _play(KernelSide(), seed)
+    with exported(mode):
+        kernel = _play(KernelSide(), seed)
     oracle = _play(OracleSide(), seed)
     assert len(kernel) == len(oracle)
     for got, want in zip(kernel, oracle):

@@ -3,28 +3,20 @@
 The count used to be settled only when ``run()`` returned, so a callback
 read ``live + events already run by this call``.  These tests keep an
 independent ledger (+1 per schedule, −1 per dispatch or cancel) and
-compare it with the simulator from inside callbacks, on every dispatch
-path ``run()`` has: the inlined heap loop and the compiled-core group
-drain (interpreted fallback).
+compare it with the simulator from inside callbacks, in each of
+``KERNEL_ENVS``.
 """
 
 import pytest
 
 from repro.sim.engine import Simulator
-
-#: Kernel modes by the env knobs that select them.  ``compiled`` routes
-#: the heap through ``core.heap_pop_batch`` — true same-time group pops.
-MODES = {
-    "default": {"REPRO_COMPILED": "off"},
-    "compiled": {"REPRO_COMPILED": "on"},
-}
+from tests.sim.kernel_envs import KERNEL_ENVS, exported
 
 
-@pytest.fixture(params=sorted(MODES))
-def sim(request, monkeypatch):
-    for var, value in MODES[request.param].items():
-        monkeypatch.setenv(var, value)
-    return Simulator()
+@pytest.fixture(params=sorted(KERNEL_ENVS))
+def sim(request):
+    with exported(request.param):
+        yield Simulator()
 
 
 class Ledger:
@@ -132,9 +124,8 @@ def test_exact_under_until_ns(sim):
 
 def test_raising_callback_leaves_the_true_live_population(sim):
     """After a callback raises, ``pending_events`` is the number of events
-    that will still fire.  (A batched drain has already popped the
-    raiser's same-time siblings, and they are lost with the exception;
-    the count must say so rather than keep them.)"""
+    that will still fire: the raiser's unrun same-time siblings stay
+    queued and run on the next call."""
     fired = []
 
     def boom():

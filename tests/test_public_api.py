@@ -58,7 +58,6 @@ def test_config_namespace_is_the_selection_surface():
         ROUTING_NAMES,
         TELEMETRY_MODES,
         SimConfig,
-        compiled_mode,
         env,
         lossless_mode,
         routing_name,
@@ -71,13 +70,11 @@ def test_config_namespace_is_the_selection_surface():
     assert TELEMETRY_MODES == ("off", "counters", "slots", "full")
     assert LOSSLESS_MODES == ("off", "pfc")
     assert set(KNOBS) == {
-        "routing", "telemetry", "telemetry_dir", "lossless", "compiled",
-        "shards",
+        "routing", "telemetry", "telemetry_dir", "lossless", "shards",
     }
     assert callable(env)
     assert callable(routing_name) and callable(telemetry_mode)
     assert callable(telemetry_dir) and callable(lossless_mode)
-    assert callable(compiled_mode)
     assert callable(shard_count)
     assert SimConfig().seed == 0
 

@@ -3,8 +3,14 @@
 Each generator is run twice on freshly built topologies with the same
 seed and the resulting *flow fingerprint* (every sender's byte/timeout
 accounting plus the FCT records) must match exactly (the repo's
-bit-identity contract extends to the generators' RNG streams).
+bit-identity contract extends to the generators' RNG streams).  Each
+schedule is also pinned: events, final clock and a digest of the
+fingerprint plus the tracer counters, captured once.  If a change here
+is intentional, recapture the constants and say so in the commit.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -52,13 +58,32 @@ def fingerprint(network, collector=None):
     return (tuple(sorted(rows)), records)
 
 
-def _drive(build_workload):
-    """Build a testbed, run ``build_workload`` on it, fingerprint it."""
+def _pin(network, collector):
+    """Events, clock and a digest of the fingerprint plus the tracer
+    counters: what a pinned constant compares."""
+    blob = json.dumps(
+        [fingerprint(network, collector),
+         sorted(network.tracer.counters.items())],
+        sort_keys=True,
+    )
+    return (
+        network.sim.events_processed,
+        network.sim.now,
+        hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16],
+    )
+
+
+def _run(build_workload):
+    """Build a testbed and run ``build_workload`` on it."""
     collector = FctCollector()
     topo = build_topology(build_testbed, "tfc", 256_000, seed=3)
     build_workload(topo, collector)
     topo.network.run_for(RUN_FOR)
-    return fingerprint(topo.network, collector)
+    return topo.network, collector
+
+
+def _drive(build_workload):
+    return fingerprint(*_run(build_workload))
 
 
 def _empirical(topo, collector):
@@ -162,15 +187,22 @@ def test_same_seed_same_schedule(name):
     assert _drive(build) == _drive(build)
 
 
+#: generator -> (events, final clock, digest of fingerprint + counters)
+GENERATOR_PINS = {
+    "allreduce_ring": (7124, 3_000_000, "aa5343924d6bb235"),
+    "allreduce_tree": (3529, 3_000_000, "a7c4fc2feb9bd8f0"),
+    "empirical": (3595, 3_000_000, "55d3ba3f5f88b042"),
+    "incast": (3462, 3_000_000, "ed0e4a4fe0ae6f02"),
+    "mixer": (5557, 3_000_000, "e733a28f4b61c6e8"),
+    "onoff": (4339, 3_000_000, "89cbf2feb09d3fd0"),
+    "storage_chain": (2004, 3_000_000, "97a006076d0771e9"),
+    "storage_fanout": (3204, 3_000_000, "233315b5281f9983"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GENERATORS))
-def test_compiled_core_same_schedule(monkeypatch, name):
-    """The compiled-core group drain (``REPRO_COMPILED=on``) dispatches
-    every generator's events exactly as the inlined loop does."""
-    build = GENERATORS[name]
-    monkeypatch.setenv("REPRO_COMPILED", "off")
-    baseline = _drive(build)
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    assert _drive(build) == baseline
+def test_generator_schedule_is_pinned(name):
+    assert _pin(*_run(GENERATORS[name])) == GENERATOR_PINS[name]
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +212,7 @@ def test_compiled_core_same_schedule(monkeypatch, name):
 NEW_TRANSPORTS = ("bfc", "tbtcp", "tracks", "fairq")
 
 
-def _drive_protocol(protocol):
+def _run_protocol(protocol):
     """The empirical workload on a testbed running ``protocol``."""
     collector = FctCollector()
     topo = build_topology(build_testbed, protocol, 256_000, seed=3)
@@ -191,7 +223,11 @@ def _drive_protocol(protocol):
         seed_name="det", collector=collector, tenant="t",
     )
     topo.network.run_for(RUN_FOR)
-    return fingerprint(topo.network, collector)
+    return topo.network, collector
+
+
+def _drive_protocol(protocol):
+    return fingerprint(*_run_protocol(protocol))
 
 
 @pytest.mark.parametrize("protocol", NEW_TRANSPORTS)
@@ -199,9 +235,15 @@ def test_transports_same_seed_same_schedule(protocol):
     assert _drive_protocol(protocol) == _drive_protocol(protocol)
 
 
+#: transport -> (events, final clock, digest of fingerprint + counters)
+TRANSPORT_PINS = {
+    "bfc": (4182, 3_000_000, "6964846e0dba102c"),
+    "tbtcp": (4087, 3_000_000, "28bb457daa81f824"),
+    "tracks": (4180, 3_000_000, "e735d1df9ac5ce91"),
+    "fairq": (3883, 3_000_000, "aa5ffd8d7f2fa979"),
+}
+
+
 @pytest.mark.parametrize("protocol", NEW_TRANSPORTS)
-def test_transports_compiled_core_same_schedule(monkeypatch, protocol):
-    monkeypatch.setenv("REPRO_COMPILED", "off")
-    baseline = _drive_protocol(protocol)
-    monkeypatch.setenv("REPRO_COMPILED", "on")
-    assert _drive_protocol(protocol) == baseline
+def test_transport_schedule_is_pinned(protocol):
+    assert _pin(*_run_protocol(protocol)) == TRANSPORT_PINS[protocol]
