@@ -402,14 +402,21 @@ class BfcFabric:
 
     # ------------------------------------------------------------------
     def reset_switch(self, switch: "Switch") -> None:
-        """Switch reboot: learned ingress map and pause state are gone."""
-        self._ingress[switch.node_id].clear()
+        """Switch reboot: learned ingress map and pause state are gone.
+
+        Every XOFF the switch sent is first released with an XON while
+        the ingress map still knows where upstream is; it stands in for
+        the pause expiry that frees real upstream hops after a reboot.
+        """
         for port in switch.ports:
             queue = port.queue
             if isinstance(queue, BfcQueue):
+                for key in sorted(queue._congested):
+                    self._signal(switch, key, pause=False)
                 queue.paused_flows.clear()
                 queue._congested.clear()
                 port.kick()
+        self._ingress[switch.node_id].clear()
 
     def note_ingress(
         self, switch: "Switch", key: FlowKey, port: "Port"

@@ -1,11 +1,11 @@
 """Nodes: the shared base for switches and hosts.
 
 A :class:`Node` owns its outgoing :class:`~repro.net.port.Port` objects and
-receives packets from incoming links.  Routing is static: topology builders
-populate ``forwarding_table`` (destination node id -> the BFS-elected local
-port index) and ``multipath_table`` (destination node id -> every
-equal-cost port index, elected port first) from shortest paths after
-wiring everything up.  Which port a packet actually takes is decided by
+receives packets from incoming links.  Routing is static: the
+:class:`~repro.net.network.Network` populates ``forwarding_table``
+(destination node id -> the BFS-elected local port index) and
+``multipath_table`` (destination node id -> every equal-cost port index,
+elected port first) from shortest paths after wiring everything up.  Which port a packet actually takes is decided by
 the network's :class:`~repro.routing.RoutingPolicy`; the default
 ``single`` policy leaves ``Switch.routing`` detached so the datapath is
 the plain forwarding-table lookup.
@@ -13,7 +13,7 @@ the plain forwarding-table lookup.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.trace import Tracer
@@ -24,8 +24,12 @@ from .port import Port
 class Node:
     """A network element with ports and a forwarding table.
 
-    ``multipath_table`` values are immutable tuples that may be shared
-    across nodes and destinations.
+    Only :class:`~repro.net.network.Network` writes the route tables; it
+    assigns fresh ones on every (re)build.  ``multipath_table`` values are
+    immutable tuples that may be shared across nodes and destinations.  A
+    single-cable node (every host) gets two read-only
+    :class:`~repro.net.network.StubTable` views sharing one destination
+    store with the other stubs on its attachment, not dicts.
     """
 
     def __init__(self, sim: Simulator, node_id: int, name: str, tracer: Tracer):
@@ -34,8 +38,8 @@ class Node:
         self.name = name
         self.tracer = tracer
         self.ports: List[Port] = []
-        self.forwarding_table: Dict[int, int] = {}
-        self.multipath_table: Dict[int, Tuple[int, ...]] = {}
+        self.forwarding_table: Mapping[int, int] = {}
+        self.multipath_table: Mapping[int, Tuple[int, ...]] = {}
         self.rx_packets = 0
         self.rx_bytes = 0
 

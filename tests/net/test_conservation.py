@@ -56,10 +56,6 @@ LEAKS = {
         "leak: the T-RACKs receiver's tail timer keeps ACKing the aborted "
         "sender forever"
     ),
-    ("bfc", "switch_reset"): (
-        "leak: a BFC switch reboot forgets the XOFFs it sent, so no XON "
-        "ever releases the host NICs and every flow stays paused"
-    ),
 }
 
 

@@ -11,8 +11,13 @@ for value:
   ``repro.net.network``: a destination is routed iff it is reachable over
   live directed links, and the equal-cost set at ``u`` is every live port
   whose peer is one hop closer.
+
+A single-cable node's tables are read-only views over a destination store
+shared per attachment; they must reject writes, and rebuilding routes
+must keep well under a megabyte alive where per-host dicts kept ~14 MB.
 """
 
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -20,6 +25,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from hypothesis.errors import NoSuchExample
 
 from repro.faults import FaultInjector
+from repro.faults.engine import reverse_port
 from repro.net.network import Network
 from repro.net.topology import dumbbell, fat_tree, leaf_spine, multi_bottleneck
 from repro.net.topology import testbed as build_testbed
@@ -150,6 +156,89 @@ def test_host_entries_share_one_tuple():
     assert len(entries) == len(topo.network.nodes) - 1
     assert all(entry is entries[0] for entry in entries)
     assert entries[0] == (0,)
+
+
+# ----------------------------------------------------------------------
+# Stub tables are shared read-only views
+# ----------------------------------------------------------------------
+def test_stub_tables_reject_writes():
+    host = dumbbell(4).hosts[0]
+    for table in (host.forwarding_table, host.multipath_table):
+        with pytest.raises(TypeError):
+            table[0] = 0
+        with pytest.raises(TypeError):
+            del table[0]
+        for method in ("update", "clear", "pop", "setdefault"):
+            with pytest.raises(AttributeError):
+                getattr(table, method)
+        with pytest.raises(AttributeError):
+            table.extra = None  # slotted: no per-view __dict__
+
+
+def test_stub_tables_cover_every_other_node():
+    for name, build in sorted(BUILDERS.items()):
+        topo = build()
+        expected = len(topo.network.nodes) - 1
+        for host in topo.hosts:
+            assert len(host.forwarding_table) == expected, (name, host.name)
+            assert len(host.multipath_table) == expected, (name, host.name)
+            assert host.node_id not in host.forwarding_table
+
+
+def test_hosts_on_one_attachment_share_one_key_store():
+    topo = leaf_spine(n_leaves=2, hosts_per_leaf=3, spines=2)
+    by_attachment = {}
+    for host in topo.hosts:
+        attachment = host.ports[0].peer_node.node_id
+        by_attachment.setdefault(attachment, []).append(host)
+    assert len(by_attachment) == 2
+    for hosts in by_attachment.values():
+        store = hosts[0].forwarding_table.destinations
+        for host in hosts:
+            assert host.forwarding_table.destinations is store
+            assert host.multipath_table.destinations is store
+    first, second = by_attachment.values()
+    assert first[0].forwarding_table.destinations is not (
+        second[0].forwarding_table.destinations
+    )
+
+
+def test_cut_host_uplink_empties_its_tables_until_restored():
+    topo = dumbbell(4)
+    net = topo.network
+    host = topo.hosts[0]
+    before = _tables(net)
+    uplink = host.ports[0]
+    downlink = reverse_port(uplink)
+    uplink.link.up = downlink.link.up = False
+    net.rebuild_routes()
+    assert dict(host.forwarding_table) == {} and dict(host.multipath_table) == {}
+    assert all(host.node_id not in node.forwarding_table for node in net.nodes)
+    assert _tables(net) == _reference_tables(net)
+
+    uplink.link.up = downlink.link.up = True
+    net.rebuild_routes()
+    assert _tables(net) == _reference_tables(net) == before
+    _assert_matches_oracle(net)
+
+
+@pytest.mark.parametrize(
+    "build, bound_bytes",
+    [
+        pytest.param(lambda: dumbbell(400), 1 << 20, id="dumbbell-400"),
+        pytest.param(leaf_spine, 2 << 20, id="leaf-spine"),
+    ],
+)
+def test_rebuilt_routes_keep_little_memory_alive(build, bound_bytes):
+    """Per-host dicts would keep ~14 MB alive on either fabric."""
+    net = build().network
+    tracemalloc.start()
+    try:
+        net.rebuild_routes()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < bound_bytes
 
 
 # ----------------------------------------------------------------------
