@@ -50,6 +50,11 @@ class TfcSender(Sender):
     #: such a window into the next synchronised round would burst it all.
     resume_burst_limit = 4 * MSS
 
+    __slots__ = (
+        "weight", "window_acquired", "_mark_next", "_probe_timer",
+        "window_updates", "reacquisitions", "_last_activity_ns",
+    )
+
     def __init__(self, *args, weight: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
         if weight < 1:
@@ -58,9 +63,7 @@ class TfcSender(Sender):
         self.cwnd = 0.0  # nothing may be sent before the first allocation
         self.window_acquired = False
         self._mark_next = False
-        self._probe_timer = Timer(
-            self.sim, self._resend_probe, name=f"tfc-probe:{self.flow_key}"
-        )
+        self._probe_timer = Timer(self.sim, self._resend_probe, name="tfc-probe")
         self.window_updates = 0
         self.reacquisitions = 0
         self._last_activity_ns = 0
@@ -160,6 +163,8 @@ class TfcReceiver(Receiver):
     grant a window (new flows take their window from the acquisition probe,
     section 4.6), so only non-SYN RM packets produce RMA ACKs.
     """
+
+    __slots__ = ()
 
     def ack_decoration_hook(self, ack: Packet, data_packet: Packet) -> None:
         if data_packet.rm and not data_packet.syn:

@@ -10,7 +10,7 @@ open_flow`) tagged with a category, and produces both reports.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.units import to_microseconds
 from ..transport.base import Sender
@@ -61,6 +61,7 @@ class FctCollector:
     def __init__(self) -> None:
         self.records: List[FctRecord] = []
         self.pending = 0
+        self._handlers: Dict[Tuple[str, Optional[str]], Callable[[Sender], None]] = {}
 
     # ------------------------------------------------------------------
     def expect(self, count: int = 1) -> None:
@@ -73,8 +74,12 @@ class FctCollector:
         The record's tenant is ``tenant`` when given, else the sender's
         own tag (stamped by ``open_flow(tenant=...)``) — so generators
         that thread tenant identity through their flows need no extra
-        plumbing here.
+        plumbing here.  One handler is built per ``(category, tenant)``
+        and shared by every flow that asks for it.
         """
+        cached = self._handlers.get((category, tenant))
+        if cached is not None:
+            return cached
 
         def handler(sender: Sender) -> None:
             fct = sender.stats.fct_ns
@@ -90,6 +95,7 @@ class FctCollector:
             )
             self.pending -= 1
 
+        self._handlers[(category, tenant)] = handler
         return handler
 
     # ------------------------------------------------------------------

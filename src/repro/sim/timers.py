@@ -61,6 +61,13 @@ class Timer:
         self._event = None
         self._callback(*args)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
+        # Names are constant per timer kind ("rto"); the bound callback's
+        # owner (a sender or receiver) says which flow the timer serves.
+        owner = getattr(self._callback, "__self__", None)
+        if self.name and owner is not None:
+            label = f"{self.name} {owner!r}"
+        else:
+            label = self.name or repr(self._callback)
         state = f"expires={self._event.time}" if self.running else "idle"
-        return f"<Timer {self.name or self._callback!r} {state}>"
+        return f"<Timer {label} {state}>"

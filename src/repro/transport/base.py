@@ -83,6 +83,12 @@ class RtoEstimator:
 class FlowStats:
     """Everything experiments measure about one flow."""
 
+    __slots__ = (
+        "start_ns", "established_ns", "complete_ns", "bytes_acked",
+        "bytes_sent", "packets_sent", "retransmissions", "timeouts",
+        "fast_retransmits",
+    )
+
     def __init__(self) -> None:
         self.start_ns: Optional[int] = None
         self.established_ns: Optional[int] = None
@@ -112,9 +118,16 @@ class Sender:
 
     protocol_name = "base"
 
-    #: Tenant tag for multi-tenant accounting, stamped by
-    #: :func:`repro.transport.registry.open_flow`; None = untenanted.
-    tenant: Optional[str] = None
+    # Every finished flow stays registered on its host (the flow
+    # registry ``tenant_senders()`` reads), so per-flow bytes add up at
+    # paper scale; subclasses declare their own fields the same way.
+    __slots__ = (
+        "host", "sim", "tracer", "src_id", "dst_id", "sport", "dport",
+        "flow_key", "on_complete", "stats", "state", "long_lived",
+        "flow_bytes", "fin_on_empty", "snd_una", "snd_nxt", "cwnd",
+        "peer_awnd", "dupacks", "recover_point", "_inflight", "_high_tx",
+        "rto", "_rto_timer", "_fin_sent", "tenant", "receiver",
+    )
 
     def __init__(
         self,
@@ -137,6 +150,9 @@ class Sender:
         self.flow_key = (self.src_id, self.dst_id, self.sport, self.dport)
         self.on_complete = on_complete
         self.stats = FlowStats()
+        #: Tenant tag for multi-tenant accounting, stamped by
+        #: :func:`repro.transport.registry.open_flow`; None = untenanted.
+        self.tenant: Optional[str] = None
 
         self.state = FlowState.CLOSED
         self.long_lived = size_bytes is None
@@ -155,7 +171,7 @@ class Sender:
         self._inflight: Dict[int, Tuple[int, bool]] = {}
         self._high_tx = 0  # highest sequence ever transmitted
         self.rto = RtoEstimator(min_rto_ns=min_rto_ns)
-        self._rto_timer = Timer(self.sim, self._on_rto, name=f"rto:{self.flow_key}")
+        self._rto_timer = Timer(self.sim, self._on_rto, name="rto")
         self._fin_sent = False
         # Packets delivered to us (reverse direction) match the reversed key.
         host.register_connection(
@@ -361,6 +377,7 @@ class Sender:
             self.state = FlowState.DONE
             self.stats.complete_ns = self.sim.now
             self._rto_timer.stop()
+            self._inflight.clear()  # already empty; frees the table
             self.tracer.emit(FLOW_COMPLETE, sender=self)
             if self.on_complete is not None:
                 self.on_complete(self)
@@ -438,8 +455,11 @@ class Sender:
 class Receiver:
     """Reassembly plus per-packet cumulative ACK generation."""
 
-    #: Tenant tag mirroring the sender's (see :class:`Sender.tenant`).
-    tenant: Optional[str] = None
+    __slots__ = (
+        "host", "sim", "flow_key", "awnd_bytes", "rcv_nxt",
+        "bytes_received", "reordered_segments", "_out_of_order",
+        "fin_seen", "tenant",
+    )
 
     def __init__(self, host: Host, flow_key, awnd_bytes: int = DEFAULT_AWND):
         self.host = host
@@ -453,6 +473,8 @@ class Receiver:
         self.reordered_segments = 0
         self._out_of_order: List[Tuple[int, int]] = []  # sorted (seq, end)
         self.fin_seen = False
+        #: Tenant tag mirroring the sender's (see :class:`Sender`).
+        self.tenant: Optional[str] = None
         host.register_connection(flow_key, self)
 
     # ------------------------------------------------------------------
@@ -524,3 +546,6 @@ class Receiver:
     def close(self) -> None:
         """Tear down demux state."""
         self.host.unregister_connection(self.flow_key)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.flow_key} rcv_nxt={self.rcv_nxt}>"

@@ -20,6 +20,10 @@ class BfcSender(NewRenoSender):
 
     protocol_name = "bfc"
 
+    __slots__ = ()
+
 
 class BfcReceiver(NewRenoReceiver):
     """Plain cumulative-ACK receiver."""
+
+    __slots__ = ()

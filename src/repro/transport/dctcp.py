@@ -27,6 +27,11 @@ class DctcpSender(NewRenoSender):
 
     protocol_name = "dctcp"
 
+    __slots__ = (
+        "g", "alpha", "_window_end", "_acked_bytes", "_marked_bytes",
+        "_cut_this_window",
+    )
+
     def __init__(self, *args, g: float = DEFAULT_G, **kwargs):
         super().__init__(*args, **kwargs)
         self.g = g
@@ -71,6 +76,8 @@ class DctcpSender(NewRenoSender):
 
 class DctcpReceiver(Receiver):
     """Echoes the CE mark of each data packet on its ACK."""
+
+    __slots__ = ()
 
     def ack_decoration_hook(self, ack: Packet, data_packet: Packet) -> None:
         ack.ecn_echo = data_packet.ecn_ce

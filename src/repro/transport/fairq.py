@@ -23,6 +23,10 @@ class FairqSender(DctcpSender):
 
     protocol_name = "fairq"
 
+    __slots__ = ()
+
 
 class FairqReceiver(DctcpReceiver):
     """Standard CE-echo receiver."""
+
+    __slots__ = ()

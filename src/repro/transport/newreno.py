@@ -20,6 +20,8 @@ class NewRenoSender(Sender):
 
     protocol_name = "tcp"
 
+    __slots__ = ("ssthresh", "in_recovery", "_recovery_high")
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.cwnd = float(INITIAL_CWND_SEGMENTS * MSS)
@@ -71,3 +73,5 @@ class NewRenoSender(Sender):
 
 class NewRenoReceiver(Receiver):
     """Plain cumulative-ACK receiver (no decoration needed)."""
+
+    __slots__ = ()

@@ -81,6 +81,8 @@ class TbtcpSender(NewRenoSender):
 
     protocol_name = "tbtcp"
 
+    __slots__ = ("params",)
+
     def __init__(self, *args, params: TbtcpParams = DEFAULT_TBTCP_PARAMS, **kwargs):
         super().__init__(*args, **kwargs)
         self.params = params
@@ -106,3 +108,5 @@ class TbtcpSender(NewRenoSender):
 
 class TbtcpReceiver(NewRenoReceiver):
     """Plain cumulative-ACK receiver (pacing is sender-side only)."""
+
+    __slots__ = ()

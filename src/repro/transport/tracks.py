@@ -57,9 +57,13 @@ class TracksSender(NewRenoSender):
 
     protocol_name = "tracks"
 
+    __slots__ = ()
+
 
 class TracksReceiver(NewRenoReceiver):
     """NewReno receiver with the T-RACKs tail-loss ACK timer."""
+
+    __slots__ = ("params", "tail_probes", "_tail_timer")
 
     def __init__(
         self,
@@ -71,9 +75,7 @@ class TracksReceiver(NewRenoReceiver):
         super().__init__(host, flow_key, **kwargs)
         self.params = params
         self.tail_probes = 0
-        self._tail_timer = Timer(
-            self.sim, self._on_tail_timer, name=f"tracks:{flow_key}"
-        )
+        self._tail_timer = Timer(self.sim, self._on_tail_timer, name="tracks-tail")
 
     def on_packet(self, packet: Packet) -> None:
         super().on_packet(packet)

@@ -54,10 +54,12 @@ class TenantStats:
 
 
 def tenant_senders(network: "Network") -> Dict[str, List[Sender]]:
-    """Live senders grouped by tenant tag (untagged flows are skipped).
+    """Senders grouped by tenant tag (untagged flows are skipped).
 
     Endpoints stay registered in each host's connection table after
     completion, so this sees every tenant-tagged flow the run opened.
+    That registry is why finished endpoints are kept (and slotted, to
+    keep each one small) instead of released.
     """
     groups: Dict[str, List[Sender]] = {}
     for host in network.hosts:

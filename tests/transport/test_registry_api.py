@@ -121,8 +121,15 @@ def test_register_protocol_end_to_end():
         )
         flow = open_flow(topo.hosts[0], topo.hosts[-1], "myproto")
         assert isinstance(flow, MySender)
+        # The built-in endpoints are slotted; an unslotted plugin subclass
+        # simply gets an instance dict and may add its own fields.
+        sized = open_flow(topo.hosts[1], topo.hosts[-1], "myproto", size_bytes=20_000)
+        assert hasattr(sized, "__dict__")
+        sized.note = "plugin field"
         topo.network.run_for(seconds(0.002))
         assert flow.stats.bytes_acked > 0
+        assert sized.stats.complete_ns is not None
+        assert sized.stats.bytes_acked == 20_000
         # A fresh lookup error now names it.
         with pytest.raises(ValueError, match="myproto"):
             get_protocol("nope")

@@ -58,6 +58,20 @@ def test_tenant_senders_groups_by_tag():
     assert 0.0 < tenant_jain_index(topo.network, DURATION) <= 1.0
 
 
+def test_finished_endpoints_stay_in_the_flow_registry():
+    # Hosts never unregister a finished flow: tenant_senders() (and the
+    # per-tenant accounting built on it) reads completed flows from there.
+    topo = make_topo()
+    dst = topo.hosts[8]
+    sender = open_flow(topo.hosts[0], dst, "tfc", size_bytes=20_000, tenant="red")
+    topo.network.run_for(DURATION)
+    assert sender.stats.complete_ns is not None
+    assert any(s is sender for s in tenant_senders(topo.network)["red"])
+    receiver = dst._connections[sender.flow_key]
+    assert receiver is sender.receiver
+    assert receiver.tenant == "red"
+
+
 def test_single_tenant_jain_is_one():
     topo = make_topo()
     concurrent_flows(topo.hosts[:2], topo.hosts[8], "tfc",
