@@ -151,8 +151,14 @@ class TfcSender(Sender):
         if not self.window_acquired:
             self._send_probe()
 
-    def close(self) -> None:
+    def _release(self) -> None:
         self._probe_timer.stop()
+        self._probe_timer = None  # the second sender <-> timer cycle
+        super()._release()
+
+    def close(self) -> None:
+        if self._probe_timer is not None:  # None once released
+            self._probe_timer.stop()
         super().close()
 
 

@@ -47,6 +47,9 @@ class Host(Endpoint):
         self.processing_delay_ns = processing_delay_ns
         self.processing_jitter_ns = processing_jitter_ns
         self._connections: Dict[FlowKey, PacketSink] = {}
+        #: Compact records of this host's completed senders (see
+        #: :meth:`retire_connection`); ``_connections`` only keeps live ones.
+        self.finished_flows: List[object] = []
         self._listeners: Dict[int, Callable[[Packet], Optional[PacketSink]]] = {}
         self._port_counter = itertools.count(10_000)
         self.paused = False
@@ -73,6 +76,14 @@ class Host(Endpoint):
     def unregister_connection(self, key: FlowKey) -> None:
         """Release a binding (idempotent, for teardown paths)."""
         self._connections.pop(key, None)
+
+    def retire_connection(
+        self, key: FlowKey, sink: PacketSink, record: object
+    ) -> None:
+        """Re-bind a finished endpoint's ``key`` to ``sink`` and keep
+        ``record`` in :attr:`finished_flows` in its place."""
+        self._connections[key] = sink
+        self.finished_flows.append(record)
 
     def listen(
         self, port: int, acceptor: Callable[[Packet], Optional[PacketSink]]

@@ -108,32 +108,37 @@ class Telemetry:
 
         # Transport endpoint gauges (one-off counters like the receiver's
         # reordering count fold into aggregate metrics here).  Sender-side
-        # stats additionally aggregate by the flow's tenant tag so
-        # multi-tenant runs export per-tenant accounting rows.
+        # stats, from live senders and each host's finished-flow ledger,
+        # additionally aggregate by the flow's tenant tag so multi-tenant
+        # runs export per-tenant accounting rows.
         reordered = 0
         bytes_received = 0
         timeouts = 0
         tenant_rows: dict = {}
         for host in network.hosts:
+            flows = list(host.finished_flows)
             for endpoint in host._connections.values():
                 if hasattr(endpoint, "reordered_segments"):
                     reordered += endpoint.reordered_segments
                 if hasattr(endpoint, "bytes_received"):
                     bytes_received += endpoint.bytes_received
-                stats = getattr(endpoint, "stats", None)
-                if stats is not None:
-                    timeouts += stats.timeouts
-                    tenant = getattr(endpoint, "tenant", None)
-                    if tenant is not None:
-                        row = tenant_rows.setdefault(
-                            tenant,
-                            {"flows": 0, "completed": 0, "bytes_acked": 0,
-                             "timeouts": 0},
-                        )
-                        row["flows"] += 1
-                        row["completed"] += stats.complete_ns is not None
-                        row["bytes_acked"] += stats.bytes_acked
-                        row["timeouts"] += stats.timeouts
+                if getattr(endpoint, "stats", None) is not None:
+                    flows.append(endpoint)
+            for flow in flows:
+                stats = flow.stats
+                timeouts += stats.timeouts
+                tenant = getattr(flow, "tenant", None)
+                if tenant is None:
+                    continue
+                row = tenant_rows.setdefault(
+                    tenant,
+                    {"flows": 0, "completed": 0, "bytes_acked": 0,
+                     "timeouts": 0},
+                )
+                row["flows"] += 1
+                row["completed"] += stats.complete_ns is not None
+                row["bytes_acked"] += stats.bytes_acked
+                row["timeouts"] += stats.timeouts
         registry.counter("transport.reordered_segments").set_total(reordered)
         registry.counter("transport.bytes_received").set_total(bytes_received)
         registry.counter("transport.timeouts").set_total(timeouts)

@@ -7,7 +7,7 @@ typed parameter dataclass, a queue factory and a network installer.
 the registry branches on protocol names.
 """
 
-from .base import FlowState, FlowStats, Receiver, RtoEstimator, Sender
+from .base import FinishedFlow, FlowState, FlowStats, Receiver, RtoEstimator, Sender
 from .bfc import BfcReceiver, BfcSender
 from .dctcp import DctcpReceiver, DctcpSender
 from .fairq import FairqReceiver, FairqSender
@@ -29,6 +29,7 @@ from .tbtcp import TbtcpParams, TbtcpReceiver, TbtcpSender
 from .tracks import TracksParams, TracksReceiver, TracksSender
 
 __all__ = [
+    "FinishedFlow",
     "FlowState",
     "FlowStats",
     "Receiver",

@@ -108,6 +108,36 @@ class FlowStats:
         return self.complete_ns - self.start_ns
 
 
+class FinishedFlow:
+    """What a host keeps of a completed sender (its finished-flow ledger).
+
+    ``stats`` is the sender's own :class:`FlowStats` object, so a caller
+    still holding the sender reads the same numbers through either.
+    """
+
+    __slots__ = ("flow_key", "flow_bytes", "tenant", "stats")
+
+    def __init__(self, sender: "Sender"):
+        self.flow_key = sender.flow_key
+        self.flow_bytes = sender.flow_bytes
+        self.tenant = sender.tenant
+        self.stats = sender.stats
+
+
+class _FinishedSink:
+    """Demux binding of a released sender: late ACKs are dropped silently,
+    exactly as the ``DONE`` sender itself would drop them."""
+
+    __slots__ = ()
+
+    def on_packet(self, packet: Packet) -> None:
+        pass
+
+
+#: The one stateless sink every released sender's demux key points at.
+FINISHED_SINK = _FinishedSink()
+
+
 class Sender:
     """Reliable one-directional data sender with pluggable congestion control.
 
@@ -118,9 +148,9 @@ class Sender:
 
     protocol_name = "base"
 
-    # Every finished flow stays registered on its host (the flow
-    # registry ``tenant_senders()`` reads), so per-flow bytes add up at
-    # paper scale; subclasses declare their own fields the same way.
+    # Live flows add up at paper scale (a finished sender is released
+    # into its host's ledger, but a long run keeps thousands open at
+    # once); subclasses declare their own fields the same way.
     __slots__ = (
         "host", "sim", "tracer", "src_id", "dst_id", "sport", "dport",
         "flow_key", "on_complete", "stats", "state", "long_lived",
@@ -381,6 +411,22 @@ class Sender:
             self.tracer.emit(FLOW_COMPLETE, sender=self)
             if self.on_complete is not None:
                 self.on_complete(self)
+            self._release()
+
+    def _release(self) -> None:
+        """Swap this sender for a :class:`FinishedFlow` in its host's ledger.
+
+        The demux key stays bound (to :data:`FINISHED_SINK`), so late ACKs
+        are still dropped silently instead of becoming orphan packets.
+        Dropping the timer reference breaks the sender <-> timer cycle, so
+        reference counting frees a sender nobody else holds.
+        """
+        self.host.retire_connection(
+            (self.dst_id, self.src_id, self.dport, self.sport),
+            FINISHED_SINK,
+            FinishedFlow(self),
+        )
+        self._rto_timer = None
 
     # ------------------------------------------------------------------
     # Loss recovery (shared skeleton)
@@ -440,7 +486,8 @@ class Sender:
 
     def close(self) -> None:
         """Tear down demux state (tests and teardown paths)."""
-        self._rto_timer.stop()
+        if self._rto_timer is not None:  # None once released
+            self._rto_timer.stop()
         self.host.unregister_connection(
             (self.dst_id, self.src_id, self.dport, self.sport)
         )

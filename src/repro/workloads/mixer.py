@@ -10,9 +10,10 @@ operator accounts separately.  Two pieces make that composable here:
   constructs its generator (with a tenant-tagged
   :class:`~repro.metrics.fct.FctCollector` handed to it); the mixer owns
   the shared collector and the per-tenant reporting.
-* :func:`per_tenant_stats` — walks a network's live transport endpoints
-  and aggregates sender statistics by the ``tenant`` tag that
-  :func:`~repro.transport.registry.open_flow` stamps on every flow.
+* :func:`per_tenant_stats` — walks a network's live senders plus each
+  host's finished-flow ledger and aggregates sender statistics by the
+  ``tenant`` tag that :func:`~repro.transport.registry.open_flow` stamps
+  on every flow.
   This is generator-agnostic: any flow opened with ``tenant=`` is
   accounted, whether or not it ever completes (long-lived background
   flows count their acked bytes too).
@@ -25,11 +26,13 @@ number the multi-tenant scenarios report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..metrics.fct import FctCollector
 from ..metrics.stats import jain_fairness, percentile
-from ..transport.base import Sender
+from ..transport.base import FinishedFlow, Sender
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..net.network import Network
@@ -53,39 +56,43 @@ class TenantStats:
         return self.bytes_acked * 8 * 1e9 / duration_ns
 
 
-def tenant_senders(network: "Network") -> Dict[str, List[Sender]]:
-    """Senders grouped by tenant tag (untagged flows are skipped).
+def tenant_senders(
+    network: "Network",
+) -> Dict[str, List[Union[Sender, FinishedFlow]]]:
+    """Flows grouped by tenant tag (untagged flows are skipped).
 
-    Endpoints stay registered in each host's connection table after
-    completion, so this sees every tenant-tagged flow the run opened.
-    That registry is why finished endpoints are kept (and slotted, to
-    keep each one small) instead of released.
+    Each host's live senders come from its connection table and its
+    completed ones from its finished-flow ledger (``Host.finished_flows``):
+    a sender that reaches ``DONE`` is released and replaced there by a
+    :class:`~repro.transport.base.FinishedFlow` record.  Both kinds carry
+    ``flow_key``, ``flow_bytes``, ``tenant`` and ``stats``, which is all
+    the accounting reads, so this sees every tenant-tagged flow the run
+    opened.
     """
-    groups: Dict[str, List[Sender]] = {}
+    groups: Dict[str, List[Union[Sender, FinishedFlow]]] = {}
     for host in network.hosts:
-        for endpoint in host._connections.values():
-            if not isinstance(endpoint, Sender):
-                continue
-            tenant = endpoint.tenant
+        live = [e for e in host._connections.values() if isinstance(e, Sender)]
+        for flow in live + host.finished_flows:
+            tenant = flow.tenant
             if tenant is None:
                 continue
-            groups.setdefault(tenant, []).append(endpoint)
+            groups.setdefault(tenant, []).append(flow)
     return groups
 
 
 def per_tenant_stats(network: "Network") -> Dict[str, TenantStats]:
     """Per-tenant sender statistics for every tagged flow in ``network``."""
     stats: Dict[str, TenantStats] = {}
-    for tenant, senders in sorted(tenant_senders(network).items()):
+    for tenant, flows in sorted(tenant_senders(network).items()):
         acc = stats.setdefault(tenant, TenantStats())
-        for sender in senders:
+        for flow in flows:
             acc.flows += 1
-            if sender.stats.complete_ns is not None:
+            if flow.stats.complete_ns is not None:
                 acc.completed_flows += 1
-            acc.bytes_acked += sender.stats.bytes_acked
-            acc.bytes_sent += sender.stats.bytes_sent
-            acc.timeouts += sender.stats.timeouts
-            acc.retransmissions += sender.stats.retransmissions
+            acc.bytes_acked += flow.stats.bytes_acked
+            acc.bytes_sent += flow.stats.bytes_sent
+            acc.timeouts += flow.stats.timeouts
+            acc.retransmissions += flow.stats.retransmissions
     return stats
 
 

@@ -32,18 +32,29 @@ RUN_FOR = 3 * MILLISECOND
 
 
 def fingerprint(network, collector=None):
-    """Every sender's accounting plus the FCT record list, as one value."""
+    """Every sender's accounting plus the FCT record list, as one value.
+
+    Live senders are keyed by their demux key; a finished flow's record
+    sits in its host's ledger, and its demux key is ``flow_key`` reversed
+    (so the rows, and the pinned digests, are the same either way).
+    """
     rows = []
     for host in network.hosts:
-        for key, endpoint in sorted(host._connections.items()):
-            if not isinstance(endpoint, Sender):
-                continue
-            stats = endpoint.stats
+        flows = [
+            (key, endpoint)
+            for key, endpoint in host._connections.items()
+            if isinstance(endpoint, Sender)
+        ]
+        for record in host.finished_flows:
+            src, dst, sport, dport = record.flow_key
+            flows.append(((dst, src, dport, sport), record))
+        for key, flow in sorted(flows, key=lambda item: item[0]):
+            stats = flow.stats
             rows.append(
                 (
                     host.name,
                     key,
-                    endpoint.tenant,
+                    flow.tenant,
                     stats.bytes_sent,
                     stats.bytes_acked,
                     stats.timeouts,

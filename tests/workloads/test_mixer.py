@@ -5,6 +5,7 @@ import pytest
 from repro.experiments.common import build_topology
 from repro.net.topology import testbed as build_testbed
 from repro.sim.units import MILLISECOND
+from repro.transport.base import FINISHED_SINK, FinishedFlow
 from repro.transport.registry import open_flow
 from repro.workloads.bulk import concurrent_flows
 from repro.workloads.empirical import BenchmarkWorkload
@@ -59,14 +60,23 @@ def test_tenant_senders_groups_by_tag():
 
 
 def test_finished_endpoints_stay_in_the_flow_registry():
-    # Hosts never unregister a finished flow: tenant_senders() (and the
-    # per-tenant accounting built on it) reads completed flows from there.
+    # A finished sender is released into its host's finished-flow ledger:
+    # tenant_senders() (and the per-tenant accounting built on it) reads
+    # the record, whose stats are the sender's own.  The sender's demux
+    # key stays bound to the inert sink; the receiver stays registered.
     topo = make_topo()
-    dst = topo.hosts[8]
-    sender = open_flow(topo.hosts[0], dst, "tfc", size_bytes=20_000, tenant="red")
+    src, dst = topo.hosts[0], topo.hosts[8]
+    sender = open_flow(src, dst, "tfc", size_bytes=20_000, tenant="red")
     topo.network.run_for(DURATION)
     assert sender.stats.complete_ns is not None
-    assert any(s is sender for s in tenant_senders(topo.network)["red"])
+    (record,) = tenant_senders(topo.network)["red"]
+    assert isinstance(record, FinishedFlow)
+    assert record.stats is sender.stats
+    assert record.flow_bytes == sender.flow_bytes == 20_000
+    assert record.tenant == sender.tenant == "red"
+    assert record.flow_key == sender.flow_key
+    s, d, sport, dport = sender.flow_key
+    assert src._connections[(d, s, dport, sport)] is FINISHED_SINK
     receiver = dst._connections[sender.flow_key]
     assert receiver is sender.receiver
     assert receiver.tenant == "red"
