@@ -3,12 +3,12 @@
 Two pieces:
 
 * :class:`SimConfig` — a frozen dataclass carrying routing, transport,
-  telemetry, lossless-fabric, shard and seed selection, accepted by
+  telemetry, lossless-fabric and seed selection, accepted by
   ``Network(config=...)`` and the experiment runner
   (``run_cells(config=...)``).
 * :func:`env` — the single validated context manager behind every
   ``REPRO_*`` environment knob (routing policy, telemetry mode and
-  directory, lossless fabric, shard count).  The historical
+  directory, lossless fabric).  The historical
   per-subsystem helper ``repro.routing.routing_env`` is a thin
   deprecation shim over it.
 
@@ -25,7 +25,6 @@ from .envvars import (
     LOSSLESS_ENV_VAR,
     LOSSLESS_MODES,
     ROUTING_ENV_VAR,
-    SHARDS_ENV_VAR,
     TELEMETRY_DIR_ENV_VAR,
     TELEMETRY_ENV_VAR,
     EnvKnob,
@@ -33,7 +32,6 @@ from .envvars import (
     env,
     lossless_mode,
     routing_name,
-    shard_count,
     telemetry_dir,
     telemetry_mode,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "telemetry_mode",
     "telemetry_dir",
     "lossless_mode",
-    "shard_count",
     "ROUTING_NAMES",
     "TELEMETRY_MODES",
     "LOSSLESS_MODES",
@@ -57,5 +54,4 @@ __all__ = [
     "TELEMETRY_ENV_VAR",
     "TELEMETRY_DIR_ENV_VAR",
     "LOSSLESS_ENV_VAR",
-    "SHARDS_ENV_VAR",
 ]

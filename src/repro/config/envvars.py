@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..obs.session import TELEMETRY_MODES
 from ..routing import ROUTING_NAMES
@@ -28,29 +28,11 @@ ROUTING_ENV_VAR = "REPRO_ROUTING"
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 TELEMETRY_DIR_ENV_VAR = "REPRO_TELEMETRY_DIR"
 LOSSLESS_ENV_VAR = "REPRO_LOSSLESS"
-SHARDS_ENV_VAR = "REPRO_SHARDS"
 
 # Defined here rather than imported from repro.net.pfc: the config layer
 # must stay importable without pulling in the datapath (and net imports
 # nothing from config).  Kept in sync by a test in tests/config.
 LOSSLESS_MODES: Tuple[str, ...] = ("off", "pfc")
-
-
-def _positive_int(what: str) -> Callable[[str], str]:
-    """A checker for knobs whose value is a count, not a name."""
-
-    def check(value: str) -> str:
-        try:
-            ok = int(value) >= 1
-        except ValueError:
-            ok = False
-        if not ok:
-            raise ValueError(
-                f"invalid {what} {value!r}; expected a positive integer"
-            )
-        return value
-
-    return check
 
 
 @dataclass(frozen=True)
@@ -59,9 +41,8 @@ class EnvKnob:
 
     var: str
     default: str
-    names: Optional[Tuple[str, ...]]  # None: free-form (paths) or checked
+    names: Optional[Tuple[str, ...]]  # None: free-form (paths)
     what: str  # noun for error messages: "routing policy", ...
-    check: Optional[Callable[[str], str]] = None  # non-vocabulary validation
 
     def validate(self, value: str) -> str:
         if self.names is not None and value not in self.names:
@@ -69,8 +50,6 @@ class EnvKnob:
                 f"unknown {self.what} {value!r}; "
                 f"choose from {', '.join(self.names)}"
             )
-        if self.check is not None:
-            return self.check(value)
         return value
 
 
@@ -87,13 +66,6 @@ KNOBS: Dict[str, EnvKnob] = {
     ),
     "lossless": EnvKnob(
         LOSSLESS_ENV_VAR, "off", LOSSLESS_MODES, "lossless fabric mode"
-    ),
-    "shards": EnvKnob(
-        SHARDS_ENV_VAR,
-        "",  # unset: serial, single-simulator runs
-        None,
-        "shard count",
-        check=_positive_int("shard count"),
     ),
 }
 
@@ -131,12 +103,6 @@ def lossless_mode() -> str:
     return current("lossless")
 
 
-def shard_count() -> Optional[int]:
-    """Requested shard count, or None for serial (the default)."""
-    value = current("shards")
-    return int(value) if value else None
-
-
 class _EnvContext:
     """Pin a set of (var, value) pairs; restore previous values on exit."""
 
@@ -166,7 +132,6 @@ def env(
     telemetry: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
     lossless: Optional[str] = None,
-    shards: Optional[str] = None,
 ) -> _EnvContext:
     """Pin any subset of the ``REPRO_*`` knobs while a block runs.
 
@@ -181,7 +146,6 @@ def env(
         "telemetry": telemetry,
         "telemetry_dir": telemetry_dir,
         "lossless": lossless,
-        "shards": shards,
     }
     pins: Dict[str, str] = {}
     for knob, value in requested.items():

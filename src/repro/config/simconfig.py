@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
 
-from .envvars import KNOBS, current, env as _env, shard_count
+from .envvars import KNOBS, current, env as _env
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,12 @@ class SimConfig:
     telemetry: Optional[str] = None
     telemetry_dir: Optional[str] = None
     lossless: Optional[str] = None
-    #: Shard count for single-simulation parallelism (repro.sim.shard);
-    #: None = serial.  Carried as an int; exported as ``REPRO_SHARDS``.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         for knob in ("routing", "telemetry", "lossless"):
             value = getattr(self, knob)
             if value is not None:
                 KNOBS[knob].validate(value)
-        if self.shards is not None:
-            KNOBS["shards"].validate(str(self.shards))
         if self.transport is not None:
             from ..transport.registry import get_protocol
 
@@ -67,7 +62,6 @@ class SimConfig:
             telemetry=current("telemetry"),
             telemetry_dir=current("telemetry_dir") or None,
             lossless=current("lossless"),
-            shards=shard_count(),
         )
 
     def with_overrides(self, **changes) -> "SimConfig":
@@ -109,7 +103,6 @@ class SimConfig:
             telemetry=self.telemetry,
             telemetry_dir=self.telemetry_dir,
             lossless=self.lossless,
-            shards=None if self.shards is None else str(self.shards),
         )
 
     @property

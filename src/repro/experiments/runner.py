@@ -56,7 +56,6 @@ from .pfc_pathology import FABRICS as PFC_FABRICS
 from .pfc_pathology import SCENARIOS as PFC_SCENARIOS
 from .pfc_pathology import run_pathology_cell
 from .scenario_cells import run_scenario_cell
-from .shard_scale import run_shard_cell
 
 CellFn = Callable[..., ExperimentResult]
 
@@ -75,7 +74,6 @@ FIGURE_CELLS: Dict[str, CellFn] = {
     "ecmp": run_collision_cell,
     "mpath": run_multipath_cell,
     "pfc": run_pathology_cell,
-    "shard": run_shard_cell,
     "scenario": run_scenario_cell,
 }
 
@@ -170,7 +168,6 @@ def run_cells(
     telemetry_dir: Optional[str] = None,
     config: Optional[SimConfig] = None,
     cell_timeout: Optional[float] = None,
-    shards: Optional[int] = None,
 ) -> List[ExperimentResult]:
     """Run every cell and return results in the order specs were given.
 
@@ -180,8 +177,8 @@ def run_cells(
     path, but a cell that *fails* always surfaces as :class:`RunnerError`.
 
     Selection: pass one :class:`~repro.config.SimConfig` as ``config``,
-    or the individual knobs (``routing``, ``telemetry``, ``telemetry_dir``,
-    ``shards``), which are folded into one.  The config is pinned
+    or the individual knobs (``routing``, ``telemetry``, ``telemetry_dir``),
+    which are folded into one.  The config is pinned
     process-wide for the batch (exported as the ``REPRO_*`` variables,
     which pool workers inherit; a cell that takes an explicit ``routing``
     kwarg — the multi-path figures — wins over the env default).
@@ -206,7 +203,6 @@ def run_cells(
             telemetry=telemetry
             or ("full" if telemetry_dir is not None else None),
             telemetry_dir=telemetry_dir,
-            shards=shards,
         )
     resolved = [spec.resolved(config.seed) for spec in specs]
     with config.env():
@@ -620,21 +616,6 @@ def default_plan(
                     "at a scenario directory or use --scenario PATH"
                 )
             specs.extend(scenario_specs(names, quick=quick))
-        elif figure == "shard":
-            # Sharded-vs-serial head-to-head: one cell runs both on the
-            # same seed and workload, reporting speedup and a live
-            # bit-identity check.  Shard count follows --shards /
-            # $REPRO_SHARDS (default: 2 pod shards + the core shard).
-            specs.append(
-                CellSpec(
-                    "shard",
-                    {
-                        "mode": "both",
-                        "k": 4 if quick else 8,
-                        "duration_ms": 1.0 if quick else 4.0,
-                    },
-                )
-            )
         else:
             raise RunnerError(
                 f"no default plan for {figure!r}; "
@@ -745,14 +726,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "metrics/slot-timeline/flight files into DIR",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="pin the shard count for shard-aware cells (exported as "
-        "$REPRO_SHARDS for the batch; default: serial, or $REPRO_SHARDS "
-        "if set)",
-    )
-    parser.add_argument(
         "--cell-timeout",
         metavar="SECONDS",
         type=float,
@@ -764,8 +737,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error("--cell-timeout must be positive")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be a positive integer")
 
     if args.list_figures:
         for figure in sorted(FIGURE_CELLS):
@@ -823,7 +794,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"running {len(specs)} cells across {batch} with jobs={jobs}"
         + (f" routing={args.routing}" if args.routing else "")
         + (f" telemetry={args.telemetry}" if args.telemetry else "")
-        + (f" shards={args.shards}" if args.shards else "")
         + (
             f" cell-timeout={args.cell_timeout:g}s"
             if args.cell_timeout
@@ -839,7 +809,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         profile_dir=args.profile,
         telemetry_dir=args.telemetry,
         cell_timeout=args.cell_timeout,
-        shards=args.shards,
     )
     elapsed = time.perf_counter() - start
 

@@ -42,12 +42,6 @@ class Topology:
     hosts: List[Host]
     switches: List[Switch]
     bottleneck_ports: Dict[str, Port] = field(default_factory=dict)
-    #: Partition metadata for sharded runs (``repro.sim.shard``): node
-    #: names grouped by pod (aggregation + edge switches + hosts of that
-    #: pod) and the core-layer names.  Only fabric builders with a
-    #: natural partition (today: :func:`fat_tree`) populate these.
-    pod_members: List[List[str]] = field(default_factory=list)
-    core_members: List[str] = field(default_factory=list)
 
     @property
     def sim(self):
@@ -312,18 +306,9 @@ def fat_tree(
         + [agg for pod_aggs in agg_pods for agg in pod_aggs]
         + [edge for pod_edges in edge_pods for edge in pod_edges]
     )
-    hosts_per_pod = half * half
-    pod_members = [
-        [sw.name for sw in agg_pods[pod]]
-        + [sw.name for sw in edge_pods[pod]]
-        + [h.name for h in hosts[pod * hosts_per_pod:(pod + 1) * hosts_per_pod]]
-        for pod in range(k)
-    ]
     return Topology(
         network=net,
         hosts=hosts,
         switches=switches,
         bottleneck_ports=bottlenecks,
-        pod_members=pod_members,
-        core_members=[core.name for group in core_groups for core in group],
     )

@@ -97,27 +97,6 @@ class FabricWorkload:
 
 
 @dataclass(frozen=True)
-class ShardedFabricWorkload:
-    """Pod-traffic on a fat tree, run serial or pod-sharded.
-
-    The serial/sharded twin rows are the pinned speedup measurement for
-    ``repro.sim.shard``: the same workload (same seed, bit-identical
-    results — pinned by tests/shard) run once on one Simulator and once
-    across ``pod_shards`` pod partitions plus the core shard with the
-    conservative-lookahead coordinator.  ``pod_shards=0`` is the serial
-    reference.
-    """
-
-    name: str
-    protocol: str
-    k: int
-    pod_shards: int  # 0 = serial reference (one Simulator)
-    flows_per_pod: int
-    seed: int
-    duration_s: float
-
-
-@dataclass(frozen=True)
 class TelemetryWorkload:
     """A kernel dumbbell run with a telemetry session attached.
 
@@ -153,7 +132,6 @@ AnyKernelWorkload = Union[
     TimerChurnWorkload,
     FabricWorkload,
     TelemetryWorkload,
-    ShardedFabricWorkload,
 ]
 
 KERNEL_WORKLOADS: Tuple[AnyKernelWorkload, ...] = (
@@ -164,8 +142,6 @@ KERNEL_WORKLOADS: Tuple[AnyKernelWorkload, ...] = (
     TimerChurnWorkload("timer_churn_32k", 32768, 0.0006),
     FabricWorkload("fattree4_tfc_spray_8", "tfc", "spray", 4, 8, 4, 0.05),
     TelemetryWorkload("dumbbell_tfc_4_telemetry", "tfc", 4, 1, 0.4),
-    ShardedFabricWorkload("fattree8_tfc_serial", "tfc", 8, 0, 4, 5, 0.004),
-    ShardedFabricWorkload("fattree8_tfc_sharded4", "tfc", 8, 4, 4, 5, 0.004),
 )
 
 EXPERIMENT_WORKLOADS: Tuple[ExperimentWorkload, ...] = (
@@ -194,8 +170,6 @@ def run_kernel_workload(
         return run_fabric_workload(workload, duration_scale)
     if isinstance(workload, TelemetryWorkload):
         return run_telemetry_workload(workload, duration_scale)
-    if isinstance(workload, ShardedFabricWorkload):
-        return run_sharded_fabric_workload(workload, duration_scale)
     topo = build_topology(
         dumbbell,
         workload.protocol,
@@ -337,63 +311,6 @@ def run_fabric_workload(
         "events": events,
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
-    }
-    return row
-
-
-def run_sharded_fabric_workload(
-    workload: ShardedFabricWorkload,
-    duration_scale: float = 1.0,
-) -> Dict[str, float]:
-    """Run one sharded-fabric workload (serial when ``pod_shards == 0``).
-
-    Wall-clock covers the whole run including coordination (worker
-    startup, epoch barriers, message exchange), so the serial/sharded
-    events-per-second ratio is the honest end-to-end speedup, not a
-    per-shard number.
-    """
-    from ..sim.shard import (
-        ShardSpec,
-        plan_fat_tree,
-        run_serial_reference,
-        run_sharded,
-    )
-    from ..sim.shard.workload import build_pod_traffic, collect_pod_traffic
-
-    plan = plan_fat_tree(k=workload.k, pod_shards=max(workload.pod_shards, 1))
-    spec = ShardSpec(
-        plan=plan,
-        build=build_pod_traffic,
-        collect=collect_pod_traffic,
-        end_ns=seconds(workload.duration_s * duration_scale),
-        root_seed=workload.seed,
-        build_kwargs={
-            "k": workload.k,
-            "protocol": workload.protocol,
-            "flows_per_pod": workload.flows_per_pod,
-        },
-    )
-    if workload.pod_shards == 0:
-        outcome = run_serial_reference(spec)
-        events, wall = outcome.events, outcome.wall_s
-        extra: Dict[str, float] = {"shards": 0}
-    else:
-        result = run_sharded(spec)
-        events, wall = result.events, result.wall_s
-        extra = {
-            "shards": result.shards,
-            "epochs": result.epochs,
-            "messages": result.messages,
-            "exec_mode": result.mode,
-        }
-    row = {
-        "name": _row_name(workload.name),
-        "workload": workload.name,
-        "protocol": workload.protocol,
-        "events": events,
-        "wall_s": wall,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        **extra,
     }
     return row
 

@@ -180,10 +180,8 @@ class Simulator:
 
         Dead entries surfacing at the head are discarded on the way (they
         were unobservable); live entries never move, so any number of
-        peeks between two pops leaves the pop order unchanged.  The shard
-        coordinator uses this between horizon-bounded :meth:`run` calls
-        to compute the next conservative epoch, and :meth:`run` uses it to
-        park the clock at its horizon.
+        peeks between two pops leaves the pop order unchanged.
+        :meth:`run` uses it to park the clock at its horizon.
         """
         heap = self._heap
         while heap:

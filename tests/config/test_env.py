@@ -19,15 +19,11 @@ from repro.config import (
 
 
 def test_knob_table_covers_every_surface():
-    assert set(KNOBS) == {
-        "routing", "telemetry", "telemetry_dir", "lossless", "shards",
-    }
+    assert set(KNOBS) == {"routing", "telemetry", "telemetry_dir", "lossless"}
     assert KNOBS["routing"].names == ROUTING_NAMES
     assert KNOBS["telemetry"].names == TELEMETRY_MODES
     assert KNOBS["telemetry_dir"].names is None  # free-form path
     assert KNOBS["lossless"].names == LOSSLESS_MODES
-    assert KNOBS["shards"].names is None  # a count, checked not enumerated
-    assert KNOBS["shards"].var == "REPRO_SHARDS"
 
 
 def test_defaults_when_unset(monkeypatch):
@@ -37,7 +33,6 @@ def test_defaults_when_unset(monkeypatch):
     assert telemetry_mode() == "off"
     assert telemetry_dir() is None
     assert lossless_mode() == "off"
-    assert current("shards") == ""
 
 
 def test_current_validates_and_names_the_variable(monkeypatch):
@@ -79,25 +74,6 @@ def test_env_validates_eagerly():
         env(telemetry="bogus")
 
 
-def test_shard_count_knob(monkeypatch):
-    from repro.config import shard_count
-
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    assert shard_count() is None  # unset: serial
-    with env(shards="4"):
-        assert os.environ["REPRO_SHARDS"] == "4"
-        assert shard_count() == 4
-    assert "REPRO_SHARDS" not in os.environ
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    assert shard_count() == 2
-    for bogus in ("zero", "0", "-3", "2.5"):
-        monkeypatch.setenv("REPRO_SHARDS", bogus)
-        with pytest.raises(ValueError, match=r"\$REPRO_SHARDS"):
-            shard_count()
-    with pytest.raises(ValueError, match="positive integer"):
-        env(shards="nope")  # eager validation, like every other knob
-
-
 def test_env_refuses_the_removed_batch_knob():
     with pytest.raises(TypeError, match="batch"):
         env(batch="off")
@@ -106,6 +82,11 @@ def test_env_refuses_the_removed_batch_knob():
 def test_env_refuses_the_removed_compiled_knob():
     with pytest.raises(TypeError, match="compiled"):
         env(compiled="on")
+
+
+def test_env_refuses_the_removed_shards_knob():
+    with pytest.raises(TypeError, match="shards"):
+        env(shards="2")
 
 
 def test_env_keywords_are_exactly_the_knobs():

@@ -33,23 +33,6 @@ def test_validation_matches_legacy_error_messages():
         SimConfig(transport="quic")
 
 
-def test_shards_field_validates_and_exports(monkeypatch):
-    import os
-
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    assert SimConfig().shards is None
-    with pytest.raises(ValueError, match="positive integer"):
-        SimConfig(shards=0)
-    with pytest.raises(ValueError, match="positive integer"):
-        SimConfig(shards=-2)
-    cfg = SimConfig(shards=4)
-    with cfg.env():
-        assert os.environ["REPRO_SHARDS"] == "4"
-    assert "REPRO_SHARDS" not in os.environ
-    monkeypatch.setenv("REPRO_SHARDS", "3")
-    assert SimConfig.from_env().shards == 3
-
-
 def test_with_overrides_revalidates():
     cfg = SimConfig(lossless="pfc")
     assert cfg.with_overrides(routing="ecmp").routing == "ecmp"
@@ -117,10 +100,9 @@ def test_to_dict_from_dict_round_trip_all_fields():
         telemetry="counters",
         telemetry_dir="/tmp/somewhere",
         lossless="pfc",
-        shards=3,
     )
     data = cfg.to_dict()
-    assert data["shards"] == 3
+    assert data["telemetry_dir"] == "/tmp/somewhere"
     assert data["lossless"] == "pfc"
     restored = SimConfig.from_dict(data)
     assert restored == cfg
@@ -155,6 +137,27 @@ def test_the_removed_compiled_field_is_rejected():
         SimConfig.from_dict({"compiled": "on"})
 
 
+def test_the_removed_shards_field_is_rejected():
+    with pytest.raises(TypeError, match="shards"):
+        SimConfig(shards=2)
+    with pytest.raises(ValueError, match="unknown SimConfig field"):
+        SimConfig.from_dict({"shards": 2})
+
+
+def test_from_env_ignores_a_stale_shard_count(monkeypatch):
+    """``REPRO_SHARDS`` once named a shard count; nothing reads it now,
+    so a value left in a shell neither fails nor lands in the config."""
+    for knob in ("REPRO_ROUTING", "REPRO_TELEMETRY", "REPRO_TELEMETRY_DIR",
+                 "REPRO_LOSSLESS"):
+        monkeypatch.delenv(knob, raising=False)
+    monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    clean = SimConfig.from_env(seed=3)
+    for stale in ("2", "nope"):
+        monkeypatch.setenv("REPRO_SHARDS", stale)
+        assert SimConfig.from_env(seed=3) == clean
+        assert "shards" not in SimConfig.from_env(seed=3).to_dict()
+
+
 def test_fields_are_the_seed_the_transport_and_the_knobs():
     """One field per ``REPRO_*`` knob, plus the seed and the transport."""
     from dataclasses import fields
@@ -162,7 +165,7 @@ def test_fields_are_the_seed_the_transport_and_the_knobs():
     from repro.config import KNOBS
 
     names = [f.name for f in fields(SimConfig)]
-    assert len(names) == 7
+    assert len(names) == 6
     assert set(names) == {"seed", "transport"} | set(KNOBS)
 
 

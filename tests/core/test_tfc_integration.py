@@ -4,9 +4,10 @@ claims, asserted at small scale so the suite stays fast)."""
 import statistics
 
 from repro.core.params import TfcParams
+from repro.experiments.common import build_topology
 from repro.metrics.samplers import QueueSampler, RateSampler
 from repro.metrics.stats import jain_fairness
-from repro.net.topology import dumbbell, multi_bottleneck
+from repro.net.topology import dumbbell, fat_tree, multi_bottleneck
 from repro.sim.units import microseconds, milliseconds, seconds
 from repro.transport.base import FlowState
 from repro.transport.registry import configure_network, open_flow, queue_factory_for
@@ -62,6 +63,31 @@ def test_no_loss_with_many_concurrent_flows():
     assert topo.network.total_drops() == 0
     assert sum(f.stats.timeouts for f in flows) == 0
     assert all(f.stats.bytes_acked > 0 for f in flows)
+
+
+def _cross_pod_incast(protocol):
+    """Every host of pods 1-3 of a ``fat_tree(4)`` sends to H1 (pod 0)
+    through 64 KB switch buffers: the 12 flows meet at the core."""
+    topo = build_topology(fat_tree, protocol, buffer_bytes=64_000, k=4)
+    victim = topo.hosts[0]
+    flows = [
+        open_flow(host, victim, protocol, start_ns=1_000 * i)
+        for i, host in enumerate(topo.hosts[4:])
+    ]
+    topo.network.run_for(milliseconds(10))
+    return topo, flows
+
+
+def test_no_loss_in_a_cross_pod_incast_on_a_fat_tree():
+    """The three-tier version of section 4.6: the flows cross aggregation
+    and core before they share the victim's edge port, and TFC still
+    drops nothing where TCP overflows the same buffers."""
+    topo, flows = _cross_pod_incast("tfc")
+    assert topo.network.total_drops() == 0
+    assert sum(f.stats.timeouts for f in flows) == 0
+    assert all(f.stats.bytes_acked > 0 for f in flows)
+    tcp_topo, _ = _cross_pod_incast("tcp")
+    assert tcp_topo.network.total_drops() > 0
 
 
 def test_flash_crowd_of_new_flows_does_not_drop():

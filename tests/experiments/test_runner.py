@@ -42,6 +42,29 @@ def test_unknown_scheduler_rejected():
         main(["--figures", "fig14", "--scheduler", "heap"])
 
 
+def test_removed_shard_count_is_refused():
+    """Single-simulation sharding is gone: ``shards=`` is not a keyword
+    and ``--shards`` is a usage error, checked before anything runs."""
+    from repro.experiments.runner import main
+
+    with pytest.raises(TypeError, match="shards"):
+        run_cells(QUICK_SPECS[:1], jobs=1, root_seed=7, shards=2)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--list-figures", "--shards", "2"])
+    assert excinfo.value.code == 2
+
+
+def test_removed_shard_figure_is_refused():
+    from repro.experiments.runner import main
+
+    assert "shard" not in FIGURE_CELLS
+    with pytest.raises(RunnerError, match="no default plan for 'shard'"):
+        default_plan(["shard"])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--figures", "shard"])
+    assert excinfo.value.code == 2
+
+
 # Small multi-path cells: one collision run and one fat-tree benchmark
 # run, each under a policy that actually exercises the equal-cost picks.
 MULTIPATH_SPECS = [

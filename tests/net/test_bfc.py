@@ -20,6 +20,7 @@ import pytest
 
 from repro.experiments.common import build_topology
 from repro.net.bfc import (
+    BFC_PAUSE,
     BfcHostAgent,
     BfcParams,
     BfcPortAgent,
@@ -29,7 +30,7 @@ from repro.net.bfc import (
 from repro.net.network import Network
 from repro.net.packet import MTU, Packet
 from repro.net.pfc import PfcParams, protocol_agent
-from repro.net.topology import Topology, dumbbell
+from repro.net.topology import Topology, dumbbell, fat_tree
 from repro.sim.units import GBPS, microseconds, milliseconds
 from repro.transport.registry import open_flow
 
@@ -187,6 +188,59 @@ BFC_INCAST_PIN = (16795, 204, 201, [595_680, 594_220, 595_680, 594_220])
 
 def test_bfc_incast_is_pinned():
     assert _bfc_incast_fingerprint() == BFC_INCAST_PIN
+
+
+# ----------------------------------------------------------------------
+# Backpressure across the tiers of a fat tree
+# ----------------------------------------------------------------------
+def _cross_pod_incast_fingerprint():
+    """Every host of pods 1-3 of ``fat_tree(4)`` floods H1 (pod 0).
+
+    Returns events, the XOFFs each tier sent to the tier below it, the
+    fabric's drops and a digest of every flow's counters.
+    """
+    topo = build_topology(fat_tree, "bfc", buffer_bytes=256_000, k=4)
+    tiers = {}
+
+    def on_pause(node, upstream, flow_key):
+        hop = f"{node[0]}->{upstream[0]}"
+        tiers[hop] = tiers.get(hop, 0) + 1
+
+    topo.network.tracer.subscribe(BFC_PAUSE, on_pause)
+    victim = topo.hosts[0]
+    senders = [
+        open_flow(host, victim, "bfc", start_ns=1_000 * i, awnd_bytes=200_000)
+        for i, host in enumerate(topo.hosts[4:])
+    ]
+    topo.network.run_for(milliseconds(2))
+    counters = [
+        (s.stats.bytes_acked, s.stats.packets_sent, s.receiver.rcv_nxt)
+        for s in senders
+    ]
+    digest = hashlib.sha256(json.dumps(counters).encode("utf-8")).hexdigest()
+    return (
+        topo.sim.events_processed,
+        dict(sorted(tiers.items())),
+        topo.network.total_drops(),
+        digest[:16],
+    )
+
+
+#: Captured once: per-flow XOFFs step down from the core through the
+#: aggregation and edge tiers to the senders' NICs, with no drop.
+CROSS_POD_PIN = (
+    4938,
+    {"A->E": 36, "C->A": 36, "E->H": 24},
+    0,
+    "3b4e8c827a4f7009",
+)
+
+
+def test_backpressure_crosses_the_pod_core_boundary():
+    events, tiers, drops, digest = _cross_pod_incast_fingerprint()
+    assert set(tiers) == {"C->A", "A->E", "E->H"}
+    assert drops == 0
+    assert (events, tiers, drops, digest) == CROSS_POD_PIN
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,9 @@ from repro.net.pfc import (
     enable_pfc,
     peer_tx_port,
 )
-from repro.net.topology import dumbbell
-from repro.sim.units import milliseconds
+from repro.net.topology import dumbbell, fat_tree
+from repro.sim.trace import PFC_PAUSE
+from repro.sim.units import microseconds, milliseconds
 from repro.transport.registry import open_flow
 
 #: Watermarks low enough that a 4-way incast pauses within a millisecond.
@@ -317,128 +318,110 @@ def test_pfc_incast_is_pinned():
 
 
 # ----------------------------------------------------------------------
-# Cross-shard PFC: pause frames crossing a partition boundary
+# Pause frames crossing the pod/core boundary of a fat tree
 # ----------------------------------------------------------------------
-def _build_cross_pod_incast(ctx, **_kwargs):
+#: (events, pause frames sent per core ingress, pauses per aggregation
+#: uplink, fingerprint digest), captured once.
+CROSS_POD_PIN = (
+    4537,
+    [("C0_0<-A1_0", 3), ("C0_0<-A2_0", 1), ("C0_0<-A3_0", 4)],
+    [("A1_0->C0_0", 3), ("A2_0->C0_0", 1), ("A3_0->C0_0", 4)],
+    "d0e926cc8bb704b8",
+)
+
+
+def _cross_pod_incast(on_pause=None):
     """Cross-pod incast: every host of pods 1-3 floods H1 (pod 0).
 
-    Congestion builds at the victim's edge and propagates pauses up
-    through aggregation into the core — i.e. across the pod/core shard
-    boundaries — which the ring workload never does.
+    Congestion builds where the victim's pod meets the core, and the
+    core pauses the aggregation switches feeding it: pause frames cross
+    from the core layer into the pods.  ``on_pause(now, record)`` sees
+    every XOFF as it is sent.
     """
-    from repro.net.topology import fat_tree
-    from repro.sim.shard import open_shard_flow
-
-    topo = build_topology(
-        fat_tree, "pfc", buffer_bytes=16_000, k=4, seed=ctx.root_seed
-    )
-    victim = topo.hosts[0]
-    flows = []
-    for i, host in enumerate(topo.hosts[4:]):
-        sender, receiver = open_shard_flow(
-            ctx,
-            host,
-            victim,
-            "pfc",
-            start_ns=1_000 * i,
-            awnd_bytes=200_000,
+    topo = build_topology(fat_tree, "pfc", buffer_bytes=16_000, k=4)
+    if on_pause is not None:
+        topo.network.tracer.subscribe(
+            PFC_PAUSE, lambda **record: on_pause(topo.sim.now, record)
         )
-        flows.append((f"{host.name}->{victim.name}", sender, receiver))
-    topo.shard_flows = flows
-    return topo
-
-
-def _collect_cross_pod_incast(topology, ctx):
-    """Flow counters, per-ingress PFC state and drops for owned nodes."""
-    out = {}
-    for label, sender, receiver in topology.shard_flows:
-        if sender is not None:
-            out[f"{label}:tx"] = (
-                sender.stats.bytes_acked,
-                sender.stats.packets_sent,
-                sender.stats.retransmissions,
-            )
-        if receiver is not None:
-            out[f"{label}:rx"] = (receiver.bytes_received, receiver.rcv_nxt)
-    fabric = topology.network.lossless
-    for ingress in fabric.ingresses.values():
-        if ctx.owns(ingress.node.name):
-            out[f"{ingress.name}:pfc"] = (
-                ingress.pause_frames_sent,
-                ingress.resume_frames_sent,
-                ingress.max_bytes_seen,
-            )
-    for node in topology.network.nodes:
-        if ctx.owns(node.name):
-            out[f"{node.name}:drops"] = sum(
-                port.queue.drops for port in node.ports
-            )
-    return out
-
-
-def _cross_pod_spec(end_ns=2_000_000):
-    from repro.sim.shard import ShardSpec, plan_fat_tree
-
-    return ShardSpec(
-        plan=plan_fat_tree(k=4, pod_shards=2),
-        build=_build_cross_pod_incast,
-        collect=_collect_cross_pod_incast,
-        end_ns=end_ns,
-    )
-
-
-def test_pause_frames_cross_shard_boundaries():
-    """Pause frames captured at a boundary are exchanged like any frame,
-    bypass data queues on both sides (capture at TX completion, direct
-    ``receive`` injection), and leave the run bit-identical to serial."""
-    from repro.net.pfc import PauseFrame
-    from repro.sim.shard import run_serial_reference
-    from repro.sim.shard.runner import _InlineHandle, _coordinate
-
-    spec = _cross_pod_spec()
-
-    crossed = []
-
-    class _Spy(_InlineHandle):
-        def finish_epoch(self):
-            out, peek = super().finish_epoch()
-            crossed.extend(m for m in out if isinstance(m[4], PauseFrame))
-            return out, peek
-
-    handles = [
-        _Spy(spec, sid) for sid in range(spec.plan.total_shards)
+    victim = topo.hosts[0]
+    flows = [
+        (
+            f"{host.name}->{victim.name}",
+            open_flow(
+                host, victim, "pfc", start_ns=1_000 * i, awnd_bytes=200_000
+            ),
+        )
+        for i, host in enumerate(topo.hosts[4:])
     ]
-    _coordinate(handles, spec.plan, spec.end_ns)
-    per_shard = [handle.collect()[0] for handle in handles]
+    topo.network.run_for(milliseconds(2))
+    return topo, flows
 
-    # The incast genuinely pushed pauses across partition boundaries.
-    assert len(crossed) > 0
-    for arrival_ns, dst_shard, _node_id, _port, frame in crossed:
-        assert 0 <= dst_shard < spec.plan.total_shards
-        assert arrival_ns <= spec.end_ns + spec.plan.lookahead_ns
-        # The capture proxy strips shard-local ingress references before
-        # a frame crosses the pipe.
-        assert frame.pfc_ingress is None
 
-    # Bit-identity against the serial reference — the strongest possible
-    # "the pause still worked" statement: any queueing delay added to a
-    # crossing pause would shift XOFF timing and change these counters.
-    merged = {}
-    for payload in per_shard:
-        merged.update(payload)
-    serial = run_serial_reference(spec)
-    assert merged == serial.metrics
-    # And the fabric actually paused: at least one owned ingress sent XOFF.
-    assert any(
-        value[0] > 0 for key, value in merged.items() if key.endswith(":pfc")
+def _cross_pod_incast_fingerprint():
+    """Events, XOFFs sent per core ingress, pauses per aggregation uplink,
+    and a digest of each flow's counters, each ingress's PFC state and
+    each node's drops."""
+    topo, flows = _cross_pod_incast()
+    fabric = topo.network.lossless
+    out = {}
+    for label, sender in flows:
+        receiver = sender.receiver
+        out[f"{label}:tx"] = (
+            sender.stats.bytes_acked,
+            sender.stats.packets_sent,
+            sender.stats.retransmissions,
+        )
+        out[f"{label}:rx"] = (receiver.bytes_received, receiver.rcv_nxt)
+    for ingress in fabric.ingresses.values():
+        out[f"{ingress.name}:pfc"] = (
+            ingress.pause_frames_sent,
+            ingress.resume_frames_sent,
+            ingress.max_bytes_seen,
+        )
+    for node in topo.network.nodes:
+        out[f"{node.name}:drops"] = sum(port.queue.drops for port in node.ports)
+    sent = sorted(
+        (ingress.name, ingress.pause_frames_sent)
+        for ingress in fabric.ingresses.values()
+        if ingress.node.name.startswith("C") and ingress.pause_frames_sent
     )
+    paused = sorted(
+        (f"{port.node.name}->{port.peer_node.name}", len(intervals))
+        for port, intervals in fabric.pause_intervals.items()
+        if port.node.name.startswith("A")
+    )
+    digest = hashlib.sha256(
+        json.dumps(out, sort_keys=True).encode("utf-8")
+    ).hexdigest()[:16]
+    return topo.sim.events_processed, sent, paused, digest
 
 
-def test_cross_shard_pfc_via_public_runner():
-    """The same workload through run_sharded (the public entry point)."""
-    from repro.sim.shard import run_serial_reference, run_sharded
+def test_pause_frames_cross_the_pod_core_boundary():
+    events, sent, paused, digest = _cross_pod_incast_fingerprint()
+    # The core sent pauses, and aggregation uplinks into it were paused.
+    assert sent and all(count > 0 for _, count in sent)
+    assert paused and all(
+        link.split("->")[1].startswith("C") for link, _ in paused
+    )
+    assert (events, sent, paused, digest) == CROSS_POD_PIN
 
-    spec = _cross_pod_spec(end_ns=1_000_000)
-    sharded = run_sharded(spec, mode="inline")
-    assert sharded.merged() == run_serial_reference(spec).metrics
-    assert sharded.messages > 0
+
+def test_core_pauses_reach_aggregation_after_one_link_delay():
+    """An XOFF is carried straight on the cable, ahead of any queued
+    data: each one the core sends pauses its aggregation uplink exactly
+    one 5 us propagation delay later."""
+    sent = []
+
+    def on_pause(now, record):
+        if record["node"].startswith("C"):
+            sent.append((record["port"].node.name, now + microseconds(5)))
+
+    topo, _ = _cross_pod_incast(on_pause)
+    started = [
+        (port.node.name, start)
+        for port, intervals in topo.network.lossless.pause_intervals.items()
+        if port.node.name.startswith("A")
+        for start, _end in intervals
+    ]
+    assert len(sent) == 8
+    assert sorted(started) == sorted(sent)

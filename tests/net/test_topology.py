@@ -5,7 +5,7 @@ import pytest
 from repro.net.packet import Packet, MSS
 from repro.net.topology import dumbbell, fat_tree, leaf_spine, multi_bottleneck
 from repro.net.topology import testbed as build_testbed
-from repro.sim.units import GBPS
+from repro.sim.units import GBPS, microseconds
 
 
 def all_pairs_reachable(topo):
@@ -151,6 +151,42 @@ def test_fat_tree_structure(k):
     assert len(topo.switches) == 5 * k * k // 4
     assert len(unique_cables(topo)) == 3 * k**3 // 4
     assert all_pairs_reachable(topo)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_fat_tree_wiring_follows_its_names(k):
+    """Aggregation switch ``A<p>_<j>`` uplinks to every core ``C<j>_*``
+    and to every edge of pod ``p``; edge ``E<p>_<j>`` serves the next
+    ``k/2`` hosts in pod order; every cable runs at the default 1 Gb/s
+    with a 5 us delay."""
+    topo = fat_tree(k=k)
+    half = k // 2
+    neighbours = {
+        node.name: {port.peer_node.name for port in node.ports}
+        for node in topo.network.nodes
+    }
+    hosts = iter(host.name for host in topo.hosts)
+    for pod in range(k):
+        edges = {f"E{pod}_{j}" for j in range(half)}
+        aggs = {f"A{pod}_{j}" for j in range(half)}
+        for j in range(half):
+            cores = {f"C{j}_{i}" for i in range(half)}
+            assert neighbours[f"A{pod}_{j}"] == cores | edges
+            served = {next(hosts) for _ in range(half)}
+            assert neighbours[f"E{pod}_{j}"] == aggs | served
+    assert topo.hosts[0].name == "H1"
+    for node in topo.network.nodes:
+        for port in node.ports:
+            assert port.link.rate_bps == GBPS
+            assert port.link.delay_ns == microseconds(5)
+
+
+def test_fat_tree_carries_no_partition_metadata():
+    """Pod and core name lists existed only for single-simulation
+    sharding, which is gone."""
+    topo = fat_tree(k=4)
+    assert not hasattr(topo, "pod_members")
+    assert not hasattr(topo, "core_members")
 
 
 def test_fat_tree_equal_cost_sets():

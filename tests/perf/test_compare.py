@@ -113,6 +113,30 @@ def test_compare_reports_committed_unbatched_rows_as_missing(
         assert f"{name}: missing from fresh run (skipped)" in out
 
 
+def test_compare_reports_committed_sharded_rows_as_missing(
+    monkeypatch, capsys
+):
+    """The committed kernel snapshot still carries the serial/sharded
+    ``fattree8`` twin rows; their workloads are gone from the suite, so
+    those rows are reported as missing instead."""
+    snapshot = REPO_ROOT / "BENCH_kernel.json"
+    twins = [
+        row["name"]
+        for row in json.loads(snapshot.read_text())["results"]
+        if row["name"].startswith("fattree8_tfc_")
+    ]
+    assert len(twins) == 2
+
+    def fake(workload, duration_scale=1.0):
+        return {"name": f"{workload.name}@heap", "events_per_sec": 1e12}
+
+    monkeypatch.setattr(bench, "run_kernel_workload", fake)
+    assert compare.main([str(snapshot), "--repeats", "1"]) == 0
+    out = capsys.readouterr().out
+    for name in twins:
+        assert f"{name}: missing from fresh run (skipped)" in out
+
+
 def test_kernel_workloads_run_at_smoke_scale():
     """The pinned workloads execute end-to-end (1% duration: ~fractions of
     a second) and report sane positive throughput."""

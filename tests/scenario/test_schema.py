@@ -121,10 +121,10 @@ def test_link_flap_requires_duration():
 
 
 def test_config_block_round_trips_and_rejects_reserved():
-    doc = minimal(config={"lossless": "pfc", "shards": 2})
+    doc = minimal(config={"lossless": "pfc", "telemetry_dir": "tel"})
     scenario = scenario_from_dict(doc)
     assert scenario.config.lossless == "pfc"
-    assert scenario.config.shards == 2
+    assert scenario.config.telemetry_dir == "tel"
     assert scenario.config.seed == scenario.seed
     doc = minimal(config={"telemetry": "counters"})
     with pytest.raises(ScenarioError, match=r"\.config\.telemetry"):
@@ -145,6 +145,12 @@ def test_config_block_naming_the_removed_batch_knob_rejected():
 
 def test_config_block_naming_the_removed_compiled_knob_rejected():
     doc = minimal(config={"compiled": "on"})
+    with pytest.raises(ScenarioError, match="unknown SimConfig field"):
+        scenario_from_dict(doc)
+
+
+def test_config_block_naming_the_removed_shards_knob_rejected():
+    doc = minimal(config={"shards": 2})
     with pytest.raises(ScenarioError, match="unknown SimConfig field"):
         scenario_from_dict(doc)
 

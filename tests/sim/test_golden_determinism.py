@@ -258,13 +258,15 @@ def test_golden_dumbbell_lossless_bit_identical(monkeypatch, lossless, mode):
 
 def test_golden_dumbbell_ignores_stale_kernel_env(monkeypatch):
     """``REPRO_SCHEDULER`` once chose an event-queue backend,
-    ``REPRO_BATCH`` once toggled hot-loop batching and ``REPRO_COMPILED``
-    once routed ``run()`` through a compiled core; the kernel reads none
-    of them any more, so values left in a shell or CI config change no
-    golden constant."""
+    ``REPRO_BATCH`` once toggled hot-loop batching, ``REPRO_COMPILED``
+    once routed ``run()`` through a compiled core and ``REPRO_SHARDS``
+    once split a fat tree across processes; nothing reads any of them
+    any more, so values left in a shell or CI config change no golden
+    constant."""
     monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
     monkeypatch.setenv("REPRO_BATCH", "off")
     monkeypatch.setenv("REPRO_COMPILED", "on")
+    monkeypatch.setenv("REPRO_SHARDS", "2")
     topo = build_topology(
         dumbbell, "tfc", buffer_bytes=256_000, n_senders=4, seed=1
     )

@@ -1,5 +1,9 @@
 """The documented public API stays importable and coherent."""
 
+import importlib
+
+import pytest
+
 import repro
 
 
@@ -61,7 +65,6 @@ def test_config_namespace_is_the_selection_surface():
         env,
         lossless_mode,
         routing_name,
-        shard_count,
         telemetry_dir,
         telemetry_mode,
     )
@@ -69,14 +72,31 @@ def test_config_namespace_is_the_selection_surface():
     assert set(ROUTING_NAMES) >= {"single", "ecmp", "flowlet", "spray"}
     assert TELEMETRY_MODES == ("off", "counters", "slots", "full")
     assert LOSSLESS_MODES == ("off", "pfc")
-    assert set(KNOBS) == {
-        "routing", "telemetry", "telemetry_dir", "lossless", "shards",
-    }
+    assert set(KNOBS) == {"routing", "telemetry", "telemetry_dir", "lossless"}
     assert callable(env)
     assert callable(routing_name) and callable(telemetry_mode)
     assert callable(telemetry_dir) and callable(lossless_mode)
-    assert callable(shard_count)
     assert SimConfig().seed == 0
+
+
+@pytest.mark.parametrize(
+    "module", ("repro.sim.shard", "repro.experiments.shard_scale")
+)
+def test_the_single_simulation_sharding_modules_are_gone(module):
+    """Every simulation runs on one serial ``Simulator``."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_the_shard_knob_helpers_are_gone():
+    import repro.config
+    import repro.perf.workloads
+
+    for name in ("shard_count", "SHARDS_ENV_VAR"):
+        assert not hasattr(repro.config, name)
+        assert name not in repro.config.__all__
+    for name in ("ShardedFabricWorkload", "run_sharded_fabric_workload"):
+        assert not hasattr(repro.perf.workloads, name)
 
 
 def test_obs_namespace_surface():
