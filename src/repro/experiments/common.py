@@ -9,7 +9,6 @@ live here.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
@@ -17,6 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 from ..core.params import TfcParams
 from ..net.topology import Topology
 from ..obs import maybe_install as maybe_install_telemetry
+from ..sim.rng import stable_seed
 from ..transport.registry import (
     get_protocol,
     registered_protocols,
@@ -76,8 +76,7 @@ def derive_cell_seed(root_seed: int, *labels) -> int:
     bit-identical to a serial run.
     """
     tag = ":".join(str(part) for part in labels)
-    digest = hashlib.sha256(f"{int(root_seed)}:cell:{tag}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return stable_seed(f"{int(root_seed)}:cell:{tag}")
 
 
 def build_topology(

@@ -20,6 +20,7 @@ from typing import List
 from ..metrics.stats import cdf_points, mean
 from ..net.topology import testbed
 from ..sim.units import microseconds, seconds, to_microseconds
+from ..transport.base import RtoEstimator
 from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology
 
@@ -51,6 +52,29 @@ class RttbResult:
         )
 
 
+class _RecordingRto(RtoEstimator):
+    """The probe's estimator: records each clean RTT sample, in us.
+
+    The very first sample comes from the 40-byte SYN/SYN-ACK exchange,
+    not an MTU-sized round trip (the paper's reference sends full MTU
+    packets), so it is skipped.  Every sample, the skipped one included,
+    still updates the estimate as usual.
+    """
+
+    __slots__ = ("samples_us", "_handshake_seen")
+
+    def __init__(self, samples_us: List[float], **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.samples_us = samples_us
+        self._handshake_seen = False
+
+    def sample(self, rtt_ns: int) -> None:
+        if self._handshake_seen:
+            self.samples_us.append(to_microseconds(rtt_ns))
+        self._handshake_seen = True
+        super().sample(rtt_ns)
+
+
 def run_fig06(
     duration_s: float = 4.0,
     sample_interval_s: float = 0.25,
@@ -70,25 +94,15 @@ def run_fig06(
     # clean RTT samples (srtt inputs) are the referenced RTT.
     probe = open_flow(h1, h3, "tfc", awnd_bytes=1460)
     result = RttbResult()
-
-    def record_probe_rtt(rtt_ns: int) -> None:
-        result.reference_samples_us.append(to_microseconds(rtt_ns))
-
-    # Intercept the probe's RTT samples without disturbing the estimator.
-    # The very first sample comes from the 40-byte SYN/SYN-ACK exchange,
-    # not an MTU-sized round trip (the paper's reference sends full MTU
-    # packets), so it is skipped.
-    original_sample = probe.rto.sample
-    skipped_handshake = [False]
-
-    def sampling_wrapper(rtt_ns: int) -> None:
-        if not skipped_handshake[0]:
-            skipped_handshake[0] = True
-        else:
-            record_probe_rtt(rtt_ns)
-        original_sample(rtt_ns)
-
-    probe.rto.sample = sampling_wrapper  # type: ignore[method-assign]
+    # No RTT sample has reached the probe's estimator yet, so a recording
+    # one with the same bounds and timeout replaces it without a trace.
+    rto = probe.rto
+    probe.rto = _RecordingRto(
+        result.reference_samples_us,
+        min_rto_ns=rto.min_rto_ns,
+        max_rto_ns=rto.max_rto_ns,
+        initial_rto_ns=rto.rto_ns,
+    )
 
     # The bottleneck agent is the leaf port feeding H3.
     agent = topo.bottleneck("to_H3").agent

@@ -5,13 +5,32 @@ start-time staggering) draws from a named child stream derived from one root
 seed.  Two runs with the same root seed are bit-identical regardless of the
 order in which components are constructed, because each stream is seeded by
 hashing ``(root_seed, stream_name)`` rather than by sharing one generator.
+
+The hash is SHA-256 from the interpreter's own built-in module, so seeding
+never loads OpenSSL's ``libcrypto`` (~3.6 MB resident) into a simulation
+process; the digests are the same bytes either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10/3.11
+    except ImportError:  # pragma: no cover - builds without built-in SHA-2
+        from hashlib import sha256 as _sha256
+
+
+def stable_seed(text: str) -> int:
+    """64-bit seed from ``text``: the first 8 bytes of its SHA-256, big-endian.
+
+    Independent of ``PYTHONHASHSEED``, the platform and the process.
+    """
+    return int.from_bytes(_sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 class SeedSequence:
@@ -28,18 +47,12 @@ class SeedSequence:
         object, so a component can re-fetch its stream without resetting it.
         """
         if name not in self._streams:
-            digest = hashlib.sha256(
-                f"{self.root_seed}:{name}".encode("utf-8")
-            ).digest()
-            self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
+            self._streams[name] = random.Random(stable_seed(f"{self.root_seed}:{name}"))
         return self._streams[name]
 
     def spawn(self, name: str) -> "SeedSequence":
         """Derive a child sequence (for nested components with sub-streams)."""
-        digest = hashlib.sha256(
-            f"{self.root_seed}:spawn:{name}".encode("utf-8")
-        ).digest()
-        return SeedSequence(int.from_bytes(digest[:8], "big"))
+        return SeedSequence(stable_seed(f"{self.root_seed}:spawn:{name}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SeedSequence root={self.root_seed} streams={len(self._streams)}>"

@@ -21,7 +21,7 @@ applied (no samples from retransmitted segments).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..net.host import Host
 from ..net.packet import MSS, Packet
@@ -44,6 +44,8 @@ class FlowState(enum.Enum):
 
 class RtoEstimator:
     """RFC 6298 retransmission-timeout estimator."""
+
+    __slots__ = ("min_rto_ns", "max_rto_ns", "srtt", "rttvar", "rto_ns", "_backoff")
 
     def __init__(
         self,
@@ -518,7 +520,9 @@ class Receiver:
         #: Segments that arrived ahead of ``rcv_nxt`` (reordering gauge;
         #: the spray routing policy drives this hard on purpose).
         self.reordered_segments = 0
-        self._out_of_order: List[Tuple[int, int]] = []  # sorted (seq, end)
+        #: Sorted ``(seq, end)`` ranges held past a gap: a list only while
+        #: something is held, else the shared empty tuple.
+        self._out_of_order: Sequence[Tuple[int, int]] = ()
         self.fin_seen = False
         #: Tenant tag mirroring the sender's (see :class:`Sender`).
         self.tenant: Optional[str] = None
@@ -562,11 +566,16 @@ class Receiver:
         self._out_of_order = merged
 
     def _drain_out_of_order(self) -> None:
-        while self._out_of_order and self._out_of_order[0][0] <= self.rcv_nxt:
-            lo, hi = self._out_of_order.pop(0)
+        held = self._out_of_order
+        if not held:
+            return
+        while held and held[0][0] <= self.rcv_nxt:
+            lo, hi = held.pop(0)
             if hi > self.rcv_nxt:
                 self.bytes_received += hi - self.rcv_nxt
                 self.rcv_nxt = hi
+        if not held:
+            self._out_of_order = ()
 
     # ------------------------------------------------------------------
     def _send_ack(self, data_packet: Packet, syn: bool = False) -> None:

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 from ..metrics.fct import FctCollector
 from ..net.host import Host
+from ..sim.rng import stable_seed
 from ..sim.units import MILLISECOND
 from ..transport.registry import open_flow
 from .distributions import (
@@ -67,7 +68,7 @@ class BenchmarkWorkload:
         self.tenant = tenant
         self.collector = collector if collector is not None else FctCollector()
         self.sim = hosts[0].sim
-        self._rng = random.Random(_stable_seed(seed_name))
+        self._rng = random.Random(stable_seed(seed_name))
         self.queries_launched = 0
         self.flows_launched = 0
 
@@ -104,7 +105,7 @@ class BenchmarkWorkload:
     ) -> None:
         if rate_per_s <= 0:
             return
-        rng = random.Random(_stable_seed(stream))
+        rng = random.Random(stable_seed(stream))
         for t in poisson_arrival_times_ns(
             rng, rate_per_s, self.duration_ns, start_ns=self.sim.now
         ):
@@ -129,12 +130,3 @@ class BenchmarkWorkload:
             min_rto_ns=self.min_rto_ns,
             tenant=self.tenant,
         )
-
-
-def _stable_seed(name: str) -> int:
-    """Deterministic seed from a stream name (independent of PYTHONHASHSEED)."""
-    import hashlib
-
-    return int.from_bytes(
-        hashlib.sha256(name.encode("utf-8")).digest()[:8], "big"
-    )

@@ -24,10 +24,10 @@ from typing import List, Optional, Sequence
 
 from ..metrics.fct import FctCollector
 from ..net.host import Host
+from ..sim.rng import stable_seed
 from ..sim.units import MILLISECOND
 from ..transport.registry import open_flow
 from .distributions import poisson_arrival_times_ns
-from .empirical import _stable_seed
 
 REPLICATION_MODES = ("fanout", "chain")
 
@@ -84,7 +84,7 @@ class ReplicationWorkload:
         self.tenant = tenant
         self.collector = collector if collector is not None else FctCollector()
         self.sim = self.hosts[0].sim
-        self._rng = random.Random(_stable_seed(seed_name))
+        self._rng = random.Random(stable_seed(seed_name))
 
         self.writes_launched = 0
         self.commits_completed = 0

@@ -33,7 +33,7 @@ def test_tfc_round_accounting_survives_spray_reordering():
         # ...and reassembly is airtight: all delivered bytes are
         # contiguous and no out-of-order fragment is stranded.
         assert r.rcv_nxt == r.bytes_received
-        assert r._out_of_order == []
+        assert r._out_of_order == ()
     # Per-link token control holds: no queue ever overflowed, and the
     # RM/window machinery kept electing and updating throughout.
     net = topo.network

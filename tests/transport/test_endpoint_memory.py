@@ -32,7 +32,7 @@ from repro.transport.tracks import TracksReceiver
 PROTOCOLS = registered_protocols()
 
 #: Bytes one completed two-KB flow may keep alive while the caller holds
-#: its sender.  Slotted endpoints keep ~1.8-2.0 KB on CPython 3.11;
+#: its sender.  Slotted endpoints keep ~1.6-1.8 KB on CPython 3.11;
 #: dict-backed ones keep ~3.5-3.7 KB.  The headroom covers other CPython
 #: versions' object layouts.
 MAX_BYTES_PER_FLOW = 3_000
@@ -40,10 +40,12 @@ MAX_BYTES_PER_FLOW = 3_000
 #: Bytes one completed two-KB flow may keep alive when nobody holds its
 #: sender, counting cyclic garbage as kept.  A released sender leaves a
 #: ``FinishedFlow`` record, its ``FlowStats``, its receiver and two demux
-#: keys: ~1.2-1.4 KB on CPython 3.11.  Keeping the sender registered
-#: costs ~1.9-2.2 KB; releasing it but leaving its timer cycles (freed
-#: only by the cyclic GC) ~1.9-2.2 KB.
-MAX_RELEASED_BYTES_PER_FLOW = 1_700
+#: keys: 1,151-1,373 B on CPython 3.11 (1,207-1,429 B while every
+#: receiver held its own empty out-of-order list).  The bound keeps the
+#: same ~19 % headroom over the largest.  Keeping the sender registered,
+#: or releasing it but leaving its timer cycles (freed only by the cyclic
+#: GC), costs ~0.7 KB more per flow.
+MAX_RELEASED_BYTES_PER_FLOW = 1_640
 
 FLOWS = 1_000
 FLOW_BYTES = 2_000
@@ -58,7 +60,7 @@ def _topo(protocol):
 def test_endpoints_have_no_instance_dict(protocol):
     topo = _topo(protocol)
     sender = open_flow(topo.hosts[0], topo.hosts[-1], protocol, size_bytes=FLOW_BYTES)
-    for endpoint in (sender, sender.receiver, sender.stats):
+    for endpoint in (sender, sender.receiver, sender.stats, sender.rto):
         assert not hasattr(endpoint, "__dict__"), type(endpoint).__name__
 
 
