@@ -18,7 +18,7 @@ section 5).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from ..net.packet import ETHERNET_OVERHEAD, HEADER_BYTES, MSS, Packet
 from ..sim.engine import Event, Simulator
@@ -56,7 +56,9 @@ class DelayArbiter:
         self.credit: float = float(mss)  # one packet of head-room at boot
         self.cap: float = float(2 * mss)
         self._last_update_ns = sim.now
-        self._queue: Deque[Packet] = deque()
+        # Parked ACKs, each beside its uncapped wire cost (its window does
+        # not change while parked; the cap does, so it is applied per use).
+        self._queue: Deque[Tuple[Packet, float]] = deque()
         self._pending: Optional[Event] = None
         self.delayed_acks = 0
         self.dropped_acks = 0
@@ -112,7 +114,8 @@ class DelayArbiter:
         rounded up to one MSS at release, as in the paper.
         """
         self._refresh_credit()
-        cost = self._cost_of(ack)
+        wire = self._wire_cost(ack)
+        cost = min(wire, self.cap)
         if ack.window >= self.mss:
             # Paper rule: an ACK already carrying at least one MSS passes
             # immediately and debits the counter (possibly into debt, down
@@ -132,7 +135,7 @@ class DelayArbiter:
             if self._tracer is not None:
                 self._tracer.emit(TFC_ACK_DELAYED, packet=ack, dropped=True)
             return True  # consumed (dropped); sender's RTO will recover
-        self._queue.append(ack)
+        self._queue.append((ack, wire))
         self.delayed_acks += 1
         if self._tracer is not None:
             self._tracer.emit(TFC_ACK_DELAYED, packet=ack, dropped=False)
@@ -145,19 +148,17 @@ class DelayArbiter:
         """Number of ACKs currently parked."""
         return len(self._queue)
 
-    def _cost_of(self, ack: Packet) -> float:
+    def _wire_cost(self, ack: Packet) -> float:
         # Charge wire bytes, not payload bytes: a grant of w payload bytes
         # puts ceil(w / MSS) frames of header+framing overhead on the link
         # as well, and ignoring that makes the paced inflow exceed the line
         # rate by the overhead ratio (the queue then integrates up).
-        # Clamp to the bucket capacity so a grant larger than the cap can
-        # always eventually be paid for (it would deadlock otherwise).
+        # Callers clamp it to the bucket capacity, min(wire, cap), so a
+        # grant larger than the cap can always eventually be paid for (it
+        # would deadlock otherwise).
         payload = max(ack.window, float(self.mss))
         frames = -(-int(payload) // self.mss)
-        return min(payload + frames * self.per_packet_overhead, self.cap)
-
-    def _head_cost(self) -> float:
-        return self._cost_of(self._queue[0])
+        return payload + frames * self.per_packet_overhead
 
     # Float headroom for credit comparisons: without it a deficit of a few
     # ULPs truncates to a zero-delay reschedule and the release loop spins
@@ -167,7 +168,7 @@ class DelayArbiter:
     def _schedule_release(self) -> None:
         if self._pending is not None or not self._queue:
             return
-        deficit = self._head_cost() - self.credit
+        deficit = min(self._queue[0][1], self.cap) - self.credit
         if deficit <= self._EPSILON:
             delay_ns = 0
         else:
@@ -181,11 +182,12 @@ class DelayArbiter:
         self._refresh_credit()
         if not self._queue:
             return
-        cost = self._head_cost()
+        ack, wire = self._queue[0]
+        cost = min(wire, self.cap)
         if self.credit < cost - self._EPSILON:
             self._schedule_release()
             return
-        ack = self._queue.popleft()
+        self._queue.popleft()
         ack.window = float(self.mss)
         self._debit(cost)
         self._release(ack)

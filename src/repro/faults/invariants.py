@@ -163,7 +163,6 @@ class InvariantMonitor:
             if packet.window > window_before + _EPSILON:
                 self._violation(
                     "window_min_reduction",
-                    self._locate(agent),
                     "switch raised a packet's window field (must only "
                     "ever lower it: min-reduction along the path)",
                     agent=agent,
@@ -197,7 +196,6 @@ class InvariantMonitor:
     def _violation(
         self,
         invariant: str,
-        location: str,
         message: str,
         agent: "TfcPortAgent" = None,
         port=None,
@@ -205,21 +203,25 @@ class InvariantMonitor:
     ) -> None:
         # Structured identity for the breach site: from the agent when the
         # check is agent-bound (which also supplies the slot counter),
-        # else from the port the sweep was inspecting.
+        # else from the port the sweep was inspecting.  The location text
+        # is only formatted here, once something has failed.
         slot = -1
         if agent is not None:
+            location = self._locate(agent)
             port = agent.port
             slot = getattr(agent, "slot_index", -1)
-        elif port is not None and port.agent is not None:
-            slot = getattr(port.agent, "slot_index", -1)
+        else:
+            location = f"{port.node.name}[{port.index}]"
+            if port.agent is not None:
+                slot = getattr(port.agent, "slot_index", -1)
         violation = Violation(
             time_ns=self.sim.now,
             invariant=invariant,
             location=location,
             message=message,
             context=context,
-            node=port.node.name if port is not None else "",
-            port_index=port.index if port is not None else -1,
+            node=port.node.name,
+            port_index=port.index,
             slot=slot,
         )
         self.violations.append(violation)
@@ -250,14 +252,12 @@ class InvariantMonitor:
 
     def _check_agent(self, agent: "TfcPortAgent") -> None:
         params = agent.params
-        location = self._locate(agent)
         bdp = bandwidth_delay_product(agent.rate_bps, agent.rttb_ns)
         low = params.min_token_bdp_factor * bdp * (1.0 - self.tolerance) - MSS
         high = params.max_token_bdp_factor * bdp * (1.0 + self.tolerance) + MSS
         if not low <= agent.tokens <= high:
             self._violation(
                 "token_clamps",
-                location,
                 f"token value escaped its "
                 f"[{params.min_token_bdp_factor}, "
                 f"{params.max_token_bdp_factor}] x c x rtt_b clamps",
@@ -271,7 +271,6 @@ class InvariantMonitor:
         if agent.published_e < 1:
             self._violation(
                 "effective_flows",
-                location,
                 "published effective-flow count below 1",
                 agent=agent,
                 published_e=agent.published_e,
@@ -279,7 +278,6 @@ class InvariantMonitor:
         if agent.effective_flows < 0:
             self._violation(
                 "effective_flows",
-                location,
                 "live effective-flow counter went negative",
                 agent=agent,
                 effective_flows=agent.effective_flows,
@@ -287,20 +285,18 @@ class InvariantMonitor:
         if agent.window < 0:
             self._violation(
                 "window_nonnegative",
-                location,
                 "published window is negative",
                 agent=agent,
                 window=agent.window,
             )
-        self._check_arbiter(agent, location)
+        self._check_arbiter(agent)
 
-    def _check_arbiter(self, agent: "TfcPortAgent", location: str) -> None:
+    def _check_arbiter(self, agent: "TfcPortAgent") -> None:
         arbiter = agent.delay_arbiter
         bound = arbiter.cap * (1.0 + self.tolerance) + MSS
         if not -bound <= arbiter.credit <= bound:
             self._violation(
                 "delay_arbiter_credit",
-                location,
                 "delay-arbiter credit escaped its [-cap, +cap] bound",
                 agent=agent,
                 credit=arbiter.credit,
@@ -317,14 +313,13 @@ class InvariantMonitor:
                 if queue.byte_length > queue.capacity_bytes:
                     self._violation(
                         "queue_capacity",
-                        f"{node.name}[{port.index}]",
                         "queue occupancy exceeds configured capacity",
                         port=port,
                         byte_length=queue.byte_length,
                         capacity_bytes=queue.capacity_bytes,
                     )
         for agent in self.agents:
-            self._check_arbiter(agent, self._locate(agent))
+            self._check_arbiter(agent)
         self._count_check()
         self.sim.schedule(self.sweep_interval_ns, self._sweep)
 

@@ -14,7 +14,7 @@ lower-bounded by the 64-byte minimum Ethernet frame.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 HEADER_BYTES = 40        # TCP/IP header (no options)
 ETHERNET_OVERHEAD = 18   # Ethernet header + FCS (preamble/IFG folded in)
@@ -30,6 +30,20 @@ WINDOW_SENTINEL = float(0xFFFF * MSS)
 _packet_ids = itertools.count()
 
 FlowKey = Tuple[int, int, int, int]  # (src, dst, sport, dport)
+
+#: payload -> (size, frame_size), filled on first use: every packet of a
+#: given length shares the two ints (1500 and 1518 are not cached small
+#: ints), and only lengths that occur take an entry (at most MSS + 1).
+_sizes: Dict[int, Tuple[int, int]] = {}
+
+
+def _sizes_of(payload: int) -> Tuple[int, int]:
+    """Compute and remember ``(size, frame_size)`` for ``payload`` bytes."""
+    size = payload + HEADER_BYTES
+    frame = size + ETHERNET_OVERHEAD
+    sizes = (size, frame if frame >= MIN_FRAME_BYTES else MIN_FRAME_BYTES)
+    _sizes[payload] = sizes
+    return sizes
 
 
 class Packet:
@@ -48,8 +62,7 @@ class Packet:
         "rm", "rma", "window", "weight",
         "ecn_capable", "ecn_ce", "ecn_echo",
         "sent_at", "retransmitted", "hops",
-        "size", "frame_size", "flow_key", "reverse_flow_key",
-        "pfc_ingress",
+        "size", "frame_size", "flow_key", "pfc_ingress",
     )
 
     # PFC fields with class-level defaults: data packets never carry a
@@ -67,10 +80,10 @@ class Packet:
 
     def __init__(
         self,
-        src: int,
-        dst: int,
-        sport: int,
-        dport: int,
+        src: Union[int, FlowKey],
+        dst: Optional[int] = None,
+        sport: int = 0,
+        dport: int = 0,
         seq: int = 0,
         ack: int = 0,
         payload: int = 0,
@@ -82,22 +95,21 @@ class Packet:
         window: float = WINDOW_SENTINEL,
         ecn_capable: bool = False,
     ):
+        # Either four header fields or, with ``dst`` omitted, a whole flow
+        # key: endpoints pass the one tuple their flow owns, so queued
+        # packets share it instead of each carrying a copy.  The header
+        # fields are always unpacked from the key, so the two agree.
+        key = src if dst is None else (src, dst, sport, dport)
+        self.flow_key = key
+        self.src, self.dst, self.sport, self.dport = key
         self.packet_id = next(_packet_ids)
-        self.src = src
-        self.dst = dst
-        self.sport = sport
-        self.dport = dport
         self.seq = seq
         self.ack = ack
         self._payload = payload
-        # Sizes and flow keys are read on every enqueue/serialise/stat bump
-        # but written only here (and via the payload setter), so they are
-        # precomputed attributes rather than recomputed properties.
-        self.size = payload + HEADER_BYTES
-        frame = payload + HEADER_BYTES + ETHERNET_OVERHEAD
-        self.frame_size = frame if frame >= MIN_FRAME_BYTES else MIN_FRAME_BYTES
-        self.flow_key = (src, dst, sport, dport)
-        self.reverse_flow_key = (dst, src, dport, sport)
+        # Sizes are read on every enqueue/serialise/stat bump but written
+        # only here (and via the payload setter), so they are attributes,
+        # shared per payload length, rather than recomputed properties.
+        self.size, self.frame_size = _sizes.get(payload) or _sizes_of(payload)
         self.syn = syn
         self.fin = fin
         self.is_ack = is_ack
@@ -126,9 +138,12 @@ class Packet:
     @payload.setter
     def payload(self, value: int) -> None:
         self._payload = value
-        self.size = value + HEADER_BYTES
-        frame = value + HEADER_BYTES + ETHERNET_OVERHEAD
-        self.frame_size = frame if frame >= MIN_FRAME_BYTES else MIN_FRAME_BYTES
+        self.size, self.frame_size = _sizes.get(value) or _sizes_of(value)
+
+    @property
+    def reverse_flow_key(self) -> FlowKey:
+        """The key of the opposite direction (built on each read)."""
+        return (self.dst, self.src, self.dport, self.sport)
 
     @property
     def end_seq(self) -> int:

@@ -24,12 +24,16 @@ import enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..net.host import Host
-from ..net.packet import MSS, Packet
+from ..net.packet import MSS, FlowKey, Packet
 from ..sim.timers import Timer
 from ..sim.trace import FLOW_COMPLETE, RETRANSMIT_TIMEOUT
 from ..sim.units import MILLISECOND, SECOND, microseconds
 
 DEFAULT_AWND = 1 << 20  # 1 MiB advertised window
+
+#: In-flight entry of a full-MSS first transmission, shared by every such
+#: segment of every sender (the common case by far).
+_FRESH_FULL_SEGMENT: Tuple[int, bool] = (MSS, False)
 
 
 class FlowState(enum.Enum):
@@ -155,7 +159,7 @@ class Sender:
     # once); subclasses declare their own fields the same way.
     __slots__ = (
         "host", "sim", "tracer", "src_id", "dst_id", "sport", "dport",
-        "flow_key", "on_complete", "stats", "state", "long_lived",
+        "flow_key", "ack_key", "on_complete", "stats", "state", "long_lived",
         "flow_bytes", "fin_on_empty", "snd_una", "snd_nxt", "cwnd",
         "peer_awnd", "dupacks", "recover_point", "_inflight", "_high_tx",
         "rto", "_rto_timer", "_fin_sent", "tenant", "receiver",
@@ -179,7 +183,11 @@ class Sender:
         self.dst_id = dst_id
         self.sport = sport if sport is not None else host.allocate_port()
         self.dport = dport
+        #: The one key tuple of each direction: every data packet carries
+        #: ``flow_key``, every ACK coming back carries ``ack_key`` (also the
+        #: demux key this sender registers at its host).
         self.flow_key = (self.src_id, self.dst_id, self.sport, self.dport)
+        self.ack_key = (self.dst_id, self.src_id, self.dport, self.sport)
         self.on_complete = on_complete
         self.stats = FlowStats()
         #: Tenant tag for multi-tenant accounting, stamped by
@@ -205,10 +213,7 @@ class Sender:
         self.rto = RtoEstimator(min_rto_ns=min_rto_ns)
         self._rto_timer = Timer(self.sim, self._on_rto, name="rto")
         self._fin_sent = False
-        # Packets delivered to us (reverse direction) match the reversed key.
-        host.register_connection(
-            (self.dst_id, self.src_id, self.dport, self.sport), self
-        )
+        host.register_connection(self.ack_key, self)
 
     # ------------------------------------------------------------------
     # Application API
@@ -275,7 +280,7 @@ class Sender:
     # Packet construction
     # ------------------------------------------------------------------
     def _make_packet(self, **kwargs) -> Packet:
-        packet = Packet(self.src_id, self.dst_id, self.sport, self.dport, **kwargs)
+        packet = Packet(self.flow_key, **kwargs)
         packet.sent_at = self.sim.now
         return packet
 
@@ -292,7 +297,11 @@ class Sender:
         if not retransmission:
             previous = self._inflight.get(seq)
             retransmission = previous is not None and previous[1]
-        self._inflight[seq] = (length, retransmission)
+        self._inflight[seq] = (
+            _FRESH_FULL_SEGMENT
+            if length == MSS and not retransmission
+            else (length, retransmission)
+        )
         self.stats.packets_sent += 1
         self.stats.bytes_sent += length
         if retransmission:
@@ -423,11 +432,7 @@ class Sender:
         Dropping the timer reference breaks the sender <-> timer cycle, so
         reference counting frees a sender nobody else holds.
         """
-        self.host.retire_connection(
-            (self.dst_id, self.src_id, self.dport, self.sport),
-            FINISHED_SINK,
-            FinishedFlow(self),
-        )
+        self.host.retire_connection(self.ack_key, FINISHED_SINK, FinishedFlow(self))
         self._rto_timer = None
 
     # ------------------------------------------------------------------
@@ -490,9 +495,7 @@ class Sender:
         """Tear down demux state (tests and teardown paths)."""
         if self._rto_timer is not None:  # None once released
             self._rto_timer.stop()
-        self.host.unregister_connection(
-            (self.dst_id, self.src_id, self.dport, self.sport)
-        )
+        self.host.unregister_connection(self.ack_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -505,15 +508,27 @@ class Receiver:
     """Reassembly plus per-packet cumulative ACK generation."""
 
     __slots__ = (
-        "host", "sim", "flow_key", "awnd_bytes", "rcv_nxt",
+        "host", "sim", "ack_key", "awnd_bytes", "rcv_nxt",
         "bytes_received", "reordered_segments", "_out_of_order",
         "fin_seen", "tenant",
     )
 
-    def __init__(self, host: Host, flow_key, awnd_bytes: int = DEFAULT_AWND):
+    def __init__(
+        self,
+        host: Host,
+        flow_key: FlowKey,
+        awnd_bytes: int = DEFAULT_AWND,
+        ack_key: Optional[FlowKey] = None,
+    ):
         self.host = host
         self.sim = host.sim
-        self.flow_key = flow_key  # key of the incoming data direction
+        #: Key every ACK carries: pass the sender's ``ack_key`` so the flow
+        #: keeps one tuple per direction (built here when omitted).  The
+        #: incoming ``flow_key`` is kept only by the host's demux table.
+        if ack_key is None:
+            src, dst, sport, dport = flow_key
+            ack_key = (dst, src, dport, sport)
+        self.ack_key = ack_key
         self.awnd_bytes = awnd_bytes
         self.rcv_nxt = 0
         self.bytes_received = 0
@@ -527,6 +542,12 @@ class Receiver:
         #: Tenant tag mirroring the sender's (see :class:`Sender`).
         self.tenant: Optional[str] = None
         host.register_connection(flow_key, self)
+
+    @property
+    def flow_key(self) -> FlowKey:
+        """Key of the incoming data direction (``ack_key`` reversed)."""
+        src, dst, sport, dport = self.ack_key
+        return (dst, src, dport, sport)
 
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
@@ -579,13 +600,7 @@ class Receiver:
 
     # ------------------------------------------------------------------
     def _send_ack(self, data_packet: Packet, syn: bool = False) -> None:
-        src, dst, sport, dport = self.flow_key
-        ack = Packet(
-            dst, src, dport, sport,
-            ack=self.rcv_nxt,
-            is_ack=True,
-            syn=syn,
-        )
+        ack = Packet(self.ack_key, ack=self.rcv_nxt, is_ack=True, syn=syn)
         # Echo the timestamp for RTT sampling (Karn: skip retransmissions).
         if not data_packet.retransmitted:
             ack.sent_at = data_packet.sent_at

@@ -411,7 +411,9 @@ def open_flow(
         on_complete=on_complete,
         **sender_kwargs,
     )
-    receiver = spec.receiver_cls(dst, sender.flow_key, **common)
+    receiver = spec.receiver_cls(
+        dst, sender.flow_key, ack_key=sender.ack_key, **common
+    )
     sender.receiver = receiver  # convenience back-reference for tests
     if tenant is not None:
         sender.tenant = tenant

@@ -98,8 +98,7 @@ class TracksReceiver(NewRenoReceiver):
         self._tail_timer.start(self.params.tail_timer_ns)
 
     def _send_dupack(self) -> None:
-        src, dst, sport, dport = self.flow_key
-        ack = Packet(dst, src, dport, sport, ack=self.rcv_nxt, is_ack=True)
+        ack = Packet(self.ack_key, ack=self.rcv_nxt, is_ack=True)
         # Never an RTT sample: there is no fresh data packet to echo.
         ack.sent_at = None
         ack.retransmitted = True

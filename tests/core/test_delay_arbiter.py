@@ -152,3 +152,19 @@ def test_property_paced_grants_never_exceed_fill_rate(windows):
     granted = len(windows) * (MSS + PER_PACKET_OVERHEAD)
     elapsed_capacity = GBPS * sim.now / (8 * SECOND)
     assert granted <= elapsed_capacity + 4 * MSS + 1
+
+
+def test_parked_ack_pays_its_wire_cost_under_the_cap_at_release():
+    """A parked ACK keeps its wire cost; the cap (moved by ``set_cap`` at
+    slot close) is applied when the ACK is released, not when parked."""
+    sim = Simulator()
+    arbiter, released = make_arbiter(sim)
+    arbiter.credit = 0.0
+    ack = rma_ack(200)
+    assert arbiter.offer(ack)
+    arbiter.set_cap(2 * MSS)  # the slot closed while the ACK waited
+    sim.run()
+    assert released == [ack]
+    # Released as soon as credit covered MSS + overhead, then debited it.
+    assert sim.now == -(-(MSS + PER_PACKET_OVERHEAD) * 8 * SECOND // GBPS)
+    assert -1e-6 <= arbiter.credit < 1.0

@@ -135,3 +135,29 @@ def test_violation_report_is_readable():
     assert "effective_flows" in report
     assert "-3" in report
     assert "location" in report
+
+
+def test_locations_are_formatted_only_for_violations(monkeypatch):
+    located = []
+    locate = InvariantMonitor._locate
+    monkeypatch.setattr(
+        InvariantMonitor,
+        "_locate",
+        staticmethod(lambda agent: located.append(agent) or locate(agent)),
+    )
+    topo, _ = tfc_scenario()
+    monitor = InvariantMonitor(topo.network, raise_on_violation=False)
+    topo.network.run_for(milliseconds(10))
+    assert monitor.checks_run > 100
+    assert located == []  # clean sweeps and slot checks format nothing
+
+    port = topo.bottleneck()
+    protocol_agent(port.agent).effective_flows = -1
+    monitor._check_agent(protocol_agent(port.agent))
+    port.queue._bytes = port.queue.capacity_bytes + 1
+    monitor._sweep()
+    locations = {v.invariant: v.location for v in monitor.violations}
+    assert locations == {
+        "effective_flows": f"{port.node.name}[{port.index}]->{port.peer_node.name}",
+        "queue_capacity": f"{port.node.name}[{port.index}]",
+    }
