@@ -80,23 +80,21 @@ def test_config_namespace_is_the_selection_surface():
 
 
 @pytest.mark.parametrize(
-    "module", ("repro.sim.shard", "repro.experiments.shard_scale")
+    "module", ("repro.sim.shard", "repro.experiments.shard_scale", "repro.perf")
 )
-def test_the_single_simulation_sharding_modules_are_gone(module):
-    """Every simulation runs on one serial ``Simulator``."""
+def test_retired_modules_are_gone(module):
+    """Every simulation runs on one serial ``Simulator``, and ``bench/`` is
+    the only benchmark harness."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
 
 
 def test_the_shard_knob_helpers_are_gone():
     import repro.config
-    import repro.perf.workloads
 
     for name in ("shard_count", "SHARDS_ENV_VAR"):
         assert not hasattr(repro.config, name)
         assert name not in repro.config.__all__
-    for name in ("ShardedFabricWorkload", "run_sharded_fabric_workload"):
-        assert not hasattr(repro.perf.workloads, name)
 
 
 def test_obs_namespace_surface():
