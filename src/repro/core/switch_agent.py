@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..net.packet import MSS, FlowKey, Packet
+from ..net.port import install_agent
 from ..sim.trace import TFC_DELIMITER_ELECTED, TFC_WINDOW_UPDATE
 from ..sim.units import bandwidth_delay_product
 from .delay import DelayArbiter
@@ -370,6 +371,6 @@ def enable_tfc(network, params: TfcParams = DEFAULT_PARAMS) -> int:
     installed = 0
     for switch in network.switches:
         for port in switch.ports:
-            port.agent = TfcPortAgent(switch, port, params)
+            install_agent(port, TfcPortAgent(switch, port, params))
             installed += 1
     return installed

@@ -50,6 +50,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..transport.base import Sender
 
 
+def _reset_port(port: "Port") -> None:
+    """Reboot one port's roles: the lossless fabric, then the agent."""
+    if port.fabric is not None:
+        port.fabric.reset()
+    if port.agent is not None:
+        port.agent.reset()
+
+
 @dataclass
 class FaultRecord:
     """One scheduled fault: what, where, and when."""
@@ -287,27 +295,25 @@ class FaultInjector:
     # Switch-state faults
     # ------------------------------------------------------------------
     def reset_port_agent(self, port: "Port", at_ns: int) -> FaultRecord:
-        """Wipe one TFC port agent's learned state (targeted reboot)."""
+        """Wipe one port's learned agent and fabric state (targeted reboot)."""
         record = self._record(
             "agent_reset", self._port_name(port), at_ns
         )
 
         def reset() -> None:
-            if port.agent is not None:
-                port.agent.reset()
+            _reset_port(port)
             self._emit(FAULT_INJECTED, record)
 
         self._at(at_ns, reset)
         return record
 
     def reset_switch(self, switch: "Switch", at_ns: int) -> FaultRecord:
-        """Wipe every TFC agent on ``switch`` at once (full reboot)."""
+        """Wipe every port of ``switch`` at once (full reboot)."""
         record = self._record("switch_reset", switch.name, at_ns)
 
         def reset() -> None:
             for port in switch.ports:
-                if port.agent is not None:
-                    port.agent.reset()
+                _reset_port(port)
             self._emit(FAULT_INJECTED, record)
 
         self._at(at_ns, reset)

@@ -15,8 +15,8 @@ slot boundary and on a periodic sweep:
 * **delay-arbiter credit** — the sub-MSS credit counter stays within
   ``[-cap, +cap]`` (the paper's token-bucket debt bound);
 * **window monotonicity** — the window field of a packet is only ever
-  *lowered* by a switch (min-reduction along the path), checked by
-  wrapping each agent's transit hook.
+  *lowered* by a switch (min-reduction along the path), checked by the
+  monitor's ``port.observer`` after each agent's transit hook.
 
 Violations carry a full event-context report (time, location, the values
 involved) and raise :class:`InvariantViolation` immediately by default;
@@ -127,19 +127,12 @@ class InvariantMonitor:
             )
         self._attached = False
         self._stopped = False
-        self._wrapped_agents: List["TfcPortAgent"] = []
-        # When a lossless fabric is installed its PfcPortAgent wraps the
-        # TFC agent; the monitor checks the *protocol* agent underneath
-        # (token clamps, arbiter credit are TFC state, not PFC state).
-        from ..net.pfc import protocol_agent
-
-        agents: List["TfcPortAgent"] = []
-        for switch in network.switches:
-            for port in switch.ports:
-                agent = protocol_agent(port.agent)
-                if agent is not None:
-                    agents.append(agent)
-        self.agents = agents
+        self.agents: List["TfcPortAgent"] = [
+            port.agent
+            for switch in network.switches
+            for port in switch.ports
+            if port.agent is not None
+        ]
         self._attach()
 
     # ------------------------------------------------------------------
@@ -149,41 +142,25 @@ class InvariantMonitor:
         if self._attached:
             return
         self._attached = True
-        self.tracer.subscribe(TFC_WINDOW_UPDATE, self._on_window_update)
         for agent in self.agents:
-            self._wrap_transit(agent)
+            port = agent.port
+            if port.observer is not None:
+                raise ValueError(
+                    f"{self._locate(agent)} already has a transit observer"
+                )
+            port.observer = self._check_transit
+        self.tracer.subscribe(TFC_WINDOW_UPDATE, self._on_window_update)
         self.sim.schedule(self.sweep_interval_ns, self._sweep)
 
-    def _wrap_transit(self, agent: "TfcPortAgent") -> None:
-        original = agent.on_transit
-
-        def checked_transit(packet) -> None:
-            window_before = packet.window
-            original(packet)
-            if packet.window > window_before + _EPSILON:
-                self._violation(
-                    "window_min_reduction",
-                    "switch raised a packet's window field (must only "
-                    "ever lower it: min-reduction along the path)",
-                    agent=agent,
-                    window_before=window_before,
-                    window_after=packet.window,
-                )
-
-        agent.on_transit = checked_transit  # instance attr shadows method
-        self._wrapped_agents.append(agent)
-
     def detach(self) -> None:
-        """Remove all hooks (wrappers, subscription, sweep)."""
+        """Remove all hooks (observers, subscription, sweep)."""
         if not self._attached:
             return
         self._attached = False
         self._stopped = True
         self.tracer.unsubscribe(TFC_WINDOW_UPDATE, self._on_window_update)
-        for agent in self._wrapped_agents:
-            if "on_transit" in agent.__dict__:
-                del agent.on_transit  # uncover the class method
-        self._wrapped_agents.clear()
+        for agent in self.agents:
+            agent.port.observer = None
 
     # ------------------------------------------------------------------
     # Checks
@@ -243,6 +220,17 @@ class InvariantMonitor:
         self.checks_run += 1
         if self._checks_counter is not None:
             self._checks_counter.inc()
+
+    def _check_transit(self, port, packet, window_before: float) -> None:
+        if packet.window > window_before + _EPSILON:
+            self._violation(
+                "window_min_reduction",
+                "switch raised a packet's window field (must only "
+                "ever lower it: min-reduction along the path)",
+                agent=port.agent,
+                window_before=window_before,
+                window_after=packet.window,
+            )
 
     def _on_window_update(self, agent: "TfcPortAgent" = None, **_kw) -> None:
         if agent is None or agent not in self.agents:

@@ -18,9 +18,7 @@ from .pfc import (
     PauseFrame,
     PfcIngress,
     PfcParams,
-    PfcPortAgent,
     enable_pfc,
-    protocol_agent,
 )
 from .port import Link, Port
 from .queues import (
@@ -64,10 +62,8 @@ __all__ = [
     "PfcParams",
     "PauseFrame",
     "PfcIngress",
-    "PfcPortAgent",
     "LosslessFabric",
     "enable_pfc",
-    "protocol_agent",
     "Topology",
     "dumbbell",
     "leaf_spine",

@@ -17,7 +17,7 @@ The model reuses the PFC machinery's vocabulary and plumbing:
   occupancy crossings raise ``on_congested``/``on_drained`` callbacks.
 * :class:`BfcFrame` — the pause/resume control frame.  Like PFC pause
   frames it bypasses data queues (``link.carry``), but it carries its
-  own ``bfc_op``/``bfc_key`` fields so it composes with a PFC wrapper
+  own ``bfc_op``/``bfc_key`` fields so it composes with a PFC fabric
   (a ``REPRO_LOSSLESS=pfc`` run must not mistake it for an 802.1Qbb
   frame), and rides priority 7 — outside PFC's lossless class 0 — so it
   never charges PFC ingress accounting.
@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from ..sim.trace import BFC_PAUSE, BFC_RESUME
 from .packet import MTU, FlowKey, Packet
+from .port import install_agent
 from .queues import DropTailQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -90,8 +91,8 @@ class BfcFrame(Packet):
     """A per-flow pause/resume control frame (64-byte MAC control).
 
     ``bfc_op`` is ``"xoff"`` or ``"xon"``; ``bfc_key`` names the flow
-    being paused.  Deliberately distinct from the PFC fields: a PFC
-    wrapper agent must pass these through untouched, and ``priority = 7``
+    being paused.  Deliberately distinct from the PFC fields: the PFC
+    fabric role must pass these through untouched, and ``priority = 7``
     keeps them outside PFC's lossless class 0 so they are never charged
     to (or leaked from) PFC ingress accounting.
     """
@@ -252,10 +253,6 @@ class BfcPortAgent:
     the frame addresses, exactly the identity PFC exploits — and record
     the flow -> ingress-port map the fabric needs to aim pause frames of
     its own.  ``on_transit`` is a no-op: BFC never rewrites data packets.
-
-    Not slotted, for the same reason as :class:`~repro.net.pfc.
-    PfcPortAgent`: the invariant monitor shadows ``on_transit`` with an
-    instance attribute on whatever sits in ``port.agent``.
     """
 
     def __init__(self, switch: "Switch", port: "Port", fabric: "BfcFabric"):
@@ -327,7 +324,7 @@ class BfcFabric:
         for switch in network.switches:
             self._ingress[switch.node_id] = {}
             for port in switch.ports:
-                port.agent = BfcPortAgent(switch, port, self)
+                install_agent(port, BfcPortAgent(switch, port, self))
                 queue = port.queue
                 if isinstance(queue, BfcQueue):
                     self._wire(switch, queue)
@@ -341,7 +338,7 @@ class BfcFabric:
                 if isinstance(port.queue, BfcQueue):
                     continue  # idempotent re-install
                 port.queue = BfcQueue(network.host_buffer_bytes, self.params)
-                port.agent = BfcHostAgent(port, self)
+                install_agent(port, BfcHostAgent(port, self))
 
     def _wire(self, switch: "Switch", queue: BfcQueue) -> None:
         def congested(key: FlowKey, _switch: "Switch" = switch) -> None:

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Dict
 
 from ..sim.units import MICROSECOND
 from .packet import FlowKey, Packet
+from .port import install_agent
 from .queues import EcnQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -182,6 +183,6 @@ def enable_fairq(
     installed = 0
     for switch in network.switches:
         for port in switch.ports:
-            port.agent = FairqPortAgent(switch, port, params)
+            install_agent(port, FairqPortAgent(switch, port, params))
             installed += 1
     return installed

@@ -82,15 +82,22 @@ class Node:
 class Switch(Node):
     """Output-queued store-and-forward switch.
 
-    Per-port protocol agents (e.g. the TFC switch agent) hook two points:
+    Each port carries up to three roles (see :class:`~repro.net.port.Port`),
+    called in one fixed order:
 
-    * ``agent.on_transit(packet)`` — every packet about to be queued on the
-      agent's port (the *data direction* for that agent); may rewrite header
-      fields (window stamping) and updates the token/E/rho counters.
-    * ``agent.on_reverse_arrival(packet)`` — every packet arriving *from*
-      the agent's link (the reverse direction, where RMA ACKs travel).
-      Returns True when the agent consumed the packet (delay function) and
-      will re-inject it later via :meth:`inject`.
+    * **reverse arrival** (a packet arriving *from* the port's link, where
+      RMA ACKs and pause frames travel): ``fabric.on_reverse_arrival``,
+      then ``agent.on_reverse_arrival``.  Either returns True when it
+      consumed the packet — a pause frame, or an ACK the delay arbiter
+      holds and will re-inject later via :meth:`inject`.
+    * **transit** (a packet about to be queued on the port):
+      ``agent.on_transit(packet)``, which may rewrite header fields
+      (window stamping) and updates the token/E/rho counters, then
+      ``observer(port, packet, window_before)``.  Both run only on a
+      port with an agent, and the pre-agent window is read only when an
+      observer is set.
+    * **reset** (switch reboot, :mod:`repro.faults.engine`): ``fabric``,
+      then ``agent``.
 
     ``routing`` is the multi-path hook: the network's routing policy
     attaches itself here (see :meth:`repro.routing.RoutingPolicy.install`)
@@ -104,7 +111,11 @@ class Switch(Node):
     def handle_packet(self, packet: Packet, in_port_index: int) -> None:
         ports = self.ports
         if 0 <= in_port_index < len(ports):
-            agent = ports[in_port_index].agent
+            port = ports[in_port_index]
+            fabric = port.fabric
+            if fabric is not None and fabric.on_reverse_arrival(packet):
+                return  # pause frame, consumed
+            agent = port.agent
             if agent is not None and agent.on_reverse_arrival(packet):
                 return  # held by the delay arbiter; re-injected later
         self.forward(packet)
@@ -126,8 +137,15 @@ class Switch(Node):
                     f"{self.name}: no route to node {packet.dst} for {packet!r}"
                 ) from None
         out_port = self.ports[out_index]
-        if out_port.agent is not None:
-            out_port.agent.on_transit(packet)
+        agent = out_port.agent
+        if agent is not None:
+            observer = out_port.observer
+            if observer is None:
+                agent.on_transit(packet)
+            else:
+                window_before = packet.window
+                agent.on_transit(packet)
+                observer(out_port, packet, window_before)
         out_port.send(packet)
 
     def inject(self, packet: Packet) -> None:

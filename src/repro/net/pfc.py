@@ -25,15 +25,14 @@ The detectors for all three live in :mod:`repro.faults.pathology`.
 Structure
 ---------
 * :class:`PfcParams` — thresholds, headroom and the lossless class set.
-* :class:`PfcIngress` — per-(node, ingress-port) byte accounting.  Bytes
-  are charged when a packet arrives from the ingress link and released
-  when it is dequeued for transmission at any local egress port (or
-  dropped), mirroring a shared-buffer switch with per-ingress counters.
-* :class:`PfcPortAgent` — installed as ``port.agent`` on every switch
-  port; does the ingress accounting in ``on_reverse_arrival`` and
-  consumes pause frames addressed to its port.  An existing protocol
-  agent (the TFC switch agent) is wrapped, not displaced: calls are
-  delegated to ``inner``, so TFC and PFC can run on the same port.
+* :class:`PfcIngress` — one per switch port, installed as ``port.fabric``.
+  It does the ingress byte accounting for the port's cable: bytes are
+  charged when a packet arrives from the link and released when it is
+  dequeued for transmission at any local egress port (or dropped),
+  mirroring a shared-buffer switch with per-ingress counters.  It also
+  consumes the pause frames addressed to the port's transmitter.  The
+  protocol agent in ``port.agent`` is left alone: the switch calls the
+  fabric first, then the agent (see :class:`~repro.net.node.Switch`).
 * :class:`LosslessFabric` — the per-network install handle: owns the
   ingress table, the paused-port set the deadlock detector walks, and
   the pause/resume counters.
@@ -145,13 +144,19 @@ def peer_tx_port(port: "Port") -> Optional["Port"]:
 
 
 class PfcIngress:
-    """Per-(node, ingress) byte accounting with XOFF/XON watermarks.
+    """One switch port's lossless-fabric role (``port.fabric``).
 
-    ``charge`` runs on packet arrival from the ingress link; ``release``
-    when the packet is dequeued for transmission at a local egress port
-    (or dropped).  Crossing XOFF from below sends a pause frame upstream
-    through ``via_port`` (the local port transmitting back towards the
-    ingress neighbour); draining to XON sends the resume.
+    Receive side: per-(node, ingress) byte accounting with XOFF/XON
+    watermarks.  ``charge`` runs on packet arrival from the ingress link;
+    ``release`` when the packet is dequeued for transmission at a local
+    egress port (or dropped).  Crossing XOFF from below sends a pause
+    frame upstream through ``via_port`` (the port this ingress belongs
+    to, transmitting back towards the neighbour); draining to XON sends
+    the resume.
+
+    Transmit side: pause frames from the neighbour stop ``via_port``;
+    ``pfc_paused_classes`` holds the lossless classes currently pausing
+    it.
     """
 
     __slots__ = (
@@ -162,6 +167,7 @@ class PfcIngress:
         "bytes",
         "class_bytes",
         "paused_classes",
+        "pfc_paused_classes",
         "max_bytes_seen",
         "pause_frames_sent",
         "resume_frames_sent",
@@ -176,6 +182,7 @@ class PfcIngress:
         self.bytes = 0
         self.class_bytes: Dict[int, int] = {}
         self.paused_classes: set = set()
+        self.pfc_paused_classes: set = set()
         self.max_bytes_seen = 0
         self.pause_frames_sent = 0
         self.resume_frames_sent = 0
@@ -185,6 +192,28 @@ class PfcIngress:
     def name(self) -> str:
         """``node<-neighbour`` label used in traces and detector output."""
         return f"{self.node.name}<-{self.via_port.peer_node.name}"
+
+    # ------------------------------------------------------------------
+    # Port role (called by Switch.handle_packet and the fault engine)
+    # ------------------------------------------------------------------
+    def on_reverse_arrival(self, packet: Packet) -> bool:
+        """Consume a pause frame (True) or charge a data arrival (False)."""
+        op = packet.pfc_op
+        if op is not None:
+            self._apply(op, packet.pfc_class)
+            return True  # control frame consumed, never forwarded
+        self.charge(packet)
+        return False
+
+    def reset(self) -> None:
+        """Fault hook (switch reboot): forget pause state, resume TX.
+
+        A port paused at the reboot leaves through the same transition as
+        an XON, so its pause interval closes and the resume is counted.
+        """
+        self.paused_classes.clear()
+        self.pfc_paused_classes.clear()
+        self._resume()
 
     # ------------------------------------------------------------------
     def charge(self, packet: Packet) -> None:
@@ -256,119 +285,41 @@ class PfcIngress:
             port=target,
         )
 
-
-class PfcPortAgent:
-    """Per-port PFC logic, composable with an existing protocol agent.
-
-    Two duties on the reverse path (packets arriving *from* this port's
-    link): consume pause frames addressed to this port, and charge the
-    ingress accounting for data arrivals.  ``on_transit`` only delegates
-    to the wrapped agent (PFC never rewrites data packets).
-
-    Deliberately not slotted: the invariant monitor shadows
-    ``on_transit`` with an instance attribute on whichever object sits in
-    ``port.agent``, and that requires a ``__dict__``.
-    """
-
-    def __init__(
-        self,
-        port: "Port",
-        fabric: "LosslessFabric",
-        ingress: PfcIngress,
-        inner=None,
-    ):
-        self.port = port
-        self.fabric = fabric
-        self.ingress = ingress
-        self.inner = inner
-        # Lossless classes currently pausing *this* port's transmitter
-        # (set by XOFF frames from the downstream neighbour).
-        self.pfc_paused_classes: set = set()
-
-    # ------------------------------------------------------------------
-    # Agent protocol (same shape as TfcPortAgent)
-    # ------------------------------------------------------------------
-    def on_transit(self, packet: Packet) -> None:
-        if self.inner is not None:
-            self.inner.on_transit(packet)
-
-    def on_reverse_arrival(self, packet: Packet) -> bool:
-        op = packet.pfc_op
-        if op is not None:
-            self._apply(op, packet.pfc_class)
-            return True  # control frame consumed, never forwarded
-        self.ingress.charge(packet)
-        if self.inner is not None:
-            return self.inner.on_reverse_arrival(packet)
-        return False
-
-    def reset(self) -> None:
-        """Fault hook (switch reboot): forget pause state, resume TX."""
-        self.pfc_paused_classes.clear()
-        self.ingress.paused_classes.clear()
-        self.fabric.paused_ports.discard(self.port)
-        self.port.resume()
-        if self.inner is not None:
-            self.inner.reset()
-
-    #: attributes that live on the wrapper itself; everything else is
-    #: the wrapped protocol agent's state and reads/writes pass through.
-    _OWN_ATTRS = frozenset(
-        {"port", "fabric", "ingress", "inner", "pfc_paused_classes"}
-    )
-
-    def __getattr__(self, name):
-        # Transparent wrapper: anything PFC does not define (delimiter
-        # bookkeeping, token state the invariant monitor reads) resolves
-        # against the wrapped protocol agent.
-        inner = self.inner
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
-    def __setattr__(self, name, value):
-        # Writes must pass through too, or `port.agent.rttb_ns = x`
-        # (the Fig. 6 sampler's reset, for one) lands on the wrapper and
-        # permanently shadows the live value underneath.
-        if name in self._OWN_ATTRS:
-            object.__setattr__(self, name, value)
-            return
-        inner = self.__dict__.get("inner")
-        if inner is None:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(inner, name, value)
-
-    # ------------------------------------------------------------------
     def _apply(self, op: str, cls: int) -> None:
-        fabric = self.fabric
-        port = self.port
+        """Apply a pause frame's XOFF/XON for ``cls`` to ``via_port``."""
         if op == "xoff":
             was_paused = bool(self.pfc_paused_classes)
             self.pfc_paused_classes.add(cls)
             if not was_paused:
+                port = self.via_port
+                fabric = self.fabric
                 port.pause()
                 fabric.paused_ports.add(port)
                 fabric.pause_events += 1
                 fabric.note_pause(port, paused=True)
         else:
             self.pfc_paused_classes.discard(cls)
-            if not self.pfc_paused_classes and port in fabric.paused_ports:
-                fabric.paused_ports.discard(port)
-                fabric.resume_events += 1
-                fabric.note_pause(port, paused=False)
-                port.resume()
+            if not self.pfc_paused_classes:
+                self._resume()
+
+    def _resume(self) -> None:
+        """Leave the paused state (a no-op if ``via_port`` is not paused)."""
+        port = self.via_port
+        fabric = self.fabric
+        if port in fabric.paused_ports:
+            fabric.paused_ports.discard(port)
+            fabric.resume_events += 1
+            fabric.note_pause(port, paused=False)
+            port.resume()
 
 
 def protocol_agent(agent):
-    """The protocol agent beneath an optional PFC wrapper.
+    """Identity, kept for ``bench/workloads.py``, which still imports it.
 
-    Code that needs the *protocol* agent's identity (trace emissions
-    carry the inner agent; the invariant monitor checks TFC state) must
-    unwrap, because under ``REPRO_LOSSLESS=pfc`` every ``port.agent`` is
-    a :class:`PfcPortAgent`.  A no-op for unwrapped agents and ``None``.
+    ``port.agent`` is always the protocol agent; PFC sits in
+    ``port.fabric``.
     """
-    return agent.inner if isinstance(agent, PfcPortAgent) else agent
+    return agent
 
 
 class LosslessFabric:
@@ -399,9 +350,7 @@ class LosslessFabric:
             for port in switch.ports:
                 ingress = PfcIngress(self, port)
                 self.ingresses[port] = ingress
-                port.agent = PfcPortAgent(
-                    port, self, ingress, inner=port.agent
-                )
+                port.fabric = ingress
                 port.on_dequeue = self._release
         # Hosts honour pause frames through their NIC hook; nothing to
         # install there.  Dropped packets must still release their
@@ -485,10 +434,11 @@ def enable_pfc(
 ) -> LosslessFabric:
     """Install PFC lossless classes on every switch of ``network``.
 
-    Must run after the topology is wired (ports exist) and after any
-    protocol agents are installed (they get wrapped, not displaced).
-    Installing twice returns the existing fabric — the env-driven
-    chokepoint and an explicit experiment install must not stack.
+    Must run after the topology is wired (ports exist).  It sets
+    ``port.fabric`` and leaves ``port.agent`` alone, so it may run before
+    or after the protocol installer.  Installing twice returns the
+    existing fabric — the env-driven chokepoint and an explicit
+    experiment install must not stack.
     """
     existing = getattr(network, "lossless", None)
     if existing is not None:

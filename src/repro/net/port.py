@@ -102,9 +102,10 @@ class Link:
     def carry(self, packet: Packet) -> None:
         """Deliver a fully serialised frame to the far end after the delay.
 
-        Kept for external callers and tests; the :class:`Port` transmit
-        path inlines this (one scheduled delivery straight to the
-        destination node) because the propagation delay is static.
+        PFC and BFC control frames ride this, skipping the data queue.
+        The :class:`Port` transmit path inlines it (one scheduled
+        delivery straight to the destination node) because the
+        propagation delay is static.
         """
         if not self.up:
             self.faulted_frames += 1
@@ -118,8 +119,15 @@ class Link:
 class Port:
     """Transmit side of a link direction, owned by a node.
 
-    ``agent`` is an optional protocol hook (the TFC switch agent attaches
-    here); the port itself never inspects it — nodes do.
+    Three optional roles hook a port; the port itself never inspects
+    them — nodes do (see :class:`~repro.net.node.Switch` for the order):
+
+    * ``agent`` — the protocol agent (TFC, BFC or FairQ);
+    * ``fabric`` — the lossless-fabric hook
+      (:class:`~repro.net.pfc.PfcIngress` once PFC is armed);
+    * ``observer`` — one transit check,
+      ``observer(port, packet, window_before)``, run after the agent
+      (the invariant monitor's).
     """
 
     __slots__ = (
@@ -130,6 +138,8 @@ class Port:
         "queue",
         "tracer",
         "agent",
+        "fabric",
+        "observer",
         "on_dequeue",
         "_busy",
         "paused",
@@ -155,6 +165,8 @@ class Port:
         self.queue = queue
         self.tracer = tracer
         self.agent = None  # set by protocols that need per-port state
+        self.fabric = None
+        self.observer = None
         # Optional callable(packet) fired when a packet leaves the queue
         # to start serialising — the lossless fabric releases its ingress
         # accounting here (the buffer slot is free once TX begins).
@@ -257,3 +269,20 @@ class Port:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.index}] q={self.queue.byte_length}B>"
+
+
+def install_agent(port: Port, agent) -> None:
+    """Set ``port.agent``, refusing to displace a different protocol's.
+
+    A port runs one protocol agent.  Re-installing the same agent type
+    replaces it (fresh state); a second protocol on a taken port is a
+    configuration error, not a silent overwrite.
+    """
+    existing = port.agent
+    if existing is not None and type(existing) is not type(agent):
+        raise ValueError(
+            f"port {port.node.name}[{port.index}] already runs a "
+            f"{type(existing).__name__}; cannot install a "
+            f"{type(agent).__name__} on it"
+        )
+    port.agent = agent

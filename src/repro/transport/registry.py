@@ -132,11 +132,10 @@ class Protocol:
     ) -> None:
         """Install this protocol's switch behaviour on ``network``.
 
-        Runs the protocol's own installer first (so a PFC wrapper, when
-        one applies, wraps the protocol agent rather than the reverse),
-        then the fabric-wide lossless layer: an explicit ``pfc_params``
-        (a :class:`repro.net.pfc.PfcParams`, the pathology scenarios'
-        knob) forces PFC regardless of protocol; otherwise the
+        Runs the protocol's own installer (``port.agent``), then the
+        fabric-wide lossless layer (``port.fabric``): an explicit
+        ``pfc_params`` (a :class:`repro.net.pfc.PfcParams`, the pathology
+        scenarios' knob) forces PFC regardless of protocol; otherwise the
         ``$REPRO_LOSSLESS`` environment knob decides.
         """
         params = self.resolve_params(params)

@@ -27,19 +27,12 @@ def test_protocol_labels_cover_all():
     assert PROTOCOL_LABELS["bfc"] == "TCP+BFC"
 
 
-def _unwrap_lossless(agent):
-    """Strip the PFC wrapper the ``REPRO_LOSSLESS=pfc`` CI shard adds."""
-    from repro.net.pfc import protocol_agent
-
-    return protocol_agent(agent)
-
-
 def test_build_topology_tcp_plain_queues():
     topo = build_topology(dumbbell, "tcp", buffer_bytes=128_000, n_senders=2)
     port = topo.bottleneck("main")
     assert type(port.queue) is DropTailQueue
     assert port.queue.capacity_bytes == 128_000
-    assert _unwrap_lossless(port.agent) is None
+    assert port.agent is None
 
 
 def test_build_topology_dctcp_ecn_queues():
@@ -57,7 +50,7 @@ def test_build_topology_tfc_agents_installed():
     topo = build_topology(
         dumbbell, "tfc", buffer_bytes=128_000, tfc_params=params, n_senders=2
     )
-    agent = _unwrap_lossless(topo.bottleneck("main").agent)
+    agent = topo.bottleneck("main").agent
     assert isinstance(agent, TfcPortAgent)
     assert agent.params.rho0 == 0.93
 

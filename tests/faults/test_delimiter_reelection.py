@@ -10,7 +10,6 @@ every slot throughout the churn.
 
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector, InvariantMonitor
-from repro.net.pfc import protocol_agent
 from repro.net.topology import dumbbell
 from repro.sim.trace import TFC_DELIMITER_ELECTED
 from repro.sim.units import milliseconds
@@ -23,9 +22,7 @@ def test_silent_delimiter_death_triggers_bounded_reelection():
     net = topo.network
     receiver = topo.hosts[-1]
     senders = [open_flow(topo.host(i), receiver, "tfc") for i in range(3)]
-    # Unwrap: election traces carry the protocol agent, and under the
-    # REPRO_LOSSLESS=pfc shard port.agent is the PFC wrapper around it.
-    agent = protocol_agent(topo.bottleneck().agent)
+    agent = topo.bottleneck().agent
     monitor = InvariantMonitor(net)  # raises on any clamp breach
 
     elections = []

@@ -10,6 +10,7 @@ from repro.experiments.chaos import FAULT_KINDS
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector
 from repro.faults.engine import reverse_port
+from repro.net.pfc import PfcParams
 from repro.net.topology import dumbbell
 from repro.sim.trace import FAULT_CLEARED, FAULT_INJECTED
 from repro.sim.units import bandwidth_delay_product, milliseconds
@@ -149,6 +150,40 @@ def test_reset_switch_wipes_learned_state_then_relearns():
     assert agent.rttb_ns < agent.params.init_rttb_ns  # re-learned
     for sender in senders:
         assert sender.state is FlowState.ESTABLISHED
+
+
+def test_reset_switch_resumes_a_pfc_paused_port():
+    """On a PFC-armed TFC switch, a reboot resets the lossless fabric and
+    then the TFC agent of every port: a paused port resumes with its
+    pause interval closed, and the agent's learned tokens are gone."""
+    topo = build_topology(
+        dumbbell, "tfc", buffer_bytes=256_000, n_senders=2,
+        pfc_params=PfcParams(),
+    )
+    net = topo.network
+    receiver = topo.hosts[-1]
+    for i in range(2):
+        open_flow(topo.host(i), receiver, "tfc")
+    warmup = milliseconds(20)
+    net.run_for(warmup)
+    port = topo.bottleneck()
+    agent = port.agent
+    fab = net.lossless
+    assert agent.rttb_ns < agent.params.init_rttb_ns  # it learned something
+    port.fabric._apply("xoff", 0)
+    assert port.paused and port in fab.paused_ports
+
+    reset_at = warmup + milliseconds(1)
+    FaultInjector(net).reset_switch(topo.switches[0], at_ns=reset_at)
+    net.run_for(reset_at - net.sim.now)
+    assert not port.paused
+    assert port not in fab.paused_ports
+    assert fab.pause_intervals[port] == [[warmup, reset_at]]
+    assert fab.resume_events == fab.pause_events == 1
+    assert agent.delimiter_key is None
+    assert agent.tokens == bandwidth_delay_product(
+        agent.rate_bps, agent.params.init_rttb_ns
+    )
 
 
 # ----------------------------------------------------------------------

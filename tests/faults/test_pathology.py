@@ -130,7 +130,7 @@ def test_hol_fires_only_when_collapse_coincides_with_pause():
     assert not detector.detected
 
     port = topo.switches[0].ports[0]
-    port.agent._apply("xoff", 0)  # now the fabric is paused somewhere
+    port.fabric._apply("xoff", 0)  # now the fabric is paused somewhere
     net.run_for(milliseconds(10))
     assert detector.detected
     assert len(detector.detections) == 1
@@ -144,7 +144,7 @@ def test_hol_slow_start_victim_cannot_false_positive():
     detector = HolBlockingDetector(
         net, fab, {"trickle": lambda: 0}, min_peak_bytes=20_000
     )
-    topo.switches[0].ports[0].agent._apply("xoff", 0)
+    topo.switches[0].ports[0].fabric._apply("xoff", 0)
     net.run_for(milliseconds(10))
     assert not detector.detected
 
@@ -175,7 +175,7 @@ def test_cbd_no_cycle_on_single_switch():
         net, fab, check_interval_ns=microseconds(150), persistence=2
     )
     for port in topo.switches[0].ports[:2]:
-        port.agent._apply("xoff", 0)
+        port.fabric._apply("xoff", 0)
     net.run_for(milliseconds(5))
     assert not detector.detected
 
@@ -188,8 +188,8 @@ def test_cbd_two_switch_cycle_detects_once_and_requires_persistence():
     detector = CbdDeadlockDetector(
         net, fab, check_interval_ns=microseconds(150), persistence=2
     )
-    a.ports[0].agent._apply("xoff", 0)
-    b.ports[0].agent._apply("xoff", 0)
+    a.ports[0].fabric._apply("xoff", 0)
+    b.ports[0].fabric._apply("xoff", 0)
     net.run_for(milliseconds(2))
     assert detector.detected
     assert len(detector.detections) == 1  # reported once despite sweeps
@@ -206,11 +206,11 @@ def test_cbd_transient_cycle_resolves_without_detection():
     detector = CbdDeadlockDetector(
         net, fab, check_interval_ns=microseconds(150), persistence=2
     )
-    a.ports[0].agent._apply("xoff", 0)
-    b.ports[0].agent._apply("xoff", 0)
+    a.ports[0].fabric._apply("xoff", 0)
+    b.ports[0].fabric._apply("xoff", 0)
     # Break the cycle before the second sweep can confirm it.
     net.sim.schedule(
-        microseconds(200), lambda: a.ports[0].agent._apply("xon", 0)
+        microseconds(200), lambda: a.ports[0].fabric._apply("xon", 0)
     )
     net.run_for(milliseconds(2))
     assert not detector.detected

@@ -29,7 +29,7 @@ from repro.net.bfc import (
 )
 from repro.net.network import Network
 from repro.net.packet import MTU, Packet
-from repro.net.pfc import PfcParams, protocol_agent
+from repro.net.pfc import PfcParams
 from repro.net.topology import Topology, dumbbell, fat_tree
 from repro.sim.units import GBPS, microseconds, milliseconds
 from repro.transport.registry import open_flow
@@ -127,11 +127,11 @@ def test_enable_bfc_installs_agents_and_nic_queues():
     assert enable_bfc(net) is fabric  # idempotent
     for switch in topo.switches:
         for port in switch.ports:
-            assert isinstance(protocol_agent(port.agent), BfcPortAgent)
+            assert isinstance(port.agent, BfcPortAgent)
             assert isinstance(port.queue, BfcQueue)
     for host in topo.hosts:
         for port in host.ports:
-            assert isinstance(protocol_agent(port.agent), BfcHostAgent)
+            assert isinstance(port.agent, BfcHostAgent)
             assert isinstance(port.queue, BfcQueue)
 
 

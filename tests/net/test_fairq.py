@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.common import build_topology
 from repro.metrics.stats import jain_fairness
 from repro.net.fairq import FairqParams, FairqPortAgent, make_fairq_queue
-from repro.net.pfc import protocol_agent
 from repro.net.queues import EcnQueue
 from repro.net.topology import dumbbell
 from repro.sim.units import milliseconds
@@ -37,10 +36,10 @@ def test_agents_installed_on_every_switch_port():
     topo = build_topology(dumbbell, "fairq", buffer_bytes=256_000, n_senders=2)
     for switch in topo.switches:
         for port in switch.ports:
-            assert isinstance(protocol_agent(port.agent), FairqPortAgent)
+            assert isinstance(port.agent, FairqPortAgent)
     for host in topo.hosts:  # FairQ is a switch function, hosts stay plain
         for port in host.ports:
-            assert protocol_agent(port.agent) is None
+            assert port.agent is None
 
 
 def test_contended_flows_converge_to_fair_share():

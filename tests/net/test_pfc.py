@@ -10,9 +10,10 @@ The contract under test, in order of importance:
    matched by a resume once the ingress drains to XON.
 3. **Determinism** — two same-seed runs are bit-identical, because the
    detectors and golden shards rely on it.
-4. **Composability** — ``enable_pfc`` wraps existing agents (it never
-   displaces TFC), installs exactly once, and TFC under a lossless
-   fabric never trips a pause at all.
+4. **Composability** — ``enable_pfc`` sets ``port.fabric`` and leaves
+   the protocol agent in ``port.agent`` alone, so install order does not
+   matter; it installs exactly once, and TFC under a lossless fabric
+   never trips a pause at all.
 """
 
 import hashlib
@@ -20,11 +21,13 @@ import json
 
 import pytest
 
+from repro.core.switch_agent import TfcPortAgent, enable_tfc
 from repro.experiments.common import build_topology
+from repro.net.fairq import enable_fairq
 from repro.net.packet import MTU, Packet
 from repro.net.pfc import (
+    PfcIngress,
     PfcParams,
-    PfcPortAgent,
     default_params_for,
     enable_pfc,
     peer_tx_port,
@@ -32,7 +35,7 @@ from repro.net.pfc import (
 from repro.net.topology import dumbbell, fat_tree
 from repro.sim.trace import PFC_PAUSE
 from repro.sim.units import microseconds, milliseconds
-from repro.transport.registry import open_flow
+from repro.transport.registry import open_flow, queue_factory_for
 
 #: Watermarks low enough that a 4-way incast pauses within a millisecond.
 TIGHT = PfcParams(xoff_bytes=32_000, xon_bytes=8_000, headroom_bytes=32_000)
@@ -185,7 +188,7 @@ def test_best_effort_priority_is_never_charged():
 # Pause/resume port semantics
 # ----------------------------------------------------------------------
 def test_xoff_pauses_port_and_xon_resumes():
-    """Direct agent-level check of the pause state machine, including
+    """Direct fabric-level check of the pause state machine, including
     the any-class-pauses-the-port collapse the module documents."""
     topo = build_topology(
         dumbbell, "pfc", buffer_bytes=256_000, n_senders=2, seed=1,
@@ -193,18 +196,18 @@ def test_xoff_pauses_port_and_xon_resumes():
     )
     fab = topo.network.lossless
     port = topo.switches[0].ports[0]
-    agent = port.agent
-    assert isinstance(agent, PfcPortAgent)
+    ingress = port.fabric
+    assert isinstance(ingress, PfcIngress)
 
-    agent._apply("xoff", 0)
+    ingress._apply("xoff", 0)
     assert port.paused
     assert port in fab.paused_ports
     # A second class pausing changes nothing; resuming only one of the
     # two keeps the port stopped.
-    agent._apply("xoff", 1)
-    agent._apply("xon", 0)
+    ingress._apply("xoff", 1)
+    ingress._apply("xon", 0)
     assert port.paused
-    agent._apply("xon", 1)
+    ingress._apply("xon", 1)
     assert not port.paused
     assert port not in fab.paused_ports
     assert fab.pause_events == 1
@@ -220,11 +223,39 @@ def test_reset_clears_pause_state():
     )
     fab = topo.network.lossless
     port = topo.switches[0].ports[0]
-    port.agent._apply("xoff", 0)
+    port.fabric._apply("xoff", 0)
     assert port.paused
-    port.agent.reset()
+    port.fabric.reset()
     assert not port.paused
     assert port not in fab.paused_ports
+
+
+def test_reset_while_paused_closes_the_pause():
+    """A reset leaves the paused state through the same transition as an
+    XON: the pause interval closes at the reset and the resume counts,
+    so every XOFF still has its XON."""
+    topo = build_topology(
+        dumbbell, "pfc", buffer_bytes=256_000, n_senders=2, seed=1,
+        pfc_params=TIGHT,
+    )
+    net = topo.network
+    fab = net.lossless
+    port = topo.switches[0].ports[0]
+    port.fabric._apply("xoff", 0)
+    net.run_for(1_000)
+    port.fabric.reset()
+    assert fab.pause_intervals[port] == [[0, 1_000]]
+    assert (fab.pause_events, fab.resume_events) == (1, 1)
+
+    net.run_for(1_000)
+    port.fabric._apply("xoff", 0)
+    net.run_for(1_000)
+    port.fabric._apply("xon", 0)
+    assert fab.pause_intervals[port] == [[0, 1_000], [2_000, 3_000]]
+    assert (fab.pause_events, fab.resume_events) == (2, 2)
+    # A reset with nothing paused closes nothing and counts nothing.
+    port.fabric.reset()
+    assert fab.resume_events == 2
 
 
 def test_peer_tx_port_finds_reverse_transmitter():
@@ -255,11 +286,69 @@ def test_enable_pfc_is_idempotent():
     assert enable_pfc(net) is fab
     assert enable_pfc(net, PfcParams()) is fab  # params of 2nd call ignored
     assert fab.params is TIGHT
-    # Exactly one PfcPortAgent layer per switch port (no stacking).
+    # One ingress per switch port, in the fabric role; TCP+PFC runs no
+    # protocol agent on the switch.
     for switch in topo.switches:
         for port in switch.ports:
-            assert isinstance(port.agent, PfcPortAgent)
-            assert not isinstance(port.agent.inner, PfcPortAgent)
+            assert port.fabric is fab.ingresses[port]
+            assert port.agent is None
+
+
+def _tfc_incast_with_pfc(pfc_first):
+    """A TFC incast on a PFC-armed dumbbell, PFC installed before or
+    after TFC; returns what a run can tell about both roles."""
+    topo = dumbbell(
+        n_senders=4, seed=1, queue_factory=queue_factory_for("tfc", 256_000)
+    )
+    net = topo.network
+    if pfc_first:
+        enable_pfc(net, TIGHT)
+        enable_tfc(net)
+    else:
+        enable_tfc(net)
+        enable_pfc(net, TIGHT)
+    senders = [
+        open_flow(topo.host(i), topo.host(4), "tfc", awnd_bytes=200_000)
+        for i in range(4)
+    ]
+    net.run_for(milliseconds(5))
+    fab = net.lossless
+    for switch in topo.switches:
+        for port in switch.ports:
+            assert isinstance(port.agent, TfcPortAgent)
+            assert port.fabric is fab.ingresses[port]
+    return (
+        net.sim.events_processed,
+        [s.stats.bytes_acked for s in senders],
+        topo.bottleneck().agent.tokens,
+        sorted(
+            (ingress.name, ingress.max_bytes_seen)
+            for ingress in fab.ingresses.values()
+        ),
+    )
+
+
+def test_pfc_and_tfc_install_in_either_order():
+    """PFC (``port.fabric``) and TFC (``port.agent``) do not wrap each
+    other, so installing PFC first gives the same run."""
+    usual = _tfc_incast_with_pfc(pfc_first=False)
+    assert usual == _tfc_incast_with_pfc(pfc_first=True)
+    assert any(peak > 0 for _, peak in usual[3])  # the fabric saw traffic
+
+
+def test_a_second_protocol_on_a_port_is_refused():
+    topo = build_topology(dumbbell, "tfc", buffer_bytes=256_000, n_senders=2)
+    port = topo.switches[0].ports[0]
+    with pytest.raises(ValueError) as excinfo:
+        enable_fairq(topo.network)
+    message = str(excinfo.value)
+    assert f"{port.node.name}[{port.index}]" in message
+    assert "TfcPortAgent" in message and "FairqPortAgent" in message
+    assert isinstance(port.agent, TfcPortAgent)
+    # Re-installing the same protocol replaces its agents (fresh state).
+    agent = port.agent
+    enable_tfc(topo.network)
+    assert isinstance(port.agent, TfcPortAgent) and port.agent is not agent
 
 
 def test_tfc_under_lossless_fabric_never_pauses():

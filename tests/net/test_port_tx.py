@@ -503,7 +503,7 @@ def test_pfc_xoff_holds_frames_queued_behind_the_wire(monkeypatch):
     net = topo.network
     port = topo.bottleneck_ports["main"]
     receiver = port.peer_node
-    agent = port.agent
+    fabric = port.fabric
     packets = [
         Packet(topo.host(0).node_id, receiver.node_id, 3, 4, payload=MSS)
         for _ in range(4)
@@ -512,7 +512,7 @@ def test_pfc_xoff_holds_frames_queued_behind_the_wire(monkeypatch):
         port.send(packet)
     tx = transmission_time_ns(packets[0].frame_size, port.link.rate_bps)
     delay = port.link.delay_ns
-    net.sim.schedule(tx // 2, agent._apply, "xoff", 0)
+    net.sim.schedule(tx // 2, fabric._apply, "xoff", 0)
 
     held_until = 20 * tx
     net.sim.run(until_ns=held_until)
@@ -523,7 +523,7 @@ def test_pfc_xoff_holds_frames_queued_behind_the_wire(monkeypatch):
     assert port.queue.packet_length == 3
     assert port.tx_packets == 1
 
-    agent._apply("xon", 0)
+    fabric._apply("xon", 0)
     net.sim.run()
     assert [(t, p) for t, node, p in arrivals if node is receiver] == [
         (tx + delay, packets[0])

@@ -184,7 +184,5 @@ def test_deprecated_shims_still_work():
         queue_factory=queue_factory_for("tfc", 64_000),
     )
     configure_network(topo.network, "tfc", tfc_params=TfcParams(rho0=0.9))
-    from repro.net.pfc import protocol_agent
-
-    agent = protocol_agent(topo.bottleneck("main").agent)
+    agent = topo.bottleneck("main").agent
     assert agent is not None and agent.params.rho0 == 0.9
