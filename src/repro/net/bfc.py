@@ -29,7 +29,7 @@ The model reuses the PFC machinery's vocabulary and plumbing:
 * :class:`BfcFabric` / :func:`enable_bfc` — the install handle: wires
   queue callbacks to frame emission, replaces host NIC queues with
   per-flow queues, attaches NIC agents (consulted by ``Host.
-  handle_packet``), and keeps the pause/resume counters the experiments
+  receive``), and keeps the pause/resume counters the experiments
   assert on.
 
 The endpoints are plain NewReno (:mod:`repro.transport.bfc`): like the
@@ -176,7 +176,6 @@ class BfcQueue(DropTailQueue):
             self.drops += 1
             self.dropped_bytes += size
             return False
-        self._mark(packet)
         key = packet.flow_key
         fifo = self._flows.get(key)
         if fifo is None:

@@ -12,7 +12,7 @@ so it is modelled explicitly and is configurable per host.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.rng import SeedSequence
@@ -43,7 +43,7 @@ class Host(Endpoint):
     ):
         super().__init__(sim, node_id, name, tracer)
         self._rng = seeds.stream(f"host:{name}:proc")
-        self._randrange = self._rng.randrange  # bound once; per-packet call
+        self._getrandbits = self._rng.getrandbits  # bound once; per-packet call
         self.processing_delay_ns = processing_delay_ns
         self.processing_jitter_ns = processing_jitter_ns
         self._connections: Dict[FlowKey, PacketSink] = {}
@@ -53,10 +53,10 @@ class Host(Endpoint):
         self._listeners: Dict[int, Callable[[Packet], Optional[PacketSink]]] = {}
         self._port_counter = itertools.count(10_000)
         self.paused = False
-        self._paused_rx: List[Packet] = []
+        self._paused_rx: List[Tuple[Packet, int]] = []  # (packet, delay)
         self.pauses = 0
         # Set by installers that attach NIC agents (repro.net.bfc); the
-        # per-packet agent probe in handle_packet is gated on it so the
+        # per-packet agent probe in receive is gated on it so the
         # common no-agent datapath pays one boolean check.
         self.nic_agents_installed = False
 
@@ -121,8 +121,8 @@ class Host(Endpoint):
         for port in self.ports:
             port.resume()
         pending, self._paused_rx = self._paused_rx, []
-        for packet in pending:
-            self._schedule_delivery(packet)
+        for packet, delay in pending:
+            self.sim.schedule(delay, self._deliver, packet)
 
     # ------------------------------------------------------------------
     # Datapath
@@ -131,7 +131,9 @@ class Host(Endpoint):
         """Transmit via the single NIC port."""
         self.ports[0].send(packet)
 
-    def handle_packet(self, packet: Packet, in_port_index: int) -> None:
+    def receive(self, packet: Packet, in_port_index: int) -> None:
+        self.rx_packets += 1
+        self.rx_bytes += packet.frame_size
         # NIC agent hook, mirroring the switch datapath: a protocol may
         # attach per-NIC logic (BFC's per-flow pause handling) that
         # consumes control frames before demux.
@@ -149,16 +151,19 @@ class Host(Endpoint):
             elif not self.paused:  # a stalled host stays stalled
                 self.ports[in_port_index].resume()
             return
-        if self.paused:
-            self._paused_rx.append(packet)
-            return
-        self._schedule_delivery(packet)
-
-    def _schedule_delivery(self, packet: Packet) -> None:
+        # randrange(jitter + 1)'s own getrandbits loop, inlined: the same draws.
+        # A stalled host draws on arrival too, in the order resume() would.
         delay = self.processing_delay_ns
         jitter = self.processing_jitter_ns
         if jitter > 0:
-            delay += self._randrange(jitter + 1)
+            bits = (jitter + 1).bit_length()
+            draw = self._getrandbits(bits)
+            while draw > jitter:
+                draw = self._getrandbits(bits)
+            delay += draw
+        if self.paused:
+            self._paused_rx.append((packet, delay))
+            return
         self.sim.schedule(delay, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:

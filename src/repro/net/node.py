@@ -66,13 +66,11 @@ class Node:
     # Datapath
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, in_port_index: int) -> None:
-        """Handle a fully received frame (store-and-forward boundary)."""
-        self.rx_packets += 1
-        self.rx_bytes += packet.frame_size
-        self.handle_packet(packet, in_port_index)
+        """Handle a fully received frame (store-and-forward boundary).
 
-    def handle_packet(self, packet: Packet, in_port_index: int) -> None:
-        """Protocol behaviour; subclasses override."""
+        Subclasses override it whole, counting the frame into
+        ``rx_packets`` / ``rx_bytes`` first: one call per hop.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -108,7 +106,9 @@ class Switch(Node):
 
     routing = None  # RoutingPolicy instance, or None for fixed next hop
 
-    def handle_packet(self, packet: Packet, in_port_index: int) -> None:
+    def receive(self, packet: Packet, in_port_index: int) -> None:
+        self.rx_packets += 1
+        self.rx_bytes += packet.frame_size
         ports = self.ports
         if 0 <= in_port_index < len(ports):
             port = ports[in_port_index]
@@ -118,34 +118,42 @@ class Switch(Node):
             agent = port.agent
             if agent is not None and agent.on_reverse_arrival(packet):
                 return  # held by the delay arbiter; re-injected later
-        self.forward(packet)
-
-    def forward(self, packet: Packet) -> None:
-        """Route ``packet`` out a port towards its destination."""
-        routing = self.routing
-        if routing is None:
-            out_index = self.forwarding_table.get(packet.dst)
-            if out_index is None:
-                raise KeyError(
-                    f"{self.name}: no route to node {packet.dst} for {packet!r}"
-                )
-        else:
-            try:
-                out_index = routing.select(self, packet)
-            except KeyError:
-                raise KeyError(
-                    f"{self.name}: no route to node {packet.dst} for {packet!r}"
-                ) from None
-        out_port = self.ports[out_index]
+        # forward() inlined for the fixed next hop (multi-path, no route: forward)
+        out_index = self.forwarding_table.get(packet.dst) if self.routing is None else None
+        if out_index is None:
+            return self.forward(packet)
+        out_port = ports[out_index]
         agent = out_port.agent
         if agent is not None:
-            observer = out_port.observer
-            if observer is None:
+            if out_port.observer is None:
                 agent.on_transit(packet)
             else:
                 window_before = packet.window
                 agent.on_transit(packet)
-                observer(out_port, packet, window_before)
+                out_port.observer(out_port, packet, window_before)
+        out_port.send(packet)
+
+    def forward(self, packet: Packet) -> None:
+        """Route ``packet`` out a port towards its destination."""
+        routing = self.routing
+        try:
+            if routing is None:
+                out_index = self.forwarding_table[packet.dst]
+            else:
+                out_index = routing.select(self, packet)
+        except KeyError:
+            raise KeyError(
+                f"{self.name}: no route to node {packet.dst} for {packet!r}"
+            ) from None
+        out_port = self.ports[out_index]
+        agent = out_port.agent
+        if agent is not None:
+            if out_port.observer is None:
+                agent.on_transit(packet)
+            else:
+                window_before = packet.window
+                agent.on_transit(packet)
+                out_port.observer(out_port, packet, window_before)
         out_port.send(packet)
 
     def inject(self, packet: Packet) -> None:
@@ -155,9 +163,6 @@ class Switch(Node):
 
 class Endpoint(Node):
     """Anything that terminates flows (hosts). Subclassed in host.py."""
-
-    def handle_packet(self, packet: Packet, in_port_index: int) -> None:
-        raise NotImplementedError
 
 
 def attach_port(

@@ -148,7 +148,7 @@ class Packet:
     @property
     def end_seq(self) -> int:
         """Sequence number immediately after this segment's payload."""
-        return self.seq + self.payload
+        return self.seq + self._payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(

@@ -194,7 +194,7 @@ class PfcIngress:
         return f"{self.node.name}<-{self.via_port.peer_node.name}"
 
     # ------------------------------------------------------------------
-    # Port role (called by Switch.handle_packet and the fault engine)
+    # Port role (called by Switch.receive and the fault engine)
     # ------------------------------------------------------------------
     def on_reverse_arrival(self, packet: Packet) -> bool:
         """Consume a pause frame (True) or charge a data arrival (False)."""

@@ -146,6 +146,7 @@ class Port:
         "tx_packets",
         "tx_bytes",
         "_tx_cache",
+        "_finish",
     )
 
     def __init__(
@@ -178,6 +179,7 @@ class Port:
         # frame_size -> serialisation ns at the current effective rate;
         # cleared by Link.rate_factor on any rate change.
         self._tx_cache: dict = {}
+        self._finish = self._finish_tx  # bound once: every frame schedules it
 
     @property
     def rate_bps(self) -> int:
@@ -199,8 +201,14 @@ class Port:
                 else:
                     tracer.bump(PACKET_DROP)
             return False
-        if not self._busy and not self.paused:
-            self._start_next()
+        if not self._busy and not self.paused:  # _start_next, inlined
+            packet = self.queue.dequeue()
+            if packet is not None:
+                self._busy = True
+                if self.on_dequeue is not None:
+                    self.on_dequeue(packet)
+                tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
+                self._sim.schedule(tx_ns, self._finish, packet)
         return True
 
     def pause(self) -> None:
@@ -233,23 +241,20 @@ class Port:
             self._start_next()
 
     def _start_next(self) -> None:
-        if self.paused:
-            self._busy = False
-            return
-        packet = self.queue.dequeue()
+        packet = None if self.paused else self.queue.dequeue()
         if packet is None:
             self._busy = False
             return
         self._busy = True
         if self.on_dequeue is not None:
             self.on_dequeue(packet)
-        size = packet.frame_size
-        cache = self._tx_cache
-        tx_ns = cache.get(size)
-        if tx_ns is None:
-            tx_ns = transmission_time_ns(size, self.link.effective_rate_bps)
-            cache[size] = tx_ns
-        self._sim.schedule(tx_ns, self._finish_tx, packet)
+        tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
+        self._sim.schedule(tx_ns, self._finish, packet)
+
+    def _tx_time(self, size: int) -> int:
+        """Serialisation ns of a ``size``-byte frame, cached per size."""
+        tx_ns = self._tx_cache[size] = transmission_time_ns(size, self.link.effective_rate_bps)
+        return tx_ns
 
     def _finish_tx(self, packet: Packet) -> None:
         # One scheduled delivery straight to the peer node: the propagation
@@ -265,7 +270,14 @@ class Port:
             )
         else:
             link.faulted_frames += 1
-        self._start_next()
+        packet = None if self.paused else self.queue.dequeue()  # _start_next
+        if packet is None:
+            self._busy = False
+            return
+        if self.on_dequeue is not None:
+            self.on_dequeue(packet)
+        tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
+        self._sim.schedule(tx_ns, self._finish, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.index}] q={self.queue.byte_length}B>"

@@ -199,7 +199,6 @@ class DropTailQueue:
             self.drops += 1
             self.dropped_bytes += size
             return False
-        self._mark(packet)
         self._queue.append(packet)
         self._bytes = new_bytes
         self.enqueues += 1
@@ -214,9 +213,6 @@ class DropTailQueue:
         packet = self._queue.popleft()
         self._bytes -= packet.size
         return packet
-
-    def _mark(self, packet: Packet) -> None:
-        """Admission-time hook for marking disciplines (no-op here)."""
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -297,10 +293,10 @@ class EcnQueue(DropTailQueue):
         self.mark_threshold_bytes = mark_threshold_bytes
         self.marks = 0
 
-    def _mark(self, packet: Packet) -> None:
-        if (
-            packet.ecn_capable
-            and self._bytes + packet.size > self.mark_threshold_bytes
-        ):
+    def enqueue(self, packet: Packet) -> bool:
+        if not DropTailQueue.enqueue(self, packet):
+            return False
+        if packet.ecn_capable and self._bytes > self.mark_threshold_bytes:
             packet.ecn_ce = True
             self.marks += 1
+        return True

@@ -30,14 +30,17 @@ Fast-path design (DESIGN.md §6d):
   inside a callback (the running event is not counted; same-time events
   not yet run are).
 * Cancellation is lazy: a dead entry is discarded when it surfaces at
-  the heap head.  When more than half the heap is dead (cancelled timers
-  that were never popped — long-RTO transports generate these in bulk)
-  it is compacted in place, bounding both memory and sift work.
+  the heap head, and a heap more than half dead (timer churn) is
+  compacted in place.  A restart is not a cancel:
+  :meth:`Simulator.reschedule` gives a pending event moved no earlier a
+  new ``(time, seq)`` and leaves its entry under the old key, re-keyed
+  with one ``heapreplace`` when it surfaces — never dispatched.  A real
+  key is never below its stale one, so the order is cancel + schedule's.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop as _heappop, heappush as _heappush
+from heapq import heapify, heappop as _heappop, heappush as _heappush, heapreplace as _heapreplace
 from typing import Any, Callable, List, Optional, Tuple
 
 from .units import SECOND, to_seconds
@@ -106,11 +109,6 @@ class Event:
             if dead >= COMPACT_MIN_ENTRIES and dead * 2 > len(sim._heap):
                 sim._compact()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -178,20 +176,22 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Time of the earliest pending live event, or None when drained.
 
-        Dead entries surfacing at the head are discarded on the way (they
-        were unobservable); live entries never move, so any number of
-        peeks between two pops leaves the pop order unchanged.
+        Dead entries surfacing at the head are discarded and stale keys
+        re-keyed, as in :meth:`run`: peeks never change the pop order.
         :meth:`run` uses it to park the clock at its horizon.
         """
         heap = self._heap
         while heap:
             entry = heap[0]
             event = entry[2]
-            if not event.cancelled:
+            if event.cancelled:
+                _heappop(heap)
+                self._dead -= 1
+                self._free.append(event)
+            elif entry[1] != event.seq:
+                _heapreplace(heap, (event.time, event.seq, event))
+            else:
                 return entry[0]
-            _heappop(heap)
-            self._dead -= 1
-            self._free.append(event)
         return None
 
     # ------------------------------------------------------------------
@@ -218,6 +218,20 @@ class Simulator:
         _heappush(self._heap, (time_ns, seq, event))
         return event
 
+    def reschedule(self, event: Event, delay_ns: int, callback: Callback, *args: Any) -> Event:
+        """Exactly ``event.cancel(); return self.schedule(delay_ns, ...)``,
+        but a pending event moved no earlier is re-keyed in place."""
+        time_ns = self._now + delay_ns
+        if event.cancelled or time_ns < event.time:
+            event.cancel()
+            return self.schedule(delay_ns, callback, *args)
+        event.time = time_ns
+        event.seq = self._seq
+        self._seq += 1
+        event.callback = callback
+        event.args = args
+        return event
+
     def schedule_at(self, time_ns: int, callback: Callback, *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
         if time_ns < self._now:
@@ -227,7 +241,7 @@ class Simulator:
         return self.schedule(time_ns - self._now, callback, *args)
 
     def _compact(self) -> None:
-        """Sweep dead entries out of the heap.
+        """Sweep dead entries out of the heap; live ones get their real keys.
 
         In place (slice assignment): :meth:`run` holds an alias of the
         list while a callback's ``cancel()`` may trigger this.
@@ -236,10 +250,11 @@ class Simulator:
         free = self._free
         live_entries = []
         for entry in heap:
-            if entry[2].cancelled:
-                free.append(entry[2])
+            event = entry[2]
+            if event.cancelled:
+                free.append(event)
             else:
-                live_entries.append(entry)
+                live_entries.append((event.time, event.seq, event))
         self._dead = 0
         heap[:] = live_entries
         heapify(heap)
@@ -278,6 +293,9 @@ class Simulator:
                     _heappop(heap)
                     self._dead -= 1
                     free.append(event)
+                    continue
+                if entry[1] != event.seq:  # re-keyed: not an event
+                    _heapreplace(heap, (event.time, event.seq, event))
                     continue
                 if entry[0] > horizon:
                     break

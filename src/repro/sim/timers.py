@@ -2,8 +2,8 @@
 
 Transport protocols need timers that can be started, pushed back, and
 cancelled many times (retransmission timers, delayed-ACK timers, the TFC
-delimiter re-election timer).  :class:`Timer` wraps the cancel-and-reschedule
-dance so protocol code stays readable.
+delimiter re-election timer).  :class:`Timer` wraps the restart dance
+so protocol code stays readable.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ class Timer:
 
     def start(self, delay_ns: int, *args: Any) -> None:
         """(Re)arm the timer ``delay_ns`` from now, replacing any deadline."""
-        self.stop()
-        self._event = self._sim.schedule(delay_ns, self._fire, *args)
+        if self._event is None:
+            self._event = self._sim.schedule(delay_ns, self._fire, *args)
+        else:
+            self._event = self._sim.reschedule(self._event, delay_ns, self._fire, *args)
 
     def start_if_idle(self, delay_ns: int, *args: Any) -> None:
         """Arm the timer only when no deadline is currently pending."""

@@ -30,6 +30,7 @@ from ..sim.trace import FLOW_COMPLETE, RETRANSMIT_TIMEOUT
 from ..sim.units import MILLISECOND, SECOND, microseconds
 
 DEFAULT_AWND = 1 << 20  # 1 MiB advertised window
+_MIN_RTTVAR_TERM_NS = microseconds(10)  # RFC 6298's clock-granularity floor
 
 #: In-flight entry of a full-MSS first transmission, shared by every such
 #: segment of every sender (the common case by far).
@@ -49,7 +50,8 @@ class FlowState(enum.Enum):
 class RtoEstimator:
     """RFC 6298 retransmission-timeout estimator."""
 
-    __slots__ = ("min_rto_ns", "max_rto_ns", "srtt", "rttvar", "rto_ns", "_backoff")
+    __slots__ = ("min_rto_ns", "max_rto_ns", "srtt", "rttvar", "rto_ns", "_backoff",
+                 "current_rto_ns")
 
     def __init__(
         self,
@@ -63,6 +65,8 @@ class RtoEstimator:
         self.rttvar: float = 0.0
         self.rto_ns = max(initial_rto_ns, min_rto_ns)
         self._backoff = 1
+        #: The timeout to arm right now, backoff included (kept current).
+        self.current_rto_ns = int(min(self.rto_ns, max_rto_ns))
 
     def sample(self, rtt_ns: int) -> None:
         """Fold a clean (non-retransmitted) RTT sample into the estimate."""
@@ -73,17 +77,13 @@ class RtoEstimator:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt_ns)
             self.srtt = 0.875 * self.srtt + 0.125 * rtt_ns
         self._backoff = 1
-        rto = self.srtt + max(4 * self.rttvar, microseconds(10))
-        self.rto_ns = int(min(max(rto, self.min_rto_ns), self.max_rto_ns))
+        rto = self.srtt + max(4 * self.rttvar, _MIN_RTTVAR_TERM_NS)
+        self.rto_ns = self.current_rto_ns = int(min(max(rto, self.min_rto_ns), self.max_rto_ns))
 
     def backoff(self) -> None:
         """Double the timeout after an expiry (bounded by max_rto)."""
         self._backoff = min(self._backoff * 2, 64)
-
-    @property
-    def current_rto_ns(self) -> int:
-        """The timeout to arm right now, including exponential backoff."""
-        return int(min(self.rto_ns * self._backoff, self.max_rto_ns))
+        self.current_rto_ns = int(min(self.rto_ns * self._backoff, self.max_rto_ns))
 
 
 class FlowStats:
@@ -291,7 +291,8 @@ class Sender:
         self._rto_timer.start(self.rto.current_rto_ns)
 
     def _transmit(self, seq: int, length: int, retransmission: bool) -> None:
-        packet = self._make_packet(seq=seq, payload=length)
+        packet = Packet(self.flow_key, seq=seq, payload=length)
+        packet.sent_at = self.sim.now
         packet.retransmitted = retransmission
         self.next_packet_hook(packet)
         if not retransmission:
@@ -367,7 +368,7 @@ class Sender:
     def _on_ack(self, packet: Packet) -> None:
         if self.state not in (FlowState.ESTABLISHED, FlowState.FIN_WAIT):
             return
-        flight_before = self.flight_size
+        flight_before = self.snd_nxt - self.snd_una
         self.ack_hook(packet)
         if packet.ack > self.snd_una:
             newly_acked = packet.ack - self.snd_una
@@ -376,7 +377,7 @@ class Sender:
                 self.rto.sample(self.sim.now - packet.sent_at)
             self.dupacks = 0
             self.on_ack_accepted(packet, newly_acked)
-            if self.flight_size > 0:
+            if self.snd_nxt > self.snd_una:
                 self._rto_timer.start(self.rto.current_rto_ns)
             else:
                 self._rto_timer.stop()

@@ -1,5 +1,7 @@
 """Integration tests for ports, links, switches, and hosts."""
 
+import random
+
 import pytest
 
 from repro.net.network import Network
@@ -120,6 +122,40 @@ def test_host_processing_jitter_within_bounds():
         net.sim.run()
     assert all(2_000 <= d <= 6_000 for d in delays)
     assert len(set(delays)) > 1  # actually random
+
+
+class _DelayLog:
+    """Stands in for a host's simulator: logs each scheduled delay."""
+
+    def __init__(self):
+        self.delays = []
+
+    def schedule(self, delay, callback, *args):
+        self.delays.append(delay)
+
+
+@pytest.mark.parametrize("jitter", [None, 999, 1_023], ids=["default", "999", "1023"])
+def test_host_jitter_draw_is_randrange(jitter):
+    """The host's inline jitter draw returns exactly what ``randrange(jitter
+    + 1)`` on its stream would, draw for draw: 10 k arrivals, then 1 k
+    held by a stalled host until ``resume()``.  1,023 + 1 is a power of
+    two, the edge of the draw's bit width."""
+    kwargs = {} if jitter is None else {"host_processing_jitter_ns": jitter}
+    net = Network(seed=5, host_processing_delay_ns=0, **kwargs)
+    host = net.add_host("H")
+    jitter = host.processing_jitter_ns
+    reference = random.Random()
+    reference.setstate(host._rng.getstate())
+    host.sim = log = _DelayLog()
+    packet = Packet(1, 2, 3, 4, payload=MSS)
+    for _ in range(10_000):
+        host.receive(packet, 0)
+    host.pause()
+    for _ in range(1_000):
+        host.receive(packet, 0)
+    assert len(log.delays) == 10_000
+    host.resume()
+    assert log.delays == [reference.randrange(jitter + 1) for _ in range(11_000)]
 
 
 def test_orphan_packet_traced_not_crashing():

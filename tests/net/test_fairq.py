@@ -9,6 +9,7 @@ from repro.net.queues import EcnQueue
 from repro.net.topology import dumbbell
 from repro.sim.units import milliseconds
 from repro.transport.registry import open_flow
+from tests.arrivals import frames_received, spy_arrivals
 
 
 def test_params_validation():
@@ -68,7 +69,7 @@ def test_contended_flows_converge_to_fair_share():
     assert jain_fairness(rates) > 0.99
 
 
-def test_selective_marking_spares_compliant_flows():
+def test_selective_marking_spares_compliant_flows(monkeypatch):
     """A heavy flow against a light one: only the overshooting flow's
     packets are marked (depth-based EcnQueue would hit both)."""
     topo = build_topology(
@@ -77,14 +78,14 @@ def test_selective_marking_spares_compliant_flows():
     heavy = open_flow(topo.host(0), topo.host(2), "fairq")
     marked = {True: 0, False: 0}  # is_heavy -> CE-marked deliveries
     receiver_host = topo.hosts[2]
-    original = receiver_host.handle_packet
+    arrivals = []
 
-    def spy(packet, in_port_index=0):
-        if packet.payload > 0:
+    def spy(node, packet, in_port_index):
+        arrivals.append(packet)
+        if node is receiver_host and packet.payload > 0:
             marked[packet.sport == heavy.flow_key[2]] += bool(packet.ecn_ce)
-        return original(packet, in_port_index)
 
-    receiver_host.handle_packet = spy
+    spy_arrivals(monkeypatch, spy)
     # The light flow: short trickle bursts well under the fair share.
     light = open_flow(
         topo.host(1), topo.host(2), "fairq", size_bytes=40_000,
@@ -94,6 +95,7 @@ def test_selective_marking_spares_compliant_flows():
     assert light.stats.bytes_acked == 40_000
     assert marked[True] > 0  # the hog was pushed back...
     assert marked[False] == 0  # ...the compliant flow never saw a mark
+    assert len(arrivals) == frames_received(topo.network)
 
 
 def test_reset_forgets_measured_state():

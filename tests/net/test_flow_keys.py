@@ -14,13 +14,13 @@ swapped tuple.
 import pytest
 
 from repro.experiments.common import build_topology
-from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.pfc import PfcParams
 from repro.net.topology import dumbbell
 from repro.sim.units import milliseconds
 from repro.transport import tracks
 from repro.transport.registry import open_flow, registered_protocols
+from tests.arrivals import frames_received, spy_arrivals
 
 #: Watermarks low enough that a 4-way incast pauses within a millisecond.
 TIGHT = PfcParams(xoff_bytes=32_000, xon_bytes=8_000, headroom_bytes=32_000)
@@ -55,11 +55,11 @@ def _kind(packet):
 def _frames(protocol, monkeypatch):
     """Every frame a 4-to-1 incast delivers anywhere, plus the dupacks."""
     delivered = {}
-    receive = Node.receive
+    arrivals = []
 
-    def recording_receive(node, packet, in_port_index):
+    def record(node, packet, in_port_index):
         delivered[packet.packet_id] = packet
-        receive(node, packet, in_port_index)
+        arrivals.append(packet)
 
     # T-RACKs builds packets only for its tail-probe dupack trains.
     dupacks = []
@@ -69,7 +69,7 @@ def _frames(protocol, monkeypatch):
         dupacks.append(packet)
         return packet
 
-    monkeypatch.setattr(Node, "receive", recording_receive)
+    spy_arrivals(monkeypatch, record)
     monkeypatch.setattr(tracks, "Packet", recording_packet)
     topo = build_topology(
         dumbbell, protocol, buffer_bytes=64_000, n_senders=4, pfc_params=TIGHT
@@ -83,6 +83,7 @@ def _frames(protocol, monkeypatch):
     ]
     topo.network.run_for(milliseconds(20))
     assert all(s.stats.complete_ns is not None for s in senders)
+    assert len(arrivals) == frames_received(topo.network)
     return list(delivered.values()), dupacks
 
 

@@ -21,6 +21,7 @@ from repro.net.topology import dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.trace import PACKET_DROP, Tracer
 from repro.sim.units import GBPS, microseconds, transmission_time_ns
+from tests.arrivals import frames_received, spy_arrivals
 
 DELAY = microseconds(1)
 
@@ -32,7 +33,9 @@ class Recorder(Node):
         super().__init__(sim, 0, "rec", Tracer())
         self.arrivals = []
 
-    def handle_packet(self, packet, in_port_index):
+    def receive(self, packet, in_port_index):
+        self.rx_packets += 1
+        self.rx_bytes += packet.frame_size
         self.arrivals.append((self.sim.now, packet))
 
 
@@ -483,13 +486,10 @@ def test_pfc_xoff_holds_frames_queued_behind_the_wire(monkeypatch):
     queued behind it wait, undropped, until the XON, then go back to
     back."""
     arrivals = []
-    receive = Node.receive
-
-    def logged(self, packet, in_port_index):
-        arrivals.append((self.sim.now, self, packet))
-        return receive(self, packet, in_port_index)
-
-    monkeypatch.setattr(Node, "receive", logged)
+    spy_arrivals(
+        monkeypatch,
+        lambda node, packet, _: arrivals.append((node.sim.now, node, packet)),
+    )
     topo = build_topology(
         dumbbell,
         "pfc",
@@ -528,6 +528,7 @@ def test_pfc_xoff_holds_frames_queued_behind_the_wire(monkeypatch):
     assert [(t, p) for t, node, p in arrivals if node is receiver] == [
         (tx + delay, packets[0])
     ] + [(held_until + k * tx + delay, packets[k]) for k in (1, 2, 3)]
+    assert len(arrivals) == frames_received(net)
     assert port.queue.packet_length == 0
     assert port.queue.drops == 0
     assert net.total_drops() == 0

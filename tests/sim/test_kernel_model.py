@@ -4,15 +4,18 @@
 in a list kept sorted by ``(time, seq)``, where ``seq`` counts schedule
 calls, so same-time events fire in FIFO order.  It shares no code with
 :mod:`repro.sim.engine`.  One seeded script of schedule / cancel /
-``run(until_ns=)`` / ``run(max_events=)`` ops drives both; every fired
-event runs a per-tag script of follow-ups (same-time and later
-schedules, cancels of live events — same-time siblings included — and a
-stale cancel of its own retired handle).  The two logs must match entry
-for entry: every firing with the clock and ``pending_events`` seen from
-inside the callback, and after every op the clock, ``peek_time()``,
-``pending_events`` and the op's return value.  After every op the
-kernel's dead-entry count must also equal the cancelled entries its heap
-holds: compaction fires off that count.
+reschedule / ``run(until_ns=)`` / ``run(max_events=)`` ops drives both;
+every fired event runs a per-tag script of follow-ups (same-time and
+later schedules, cancels and reschedules of live events — same-time
+siblings included — and a stale cancel or reschedule of its own retired
+handle).  The oracle's reschedule is cancel + schedule; the script moves
+events later, to the same time and earlier.  The two logs must match
+entry for entry: every firing with the clock and ``pending_events`` seen
+from inside the callback, every move's old and new deadline, and after
+every op the clock, ``peek_time()``, ``pending_events`` and the op's
+return value.  After every op the kernel's heap must hold exactly one
+entry per live or dead event, and its dead-entry count must equal the
+cancelled entries there: compaction fires off that count.
 
 Cancels target only live handles, keyed by tag: the kernel recycles a
 fired handle into a later event, so cancelling a retained one is outside
@@ -46,6 +49,9 @@ class Oracle:
 
     def cancel(self, tag):
         self.queue.remove(self.entries.pop(tag))
+
+    def due(self, tag):
+        return self.entries[tag][0]
 
     def peek_time(self):
         return self.queue[0][0] if self.queue else None
@@ -88,8 +94,18 @@ class OracleSide:
     def cancel(self, tag):
         self.model.cancel(tag)
 
+    def due(self, tag):
+        return self.model.due(tag)
+
+    def reschedule(self, tag, delay, new_tag):
+        self.model.cancel(tag)
+        self.model.schedule(delay, new_tag)
+
     def cancel_running(self):
         pass  # a fired event is no longer pending: nothing to cancel
+
+    def reschedule_running(self, delay, new_tag):
+        self.model.schedule(delay, new_tag)  # cancelling it is a no-op
 
     def run(self, fire, until_ns=None, max_events=None):
         return self.model.run(fire, until_ns, max_events)
@@ -104,6 +120,7 @@ class KernelSide:
         self.handles = {}  # tag -> handle of a live event
         self.running = None  # retired handle of the event being run
         self.fire = None
+        self.stale = 0  # stale heap keys seen by check(), summed
 
     def now(self):
         return self.sim.now
@@ -127,8 +144,21 @@ class KernelSide:
     def cancel(self, tag):
         self.handles.pop(tag).cancel()
 
+    def due(self, tag):
+        return self.handles[tag].time
+
+    def reschedule(self, tag, delay, new_tag):
+        self.handles[new_tag] = self.sim.reschedule(
+            self.handles.pop(tag), delay, self._fire, new_tag
+        )
+
     def cancel_running(self):
         self.running.cancel()  # stale: must be a no-op
+
+    def reschedule_running(self, delay, new_tag):
+        self.handles[new_tag] = self.sim.reschedule(
+            self.running, delay, self._fire, new_tag
+        )
 
     def run(self, fire, until_ns=None, max_events=None):
         self.fire = fire
@@ -136,7 +166,15 @@ class KernelSide:
 
     def check(self):
         heap = self.sim._heap
-        assert self.sim._dead == sum(entry[2].cancelled for entry in heap)
+        events = [entry[2] for entry in heap]
+        assert len({id(event) for event in events}) == len(heap)
+        live = {id(event) for event in events if not event.cancelled}
+        assert live == {id(handle) for handle in self.handles.values()}
+        assert self.sim._dead == len(heap) - len(live)
+        # A stale key never exceeds the real one: the order argument.
+        keys = [(entry[:2], (entry[2].time, entry[2].seq)) for entry in heap]
+        assert all(key <= real for key, real in keys)
+        self.stale += sum(key != real for key, real in keys)
 
 
 def _delay(rng):
@@ -161,6 +199,20 @@ def _play(side, seed):
         if live:
             side.cancel(live[pick % len(live)])
 
+    def reschedule_one(pick, rng):
+        live = side.live()
+        if not live:
+            return
+        tag = live[pick % len(live)]
+        due = side.due(tag)
+        # Later, to the same time, or earlier (never before now).
+        shift = rng.choice((rng.randrange(1, 50_000), rng.randrange(0, 3), 0))
+        if rng.random() < 0.4:
+            shift = -shift
+        delay = max(due + shift - side.now(), 0)
+        log.append(("move", tag, due, side.now() + delay))
+        side.reschedule(tag, delay, next(tags))
+
     def fire(tag):
         log.append(("fire", side.now(), tag, side.pending()))
         script = random.Random(seed * 1_000_003 + tag)
@@ -173,6 +225,10 @@ def _play(side, seed):
             cancel_one(script.randrange(1 << 30))
         elif roll < 0.25:
             side.cancel_running()
+        elif roll < 0.4:
+            reschedule_one(script.randrange(1 << 30), script)
+        elif roll < 0.43:
+            side.reschedule_running(script.randrange(0, 3), next(tags))
 
     for op in range(OPS):
         roll = rng.random()
@@ -183,7 +239,11 @@ def _play(side, seed):
         elif roll < 0.55:
             cancel_one(rng.randrange(1 << 30))
             result = None
-        elif roll < 0.56:
+        elif roll < 0.62:
+            for _ in range(rng.choice((1, 1, 20))):
+                reschedule_one(rng.randrange(1 << 30), rng)
+            result = None
+        elif roll < 0.63:
             # Timer churn: arm a burst of long timers, cancel them all.
             burst = [next(tags) for _ in range(300)]
             for tag in burst:
@@ -215,14 +275,20 @@ def test_kernel_matches_sorted_list_oracle(monkeypatch, mode, seed):
         compact(sim)
 
     monkeypatch.setattr(Simulator, "_compact", counted)
+    side = KernelSide()
     with exported(mode):
-        kernel = _play(KernelSide(), seed)
+        kernel = _play(side, seed)
     oracle = _play(OracleSide(), seed)
-    assert len(kernel) == len(oracle)
     for got, want in zip(kernel, oracle):
         assert got == want
+    assert len(kernel) == len(oracle)
     fired = sum(entry[0] == "fire" for entry in oracle)
     assert fired > 1_000  # the script really ran events
+    # Moves went later, to the same time and earlier; some re-keyed in
+    # place, leaving stale keys in the heap.
+    moves = {(e[3] > e[2]) - (e[3] < e[2]) for e in oracle if e[0] == "move"}
+    assert moves == {1, 0, -1}
+    assert side.stale > 0
     # Timer churn crossed the compaction threshold: >= 256 dead entries
     # and more than half the heap.
     assert compactions

@@ -25,13 +25,13 @@ import pytest
 
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector
-from repro.net.node import Node
 from repro.net.pfc import PfcParams
 from repro.net.queues import BernoulliLoss
 from repro.net.topology import dumbbell, fat_tree
 from repro.sim.engine import Simulator
 from repro.sim.units import milliseconds, seconds
 from repro.transport.registry import open_flow
+from tests.arrivals import frames_received, spy_arrivals
 
 
 def _digest(obj) -> str:
@@ -165,14 +165,12 @@ NETWORK = {
 @pytest.fixture
 def delivery_log(monkeypatch):
     """Log every frame arrival ``(time, node, in-port, size)``."""
-    original = Node.receive
     log = []
 
-    def logged(self, packet, port_index):
-        log.append((self.sim._now, self.node_id, port_index, packet.size))
-        return original(self, packet, port_index)
+    def record(node, packet, port_index):
+        log.append((node.sim._now, node.node_id, port_index, packet.size))
 
-    monkeypatch.setattr(Node, "receive", logged)
+    spy_arrivals(monkeypatch, record)
     return log
 
 
@@ -312,4 +310,5 @@ def test_network_scenario_is_pinned(name, delivery_log, monkeypatch):
     # REPRO_LOSSLESS=pfc legitimately changes TCP's drop-driven runs.
     monkeypatch.delenv("REPRO_LOSSLESS", raising=False)
     net = SCENARIOS[name]()
+    assert len(delivery_log) == frames_received(net)
     assert _observe(net, delivery_log) == NETWORK[name]

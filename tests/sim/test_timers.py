@@ -122,3 +122,35 @@ def test_same_time_sibling_stops_a_due_timer(sim):
     assert log == []
     assert not timer.running
     assert sim.pending_events == 0
+
+
+def test_restarts_at_later_deadlines_keep_one_heap_entry(sim):
+    """A restart re-keys the pending event in place: 1,000 restarts at
+    ever later deadlines leave one heap entry, not 1,000 dead ones."""
+    log = []
+    timer = Timer(sim, lambda: log.append(sim.now))
+    for delay in range(100, 1_100):
+        timer.start(delay)
+    assert len(sim._heap) == 1
+    assert sim.pending_events == 1
+    assert timer.expiry == 1_099
+    sim.run()
+    assert log == [1_099]
+    assert not sim._heap
+
+
+@pytest.mark.parametrize("first", [500, 200, 100], ids=["earlier", "same", "later"])
+def test_restarted_deadline_fires_in_fifo_order(sim, first):
+    """A restart fires at its new deadline, after the same-time siblings
+    scheduled before the restart and before those scheduled after it,
+    whichever way the deadline moved."""
+    log = []
+    timer = Timer(sim, lambda: log.append(("timer", sim.now)))
+    timer.start(first)
+    sim.schedule(200, lambda: log.append(("before", sim.now)))
+    timer.start(200)
+    assert timer.expiry == 200
+    sim.schedule(200, lambda: log.append(("after", sim.now)))
+    sim.run()
+    assert log == [("before", 200), ("timer", 200), ("after", 200)]
+    assert sim.pending_events == 0
