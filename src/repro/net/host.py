@@ -19,6 +19,7 @@ from ..sim.rng import SeedSequence
 from ..sim.trace import Tracer
 from .node import Endpoint
 from .packet import FlowKey, Packet
+from .port import Port
 
 
 class PacketSink(Protocol):
@@ -122,14 +123,21 @@ class Host(Endpoint):
             port.resume()
         pending, self._paused_rx = self._paused_rx, []
         for packet, delay in pending:
-            self.sim.schedule(delay, self._deliver, packet)
+            self.sim.post(delay, self._deliver, packet)
 
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
+    def add_port(self, port: Port) -> int:
+        index = super().add_port(port)
+        if index == 0:
+            self.send = port.send  # the NIC: one call per transmitted frame
+        return index
+
     def send(self, packet: Packet) -> None:
-        """Transmit via the single NIC port."""
-        self.ports[0].send(packet)
+        """Transmit via the NIC.  :meth:`add_port` rebinds ``self.send`` to
+        the NIC's ``Port.send``; this declaration only raises: no NIC yet."""
+        raise RuntimeError(f"{self.name} has no NIC port")
 
     def receive(self, packet: Packet, in_port_index: int) -> None:
         self.rx_packets += 1
@@ -164,7 +172,7 @@ class Host(Endpoint):
         if self.paused:
             self._paused_rx.append((packet, delay))
             return
-        self.sim.schedule(delay, self._deliver, packet)
+        self.sim.post(delay, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
         endpoint = self._connections.get(packet.flow_key)

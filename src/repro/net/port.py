@@ -103,7 +103,7 @@ class Link:
         """Deliver a fully serialised frame to the far end after the delay.
 
         PFC and BFC control frames ride this, skipping the data queue.
-        The :class:`Port` transmit path inlines it (one scheduled
+        The :class:`Port` transmit path inlines it (one posted
         delivery straight to the destination node) because the
         propagation delay is static.
         """
@@ -111,7 +111,7 @@ class Link:
             self.faulted_frames += 1
             return  # the cable is cut; the frame vanishes
         packet.hops += 1
-        self._sim.schedule(
+        self._sim.post(
             self.delay_ns, self.dst_node.receive, packet, self.dst_port_index
         )
 
@@ -208,7 +208,7 @@ class Port:
                 if self.on_dequeue is not None:
                     self.on_dequeue(packet)
                 tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
-                self._sim.schedule(tx_ns, self._finish, packet)
+                self._sim.post(tx_ns, self._finish, packet)
         return True
 
     def pause(self) -> None:
@@ -249,7 +249,7 @@ class Port:
         if self.on_dequeue is not None:
             self.on_dequeue(packet)
         tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
-        self._sim.schedule(tx_ns, self._finish, packet)
+        self._sim.post(tx_ns, self._finish, packet)
 
     def _tx_time(self, size: int) -> int:
         """Serialisation ns of a ``size``-byte frame, cached per size."""
@@ -257,15 +257,13 @@ class Port:
         return tx_ns
 
     def _finish_tx(self, packet: Packet) -> None:
-        # One scheduled delivery straight to the peer node: the propagation
-        # delay is static, so the Link.carry -> schedule(_arrive) hop adds
-        # nothing but call overhead on this per-frame path.
+        # Link.carry, inlined: one posted delivery straight to the peer node.
         self.tx_packets += 1
         self.tx_bytes += packet.frame_size
         link = self.link
         if link.up:
             packet.hops += 1
-            self._sim.schedule(
+            self._sim.post(
                 link.delay_ns, link.dst_node.receive, packet, link.dst_port_index
             )
         else:
@@ -277,7 +275,7 @@ class Port:
         if self.on_dequeue is not None:
             self.on_dequeue(packet)
         tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
-        self._sim.schedule(tx_ns, self._finish, packet)
+        self._sim.post(tx_ns, self._finish, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.index}] q={self.queue.byte_length}B>"

@@ -9,18 +9,18 @@ model-based fuzz (``tests/sim/test_kernel_model.py``) checks the kernel
 op by op against a sorted-list oracle that shares no code with it.
 
 The kernel is deliberately tiny: components interact only through
-``schedule`` / ``cancel`` and the read-only ``now`` property.  Everything
-network-specific lives in :mod:`repro.net` and above.
+``post`` / ``schedule`` / ``cancel`` and the read-only ``now`` property.
+Everything network-specific lives in :mod:`repro.net` and above.
 
 Fast-path design (DESIGN.md §6d):
 
-* The heap stores ``(time, seq, event)`` tuples, not :class:`Event`
-  objects, so sift comparisons are C tuple comparisons instead of
-  ``Event.__lt__``.  ``(time, seq)`` is unique per event, so the
-  comparison never reaches the event object itself.
-* Executed and cancelled-and-popped events are recycled through a free
-  list; :meth:`schedule` reuses them.  A retired event keeps
-  ``cancelled = True`` until reuse, so a stale ``cancel()`` on an
+* The heap stores tuples keyed by a unique ``(time, seq)``, one ``seq``
+  counter for both kinds.  Use :meth:`Simulator.post` unless you keep
+  the handle: it pushes ``(time, seq, callback, args)``, never dead nor
+  stale.  :meth:`Simulator.schedule` pushes ``(time, seq, None, event)``,
+  the :class:`Event` being the cancellation handle.
+* Handle events are recycled through a free list.  A retired event
+  keeps ``cancelled = True`` until reuse, so a stale ``cancel()`` on an
   already-fired handle is a no-op.  The one contract this imposes on
   callers: do not retain an :class:`Event` handle across its own firing
   and cancel it later — use :class:`repro.sim.timers.Timer`, which clears
@@ -56,7 +56,7 @@ _NO_LIMIT = 1 << 62
 # and is big enough for the O(n) sweep to pay for itself.
 COMPACT_MIN_ENTRIES = 256
 
-HeapEntry = Tuple[int, int, "Event"]
+HeapEntry = Tuple[int, int, Optional[Callback], Any]
 
 
 class Event:
@@ -183,13 +183,15 @@ class Simulator:
         heap = self._heap
         while heap:
             entry = heap[0]
-            event = entry[2]
+            if entry[2] is not None:
+                return entry[0]
+            event = entry[3]
             if event.cancelled:
                 _heappop(heap)
                 self._dead -= 1
                 self._free.append(event)
             elif entry[1] != event.seq:
-                _heapreplace(heap, (event.time, event.seq, event))
+                _heapreplace(heap, (event.time, event.seq, None, event))
             else:
                 return entry[0]
         return None
@@ -197,8 +199,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    def post(self, delay_ns: int, callback: Callback, *args: Any) -> None:
+        """:meth:`schedule` without a handle: the event cannot be cancelled."""
+        if delay_ns < 0:
+            raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        _heappush(self._heap, (self._now + delay_ns, seq, callback, args))
+
     def schedule(self, delay_ns: int, callback: Callback, *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay_ns`` from now."""
+        """Schedule ``callback(*args)`` to run ``delay_ns`` from now and
+        return its handle; a caller that drops the handle should :meth:`post`."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
         time_ns = self._now + delay_ns
@@ -215,7 +227,7 @@ class Simulator:
             event.cancelled = False
         else:
             event = Event(time_ns, seq, callback, args, self)
-        _heappush(self._heap, (time_ns, seq, event))
+        _heappush(self._heap, (time_ns, seq, None, event))
         return event
 
     def reschedule(self, event: Event, delay_ns: int, callback: Callback, *args: Any) -> Event:
@@ -250,11 +262,13 @@ class Simulator:
         free = self._free
         live_entries = []
         for entry in heap:
-            event = entry[2]
-            if event.cancelled:
-                free.append(event)
+            if entry[2] is not None:  # posted: kept as is
+                live_entries.append(entry)
+            elif entry[3].cancelled:
+                free.append(entry[3])
             else:
-                live_entries.append((event.time, event.seq, event))
+                event = entry[3]
+                live_entries.append((event.time, event.seq, None, event))
         self._dead = 0
         heap[:] = live_entries
         heapify(heap)
@@ -288,14 +302,24 @@ class Simulator:
                 if not heap:
                     break
                 entry = heap[0]
-                event = entry[2]
+                callback = entry[2]
+                if callback is not None:  # posted: never dead, never stale
+                    if entry[0] > horizon:
+                        break
+                    _heappop(heap)
+                    self._now = entry[0]
+                    self._live -= 1
+                    callback(*entry[3])
+                    processed += 1
+                    continue
+                event = entry[3]
                 if event.cancelled:
                     _heappop(heap)
                     self._dead -= 1
                     free.append(event)
                     continue
                 if entry[1] != event.seq:  # re-keyed: not an event
-                    _heapreplace(heap, (event.time, event.seq, event))
+                    _heapreplace(heap, (event.time, event.seq, None, event))
                     continue
                 if entry[0] > horizon:
                     break
@@ -308,9 +332,7 @@ class Simulator:
                 event.cancelled = True
                 event.callback = None
                 event.args = ()
-                # Settled per event, before dispatch: callbacks read
-                # pending_events.
-                self._live -= 1
+                self._live -= 1  # before dispatch: callbacks read pending_events
                 callback(*args)
                 free.append(event)
                 processed += 1

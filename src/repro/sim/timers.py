@@ -50,7 +50,7 @@ class Timer:
 
     def start_if_idle(self, delay_ns: int, *args: Any) -> None:
         """Arm the timer only when no deadline is currently pending."""
-        if not self.running:
+        if self._event is None or self._event.cancelled:
             self.start(delay_ns, *args)
 
     def stop(self) -> None:

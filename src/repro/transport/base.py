@@ -333,15 +333,11 @@ class Sender:
                 length = MSS if MSS < available else available
             if length <= 0 or (self.snd_nxt - self.snd_una) + length > limit:
                 break
-            self._send_next(length)
-
-    def _send_next(self, length: int) -> None:
-        # Segments below the high-water mark are go-back-N retransmissions.
-        retransmission = self.snd_nxt < self._high_tx
-        self._transmit(self.snd_nxt, length, retransmission=retransmission)
-        self.snd_nxt += length
-        if self.snd_nxt > self._high_tx:
-            self._high_tx = self.snd_nxt
+            # Segments below the high-water mark are go-back-N retransmissions.
+            self._transmit(self.snd_nxt, length, self.snd_nxt < self._high_tx)
+            self.snd_nxt += length
+            if self.snd_nxt > self._high_tx:
+                self._high_tx = self.snd_nxt
 
     # ------------------------------------------------------------------
     # Receive path
@@ -350,23 +346,8 @@ class Sender:
         """Entry point from the host demux (SYN-ACKs and ACKs)."""
         if packet.syn and packet.is_ack:
             self._on_syn_ack(packet)
-        elif packet.is_ack:
-            self._on_ack(packet)
-
-    def _on_syn_ack(self, packet: Packet) -> None:
-        if self.state is not FlowState.SYN_SENT:
-            return  # duplicate SYN-ACK
-        self.state = FlowState.ESTABLISHED
-        self.stats.established_ns = self.sim.now
-        self._rto_timer.stop()
-        if packet.sent_at is not None and not packet.retransmitted:
-            self.rto.sample(self.sim.now - packet.sent_at)
-        self.on_established(packet)
-        self.try_send()
-        self._maybe_complete()
-
-    def _on_ack(self, packet: Packet) -> None:
-        if self.state not in (FlowState.ESTABLISHED, FlowState.FIN_WAIT):
+            return
+        if not packet.is_ack or self.state not in (FlowState.ESTABLISHED, FlowState.FIN_WAIT):
             return
         flight_before = self.snd_nxt - self.snd_una
         self.ack_hook(packet)
@@ -387,6 +368,18 @@ class Sender:
             self.dupacks += 1
             self.on_duplicate_ack(packet)
             self.try_send()
+
+    def _on_syn_ack(self, packet: Packet) -> None:
+        if self.state is not FlowState.SYN_SENT:
+            return  # duplicate SYN-ACK
+        self.state = FlowState.ESTABLISHED
+        self.stats.established_ns = self.sim.now
+        self._rto_timer.stop()
+        if packet.sent_at is not None and not packet.retransmitted:
+            self.rto.sample(self.sim.now - packet.sent_at)
+        self.on_established(packet)
+        self.try_send()
+        self._maybe_complete()
 
     def _advance_una(self, new_una: int) -> None:
         # Segments are contiguous from seq 0, so walk them off in order;
@@ -560,20 +553,18 @@ class Receiver:
             self.fin_seen = True
             self._send_ack(packet)
             return
-        if packet.payload > 0 or packet.rm:
-            self._accept_data(packet)
+        payload = packet.payload
+        if payload > 0 or packet.rm:
+            seq, end, rcv_nxt = packet.seq, packet.seq + payload, self.rcv_nxt
+            if end > rcv_nxt:  # else a pure duplicate
+                if seq <= rcv_nxt:
+                    self.bytes_received += end - rcv_nxt
+                    self.rcv_nxt = end
+                    if self._out_of_order:
+                        self._drain_out_of_order()
+                else:
+                    self._store_out_of_order(seq, end)
             self._send_ack(packet)
-
-    def _accept_data(self, packet: Packet) -> None:
-        seq, end = packet.seq, packet.end_seq
-        if end <= self.rcv_nxt:
-            return  # pure duplicate
-        if seq <= self.rcv_nxt:
-            self.bytes_received += end - max(seq, self.rcv_nxt)
-            self.rcv_nxt = end
-            self._drain_out_of_order()
-        else:
-            self._store_out_of_order(seq, end)
 
     def _store_out_of_order(self, seq: int, end: int) -> None:
         self.reordered_segments += 1
@@ -589,8 +580,6 @@ class Receiver:
 
     def _drain_out_of_order(self) -> None:
         held = self._out_of_order
-        if not held:
-            return
         while held and held[0][0] <= self.rcv_nxt:
             lo, hi = held.pop(0)
             if hi > self.rcv_nxt:

@@ -125,12 +125,12 @@ def test_host_processing_jitter_within_bounds():
 
 
 class _DelayLog:
-    """Stands in for a host's simulator: logs each scheduled delay."""
+    """Stands in for a host's simulator: logs each posted delay."""
 
     def __init__(self):
         self.delays = []
 
-    def schedule(self, delay, callback, *args):
+    def post(self, delay, callback, *args):
         self.delays.append(delay)
 
 

@@ -7,7 +7,10 @@ left in the environment must change nothing.
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net.network import Network
+from repro.net.packet import MSS, Packet
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.units import GBPS, microseconds
 from tests.sim.kernel_envs import KERNEL_ENVS, exported
 
 
@@ -330,7 +333,8 @@ def test_dead_count_survives_compaction_inside_a_same_time_group(sim):
     group.append(sim.schedule(10, lambda: None))
     group.append(sim.schedule(10, lambda: None))
     assert sim.run(until_ns=100) == 2
-    assert sim._dead == sum(entry[2].cancelled for entry in sim._heap) == 0
+    handles = [entry[3] for entry in sim._heap if entry[2] is None]
+    assert sim._dead == sum(event.cancelled for event in handles) == 0
     assert sim.pending_events == 0
 
 
@@ -424,3 +428,79 @@ def test_cancelled_head_does_not_stop_the_horizon_probe(sim):
     assert sim.run(until_ns=20) == 1
     assert log == ["live"]
     assert sim.peek_time() == 30
+
+
+def test_post_in_the_past_rejected(sim):
+    with pytest.raises(SimulationError):
+        sim.post(-1, lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_same_time_posts_and_schedules_run_fifo(sim):
+    log = []
+    for i in range(6):
+        (sim.post if i % 2 else sim.schedule)(10, log.append, i)
+    sim.schedule(5, sim.post, 5, log.append, "late")  # posted at 5 for 10
+    sim.run()
+    assert log == [0, 1, 2, 3, 4, 5, "late"]
+
+
+def test_compaction_keeps_every_posted_entry(sim):
+    log = []
+    doomed = [sim.schedule(1_000_000 + i, log.append, "dead") for i in range(256)]
+    for i in range(50):
+        sim.post(10 + i, log.append, i)
+    for event in doomed:
+        event.cancel()  # the 256th dead entry is over half the heap: compacts
+    assert sim._dead == 0
+    assert len(sim._heap) == 50
+    assert sim.pending_events == 50
+    sim.run()
+    assert log == list(range(50))
+
+
+def test_peek_time_over_a_mixed_heap(sim):
+    sim.schedule(10, lambda: None).cancel()  # a dead head
+    moved = sim.schedule(20, lambda: None)
+    sim.reschedule(moved, 50, lambda: None)  # a stale key at 20
+    sim.post(30, lambda: None)
+    assert sim.peek_time() == 30
+    assert sim.run(until_ns=35) == 1
+    assert sim.peek_time() == 50
+    assert sim.run() == 1
+    assert sim.peek_time() is None
+
+
+def test_pending_events_is_exact_beside_posted_siblings(sim):
+    seen = []
+
+    def note():
+        seen.append(sim.pending_events)
+
+    sim.post(10, note)
+    sim.schedule(10, note)
+    sim.post(10, note)
+    sim.post(10, note)
+    sim.schedule(20, note).cancel()
+    assert sim.pending_events == 4
+    sim.run()
+    assert seen == [3, 2, 1, 0]
+
+
+def test_a_packet_only_run_allocates_no_event():
+    """Frames host -> 2 switches -> host, as in the hop probe: every heap
+    entry is posted, and no handle event ever reaches the free list."""
+    net = Network(seed=0)
+    src, dst = net.add_host("A"), net.add_host("B")
+    s1, s2 = net.add_switch("S1"), net.add_switch("S2")
+    for a, b in ((src, s1), (s1, s2), (s2, dst)):
+        net.cable(a, b, 10 * GBPS, microseconds(1))
+    net.build_routes()
+    sim = net.sim
+    for _ in range(20):
+        src.send(Packet(src.node_id, dst.node_id, 1, 2, payload=MSS))
+    while sim.run(max_events=1):
+        assert all(entry[2] is not None for entry in sim._heap)
+    assert dst.rx_packets == 20
+    assert sim.events_processed > 100
+    assert sim._free == []

@@ -3,19 +3,21 @@
 :class:`Oracle` is the kernel's contract and nothing else: pending events
 in a list kept sorted by ``(time, seq)``, where ``seq`` counts schedule
 calls, so same-time events fire in FIFO order.  It shares no code with
-:mod:`repro.sim.engine`.  One seeded script of schedule / cancel /
+:mod:`repro.sim.engine`.  One seeded script of schedule / post / cancel /
 reschedule / ``run(until_ns=)`` / ``run(max_events=)`` ops drives both;
 every fired event runs a per-tag script of follow-ups (same-time and
-later schedules, cancels and reschedules of live events — same-time
-siblings included — and a stale cancel or reschedule of its own retired
-handle).  The oracle's reschedule is cancel + schedule; the script moves
-events later, to the same time and earlier.  The two logs must match
+later schedules and posts, cancels and reschedules of live events —
+same-time siblings included — and a stale cancel or reschedule of its
+own retired handle).  The oracle's post is a schedule nothing can
+cancel; its reschedule is cancel + schedule; the script moves events
+later, to the same time and earlier.  The two logs must match
 entry for entry: every firing with the clock and ``pending_events`` seen
 from inside the callback, every move's old and new deadline, and after
 every op the clock, ``peek_time()``, ``pending_events`` and the op's
 return value.  After every op the kernel's heap must hold exactly one
-entry per live or dead event, and its dead-entry count must equal the
-cancelled entries there: compaction fires off that count.
+entry per live or dead event plus one per pending post, under the key
+the post pushed; its dead-entry count must equal the cancelled handle
+entries there: compaction fires off that count.
 
 Cancels target only live handles, keyed by tag: the kernel recycles a
 fired handle into a later event, so cancelling a retained one is outside
@@ -40,11 +42,15 @@ class Oracle:
         self.now = 0
         self.seq = 0
         self.queue = []
-        self.entries = {}  # tag -> its queue entry
+        self.entries = {}  # tag -> its queue entry, cancellable ones only
 
     def schedule(self, delay, tag):
         entry = self.entries[tag] = (self.now + delay, self.seq, tag)
         insort(self.queue, entry)
+        self.seq += 1
+
+    def post(self, delay, tag):
+        insort(self.queue, (self.now + delay, self.seq, tag))
         self.seq += 1
 
     def cancel(self, tag):
@@ -62,7 +68,7 @@ class Oracle:
             if until_ns is not None and self.queue[0][0] > until_ns:
                 break
             self.now, _, tag = self.queue.pop(0)
-            del self.entries[tag]
+            self.entries.pop(tag, None)
             fire(tag)
             fired += 1
         if until_ns is not None and self.now < until_ns:
@@ -91,6 +97,9 @@ class OracleSide:
     def schedule(self, delay, tag):
         self.model.schedule(delay, tag)
 
+    def post(self, delay, tag):
+        self.model.post(delay, tag)
+
     def cancel(self, tag):
         self.model.cancel(tag)
 
@@ -118,7 +127,8 @@ class KernelSide:
     def __init__(self):
         self.sim = Simulator()
         self.handles = {}  # tag -> handle of a live event
-        self.running = None  # retired handle of the event being run
+        self.posts = {}  # tag -> (time, seq) of a pending post
+        self.running = None  # retired handle of the event being run, if any
         self.fire = None
         self.stale = 0  # stale heap keys seen by check(), summed
 
@@ -141,6 +151,15 @@ class KernelSide:
         self.running = self.handles.pop(tag)
         self.fire(tag)
 
+    def post(self, delay, tag):
+        self.posts[tag] = (self.sim.now + delay, self.sim._seq)
+        self.sim.post(delay, self._fire_posted, tag)
+
+    def _fire_posted(self, tag):
+        del self.posts[tag]
+        self.running = None
+        self.fire(tag)
+
     def cancel(self, tag):
         self.handles.pop(tag).cancel()
 
@@ -153,9 +172,13 @@ class KernelSide:
         )
 
     def cancel_running(self):
-        self.running.cancel()  # stale: must be a no-op
+        if self.running is not None:
+            self.running.cancel()  # stale: must be a no-op
 
     def reschedule_running(self, delay, new_tag):
+        if self.running is None:  # a post has no handle to move
+            self.schedule(delay, new_tag)
+            return
         self.handles[new_tag] = self.sim.reschedule(
             self.running, delay, self._fire, new_tag
         )
@@ -166,13 +189,18 @@ class KernelSide:
 
     def check(self):
         heap = self.sim._heap
-        events = [entry[2] for entry in heap]
-        assert len({id(event) for event in events}) == len(heap)
+        events = [entry[3] for entry in heap if entry[2] is None]
+        assert len({id(event) for event in events}) == len(events)
         live = {id(event) for event in events if not event.cancelled}
         assert live == {id(handle) for handle in self.handles.values()}
-        assert self.sim._dead == len(heap) - len(live)
+        assert self.sim._dead == len(events) - len(live)
+        # One entry per pending post, under the key it was pushed with:
+        # a posted entry is never stale.
+        posted = {entry[3][0]: entry[:2] for entry in heap if entry[2] is not None}
+        assert len(posted) == len(heap) - len(events)
+        assert posted == self.posts
         # A stale key never exceeds the real one: the order argument.
-        keys = [(entry[:2], (entry[2].time, entry[2].seq)) for entry in heap]
+        keys = [(entry[:2], (entry[3].time, entry[3].seq)) for entry in heap if entry[2] is None]
         assert all(key <= real for key, real in keys)
         self.stale += sum(key != real for key, real in keys)
 
@@ -193,6 +221,15 @@ def _play(side, seed):
     rng = random.Random(seed)
     log = []
     tags = iter(range(1 << 62))
+    posted = set()
+
+    def add(delay, post):
+        tag = next(tags)
+        if post:
+            posted.add(tag)
+            side.post(delay, tag)
+        else:
+            side.schedule(delay, tag)
 
     def cancel_one(pick):
         live = side.live()
@@ -214,12 +251,12 @@ def _play(side, seed):
         side.reschedule(tag, delay, next(tags))
 
     def fire(tag):
-        log.append(("fire", side.now(), tag, side.pending()))
+        log.append(("fire", side.now(), tag, side.pending(), tag in posted))
         script = random.Random(seed * 1_000_003 + tag)
         for _ in range(2):
             if script.random() < 0.3:
                 delay = script.choice((0, 0, script.randrange(0, 50_000)))
-                side.schedule(delay, next(tags))
+                add(delay, post=script.random() < 0.5)
         roll = script.random()
         if roll < 0.2:
             cancel_one(script.randrange(1 << 30))
@@ -234,7 +271,7 @@ def _play(side, seed):
         roll = rng.random()
         if roll < 0.45:
             for _ in range(rng.choice((1, 1, 1, 30))):
-                side.schedule(_delay(rng), next(tags))
+                add(_delay(rng), post=rng.random() < 0.4)
             result = None
         elif roll < 0.55:
             cancel_one(rng.randrange(1 << 30))
@@ -282,8 +319,9 @@ def test_kernel_matches_sorted_list_oracle(monkeypatch, mode, seed):
     for got, want in zip(kernel, oracle):
         assert got == want
     assert len(kernel) == len(oracle)
-    fired = sum(entry[0] == "fire" for entry in oracle)
-    assert fired > 1_000  # the script really ran events
+    fired = [entry[4] for entry in oracle if entry[0] == "fire"]
+    # The script really ran events, posted and handle ones alike.
+    assert fired.count(True) > 1_000 and fired.count(False) > 1_000
     # Moves went later, to the same time and earlier; some re-keyed in
     # place, leaving stale keys in the heap.
     moves = {(e[3] > e[2]) - (e[3] < e[2]) for e in oracle if e[0] == "move"}

@@ -2,6 +2,7 @@
 reassembly, retransmission, completion accounting)."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.net.packet import MSS, Packet
 from repro.sim.units import MILLISECOND, seconds
@@ -168,6 +169,72 @@ def test_receiver_merges_overlapping_segments():
     receiver.on_packet(Packet(a.node_id, b.node_id, 1, 2, seq=0, payload=1000))
     assert receiver.rcv_nxt == 2500
     assert receiver.bytes_received == 2500
+
+
+class _AckLog:
+    """Stands in for the receiving host: keeps every ACK's ``ack`` field."""
+
+    sim = None
+
+    def __init__(self):
+        self.acks = []
+
+    def register_connection(self, key, endpoint):
+        pass
+
+    def send(self, packet):
+        self.acks.append(packet.ack)
+
+
+def _reference_reassembly(segments):
+    """``(rcv_nxt, reordered, acks)``: a byte set, rcv_nxt its first gap."""
+    have = set()
+    rcv_nxt = reordered = 0
+    acks = []
+    for kind, seq, length in segments:
+        if kind == "fin":
+            acks.append(rcv_nxt)
+            continue
+        if kind == "data" and not length:
+            continue  # zero payload, not RM: nothing to accept or ACK
+        if seq > rcv_nxt:
+            reordered += 1
+        have.update(range(seq, seq + length))
+        while rcv_nxt in have:
+            rcv_nxt += 1
+        acks.append(rcv_nxt)
+    return rcv_nxt, reordered, acks
+
+
+_SEGMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(("data", "data", "data", "rm", "fin")),
+        st.integers(min_value=0, max_value=24).map(lambda k: k * 250),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=MSS)),
+    ),
+    max_size=40,
+)
+
+
+@seed(40)
+@settings(max_examples=300, deadline=None)
+@given(_SEGMENTS)
+def test_receiver_matches_reference_reassembly(segments):
+    """In-order, duplicate, overlapping and out-of-order segments, FINs and
+    zero-payload RM probes: the receiver's ``rcv_nxt``, byte count,
+    reordering gauge and every ACK match a byte-set reassembler."""
+    host = _AckLog()
+    receiver = Receiver(host, (1, 2, 3, 4))
+    for kind, seq, length in segments:
+        fin = kind == "fin"
+        receiver.on_packet(
+            Packet(1, 2, 3, 4, seq=seq, payload=0 if fin else length, rm=kind == "rm", fin=fin)
+        )
+    rcv_nxt, reordered, acks = _reference_reassembly(segments)
+    assert receiver.rcv_nxt == rcv_nxt
+    assert receiver.bytes_received == rcv_nxt
+    assert receiver.reordered_segments == reordered
+    assert host.acks == acks
 
 
 def test_karn_rule_no_rtt_sample_from_retransmission(tiny_net):
