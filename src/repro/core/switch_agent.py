@@ -22,8 +22,11 @@ module structure of the paper's NetFPGA implementation (Fig. 3):
 Delimiter lifecycle: the first RM packet seen is elected; a FIN from the
 delimiter flow or ``2^k x rtt_last`` of delimiter silence (k <= 7) triggers
 re-election of the next RM packet (section 5.2, "When the current delimiter
-flow ends").  The silence check runs lazily on every transit — if the port
-is completely idle no window update is needed anyway.
+flow ends").  The silence check runs lazily, on RM packets only: only an RM
+packet acts on the miss count, and its thresholds grow with the count, so
+the late value equals the eager one at every RM packet.  A non-RM packet
+only adds its bytes and takes the cached stamp ``min(W, live bound)``,
+recomputed where its inputs change (RM arrival, election, slot close, reset).
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ class TfcPortAgent:
         self.slot_index = 0
         self.last_rho: float = params.rho0
         self.published_e: int = 1  # E used for the currently published W
+        self._refresh_stamp()  # sets self.stamp = min(W, live bound)
 
         self.delay_arbiter = DelayArbiter(
             self.sim,
@@ -143,6 +147,7 @@ class TfcPortAgent:
         self.slot_index = 0
         self.last_rho = params.rho0
         self.published_e = 1
+        self._refresh_stamp()
         self.delay_arbiter.reset(self.tokens)
 
     # ------------------------------------------------------------------
@@ -150,7 +155,6 @@ class TfcPortAgent:
     # ------------------------------------------------------------------
     def on_transit(self, packet: Packet) -> None:
         """Process a packet about to be queued on this port."""
-        now = self.sim.now
         self.arrived_bytes += packet.frame_size
         if packet.is_ack and packet.payload == 0 and not packet.syn:
             return  # pure reverse-direction ACK: counts bytes, nothing else
@@ -160,44 +164,75 @@ class TfcPortAgent:
             self.delimiter_key = None
             self.miss_count = 0
 
-        self._check_delimiter_silence(now, packet)
+        if not packet.rm:
+            # Header modifier: the minimum window along the path wins.
+            # A weight-w flow receives w shares of the per-slot allocation.
+            stamp = self.stamp
+            weight = packet.weight
+            if weight > 1:
+                stamp = _quantize_window(stamp * weight)
+            if packet.window > stamp:
+                packet.window = stamp
+            return
 
-        # Header modifier: the minimum window along the path wins.  The
-        # stamp is additionally bounded by a live estimate T / E_so_far:
-        # within a normal slot E_so_far is below the final count and the
-        # bound is loose (the published W wins), but during a flash crowd
-        # of marked SYNs it tightens with every arrival, so acquisition
-        # probes racing the first slot boundary cannot take away the huge
-        # pre-crowd window and overrun the buffers.
-        # E collapsing (a synchronised round draining) is bounded the
-        # same way: e_smooth halves per slot, so a straggler's window at
-        # most doubles per slot instead of jumping to the whole token
-        # value the instant the count reads 1.
+        now = self.sim.now
+        if self.delimiter_key is not None:
+            # Delimiter silence: miss counts the 2^k x rtt_last thresholds
+            # the slot has outlived since its start.
+            while (
+                self.miss_count < self.params.max_delimiter_miss
+                and now - self.slot_start_ns
+                > (1 << (self.miss_count + 1)) * self.rtt_last_ns
+            ):
+                self.miss_count += 1
+            if self.miss_count >= 2 and packet.flow_key != self.delimiter_key:
+                # The old delimiter has been silent for over 4 x rtt_last
+                # (miss >= 2): adopt this flow instead.  A single missed
+                # slot (miss == 1) is tolerated — ACK jitter alone can
+                # stretch a round past 2 x rtt_last, and churning the
+                # delimiter flips the slot length and with it every
+                # RTT-weighted count.
+                self._elect(packet, now)
+                self._refresh_stamp()
+
+        stamp = self.stamp
+        weight = packet.weight
+        if weight > 1:
+            stamp = _quantize_window(stamp * weight)
+        # Token-budget accounting: only RM packets carry a window back to
+        # their sender (the receiver copies it onto the RMA ACK), so each
+        # RM stamp is a real grant.  The slot's grants may not exceed the
+        # token value in total — once the budget runs out the leftover
+        # (sub-MSS) grant is paced by the delay arbiter.  Without this, a
+        # flash crowd of probes inside one slot is granted the harmonic
+        # ladder T/1 + T/2 + T/3 + ...
+        remaining = self.tokens - self.granted_bytes
+        stamp = min(stamp, max(remaining, 64.0))
+        self.granted_bytes += stamp
+        if packet.window > stamp:
+            packet.window = stamp
+
+        self._on_round_mark(packet, now)
+        self._refresh_stamp()
+
+    def _refresh_stamp(self) -> None:
+        """Recompute the cached stamp from T, E, e_smooth and W.
+
+        The stamp is bounded by a live estimate T / E_so_far as well as
+        the published W: within a normal slot E_so_far is below the final
+        count and the bound is loose (W wins), but during a flash crowd of
+        marked SYNs it tightens with every arrival, so acquisition probes
+        racing the first slot boundary cannot take away the huge pre-crowd
+        window and overrun the buffers.  E collapsing (a synchronised
+        round draining) is bounded the same way: e_smooth halves per slot,
+        so a straggler's window at most doubles per slot instead of
+        jumping to the whole token value the instant the count reads 1.
+        """
         denominator = max(self.effective_flows, self.e_smooth / 2.0, 1.0)
         live_bound = _quantize_window(
             max(self.tokens / denominator, float(MSS) / 8.0)
         )
-        # A weight-w flow receives w shares of the per-slot allocation.
-        weight = max(packet.weight, 1)
-        stamp = min(self.window, live_bound)
-        if weight > 1:
-            stamp = _quantize_window(stamp * weight)
-        if packet.rm:
-            # Token-budget accounting: only RM packets carry a window back
-            # to their sender (the receiver copies it onto the RMA ACK),
-            # so each RM stamp is a real grant.  The slot's grants may not
-            # exceed the token value in total — once the budget runs out
-            # the leftover (sub-MSS) grant is paced by the delay arbiter.
-            # Without this, a flash crowd of probes inside one slot is
-            # granted the harmonic ladder T/1 + T/2 + T/3 + ...
-            remaining = self.tokens - self.granted_bytes
-            stamp = min(stamp, max(remaining, 64.0))
-            self.granted_bytes += stamp
-        if packet.window > stamp:
-            packet.window = stamp
-
-        if packet.rm:
-            self._on_round_mark(packet, now)
+        self.stamp = min(self.window, live_bound)
 
     def _on_round_mark(self, packet: Packet, now: int) -> None:
         if self.delimiter_key is None:
@@ -223,27 +258,6 @@ class TfcPortAgent:
         self.tracer.emit(
             TFC_DELIMITER_ELECTED, agent=self, flow_key=packet.flow_key
         )
-
-    def _check_delimiter_silence(self, now: int, packet: Packet) -> None:
-        if self.delimiter_key is None:
-            return
-        while (
-            self.miss_count < self.params.max_delimiter_miss
-            and now - self.slot_start_ns
-            > (1 << (self.miss_count + 1)) * self.rtt_last_ns
-        ):
-            self.miss_count += 1
-        if (
-            self.miss_count >= 2
-            and packet.rm
-            and packet.flow_key != self.delimiter_key
-        ):
-            # The old delimiter has been silent for over 4 x rtt_last
-            # (miss >= 2): adopt this flow instead.  A single missed slot
-            # (miss == 1) is tolerated — ACK jitter alone can stretch a
-            # round past 2 x rtt_last, and churning the delimiter flips
-            # the slot length and with it every RTT-weighted count.
-            self._elect(packet, now)
 
     # ------------------------------------------------------------------
     # Slot boundary: token adjustment and window computation

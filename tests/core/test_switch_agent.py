@@ -1,5 +1,7 @@
 """Unit tests for the TFC per-port switch agent, driven by crafted packets."""
 
+import sys
+
 import pytest
 
 from repro.core.params import TfcParams
@@ -177,6 +179,31 @@ def test_stamp_lowers_window_field_only_downwards():
     pkt2.window = 100.0
     agent.on_transit(pkt2)
     assert pkt2.window == 100.0
+
+
+def test_non_rm_transit_makes_no_calls():
+    """A non-RM, unit-weight data packet is switch-pipeline work: a byte
+    add, the ACK and FIN tests and a compare-and-store of the cached
+    stamp.  No nested Python call and no C call may run under it."""
+    net, agent, a, b = build_agent()
+    agent.on_transit(data_packet(a, b, sport=1, rm=True))
+    agent.on_transit(data_packet(a, b, sport=2, rm=True))
+    packet = data_packet(a, b, sport=3)
+    transit = agent.on_transit
+    here = sys._getframe().f_code
+    events = []
+
+    def profiler(frame, event, arg):
+        if frame.f_code is not here:  # skip setprofile(None) itself
+            events.append((event, frame.f_code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        transit(packet)
+    finally:
+        sys.setprofile(None)
+    assert events == [("call", "on_transit"), ("return", "on_transit")]
+    assert packet.window == agent.stamp < WINDOW_SENTINEL
 
 
 def test_grant_budget_prevents_harmonic_overcommit():

@@ -9,7 +9,9 @@ import pytest
 from repro.experiments.chaos import FAULT_KINDS
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector
+from repro.core.switch_agent import _quantize_window
 from repro.faults.engine import reverse_port
+from repro.net.packet import MSS, Packet
 from repro.net.pfc import PfcParams
 from repro.net.topology import dumbbell
 from repro.sim.trace import FAULT_CLEARED, FAULT_INJECTED
@@ -150,6 +152,27 @@ def test_reset_switch_wipes_learned_state_then_relearns():
     assert agent.rttb_ns < agent.params.init_rttb_ns  # re-learned
     for sender in senders:
         assert sender.state is FlowState.ESTABLISHED
+
+
+def test_reset_switch_restamps_from_the_initial_window():
+    """After a reboot the next non-RM data packet is stamped from the
+    fresh initial-BDP window, not from the stamp cached before it."""
+    topo = build_topology(dumbbell, "tfc", buffer_bytes=256_000, n_senders=2)
+    receiver = topo.hosts[-1]
+    for i in range(2):
+        open_flow(topo.host(i), receiver, "tfc")
+    warmup = milliseconds(20)
+    topo.network.run_for(warmup)
+    agent = topo.bottleneck().agent
+    bdp = bandwidth_delay_product(agent.rate_bps, agent.params.init_rttb_ns)
+    fresh = min(bdp, _quantize_window(bdp))
+    assert agent.stamp != fresh  # it learned a window of its own
+
+    FaultInjector(topo.network).reset_switch(topo.switches[0], at_ns=warmup)
+    topo.network.run_for(1)
+    packet = Packet(topo.host(0).node_id, receiver.node_id, 1, 2, payload=MSS)
+    agent.on_transit(packet)
+    assert packet.window == fresh
 
 
 def test_reset_switch_resumes_a_pfc_paused_port():
