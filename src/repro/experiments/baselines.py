@@ -116,7 +116,7 @@ def run_baseline_point(
 
     # Whichever backpressure fabric is installed (BFC per-flow, PFC
     # per-port) exposes the same pause/resume counters.
-    fabric = getattr(net, "bfc", None) or getattr(net, "lossless", None)
+    fabric = net.bfc or net.lossless
     return BaselinePoint(
         protocol=protocol,
         n_senders=n_senders,

@@ -10,7 +10,8 @@ Primitives map one-to-one onto the failure modes data-center operators
 actually see:
 
 * :meth:`link_down` / :meth:`link_flap` — cut a cable (both directions by
-  default); frames serialised into a downed link vanish.
+  default); frames serialised into a downed link vanish, and pause state
+  across the cable is forgotten at the cut and at the restore.
 * :meth:`degrade_link` — failing optics / autoneg fallback: the link
   serialises slower than its nominal rate.
 * :meth:`inject_loss`, :meth:`burst_loss`, :meth:`ack_loss` — attach a
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
+from ..net.pfc import peer_tx_port as reverse_port
 from ..net.queues import (
     BernoulliLoss,
     FilteredLoss,
@@ -74,15 +76,6 @@ class FaultRecord:
         if self.end_ns is None:
             return None
         return self.end_ns - self.start_ns
-
-
-def reverse_port(port: "Port") -> Optional["Port"]:
-    """The peer port transmitting the opposite direction of ``port``'s cable."""
-    for peer_port in port.peer_node.ports:
-        link = peer_port.link
-        if link.dst_node is port.node and link.dst_port_index == port.index:
-            return peer_port
-    return None
 
 
 class FaultInjector:
@@ -147,28 +140,38 @@ class FaultInjector:
         traffic onto surviving equal-cost paths instead of letting the
         stale route blackhole it.  The default keeps the blackhole — the
         pessimistic case the recovery experiments compare against.
+
+        Both ends of the cable forget the pause state across it when it
+        is cut and when it is restored (``Backpressure.carrier_lost``):
+        an XON lost on the cut must not leave a transmitter paused.
         """
-        links = [port.link]
-        if both_directions:
-            reverse = reverse_port(port)
-            if reverse is not None:
-                links.append(reverse.link)
+        ends = [port]
+        reverse = reverse_port(port)
+        if reverse is not None:
+            ends.append(reverse)
+        links = [end.link for end in ends[: 2 if both_directions else 1]]
         end_ns = None if duration_ns is None else at_ns + duration_ns
         record = self._record(
             "link_down", self._port_name(port), at_ns, end_ns,
             reroute=reroute,
         )
 
-        def down() -> None:
+        def carrier(up: bool) -> None:
             for link in links:
-                link.up = False
+                link.up = up
+            for fabric in (self.network.lossless, self.network.bfc):
+                if fabric is not None:
+                    for end in ends:
+                        fabric.carrier_lost(end)
+
+        def down() -> None:
+            carrier(False)
             if reroute:
                 self.network.rebuild_routes()
             self._emit(FAULT_INJECTED, record)
 
         def up() -> None:
-            for link in links:
-                link.up = True
+            carrier(True)
             if reroute:
                 self.network.rebuild_routes()
             self._emit(FAULT_CLEARED, record)

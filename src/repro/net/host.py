@@ -30,7 +30,11 @@ class PacketSink(Protocol):
 
 
 class Host(Endpoint):
-    """A server: one NIC port plus a transport demux table."""
+    """A server: one NIC port plus a transport demux table.
+
+    A pause frame reaching the NIC never reaches the demux: ``receive``
+    hands it to the fabric that sent it (``frame.backpressure``).
+    """
 
     def __init__(
         self,
@@ -56,10 +60,6 @@ class Host(Endpoint):
         self.paused = False
         self._paused_rx: List[Tuple[Packet, int]] = []  # (packet, delay)
         self.pauses = 0
-        # Set by installers that attach NIC agents (repro.net.bfc); the
-        # per-packet agent probe in receive is gated on it so the
-        # common no-agent datapath pays one boolean check.
-        self.nic_agents_installed = False
 
     # ------------------------------------------------------------------
     # Socket-table management
@@ -142,22 +142,12 @@ class Host(Endpoint):
     def receive(self, packet: Packet, in_port_index: int) -> None:
         self.rx_packets += 1
         self.rx_bytes += packet.frame_size
-        # NIC agent hook, mirroring the switch datapath: a protocol may
-        # attach per-NIC logic (BFC's per-flow pause handling) that
-        # consumes control frames before demux.
-        if self.nic_agents_installed:
-            agent = self.ports[in_port_index].agent
-            if agent is not None and agent.on_reverse_arrival(packet):
-                return
-        op = packet.pfc_op
-        if op is not None:
-            # MAC-control pause frame: consumed by the NIC itself.  Only
-            # transmission stops — reception continues (unlike the host
-            # *stall* fault above, which freezes the whole machine).
-            if op == "xoff":
-                self.ports[in_port_index].pause()
-            elif not self.paused:  # a stalled host stays stalled
-                self.ports[in_port_index].resume()
+        backpressure = packet.backpressure
+        if backpressure is not None:
+            # A pause frame: the NIC hands it to the fabric that sent it.
+            # Only transmission stops — reception continues (unlike the
+            # host *stall* fault above, which freezes the whole machine).
+            backpressure.apply(self.ports[in_port_index], packet)
             return
         # randrange(jitter + 1)'s own getrandbits loop, inlined: the same draws.
         # A stalled host draws on arrival too, in the order resume() would.

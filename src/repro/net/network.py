@@ -116,9 +116,10 @@ class Network:
         # explicit config installs one here, env-driven installs land via
         # repro.obs.maybe_install at the topology-build chokepoints.
         self.telemetry = None
-        # Lossless fabric handle (repro.net.pfc.LosslessFabric) or None;
-        # repro.net.pfc.enable_pfc installs one here.
+        # Backpressure fabric handles or None: enable_pfc installs a
+        # repro.net.pfc.LosslessFabric here, enable_bfc a BfcFabric.
         self.lossless = None
+        self.bfc = None
         self.default_buffer_bytes = default_buffer_bytes
         self.host_buffer_bytes = host_buffer_bytes
         self.host_processing_delay_ns = host_processing_delay_ns

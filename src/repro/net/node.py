@@ -86,8 +86,9 @@ class Switch(Node):
     * **reverse arrival** (a packet arriving *from* the port's link, where
       RMA ACKs and pause frames travel): ``fabric.on_reverse_arrival``,
       then ``agent.on_reverse_arrival``.  Either returns True when it
-      consumed the packet — a pause frame, or an ACK the delay arbiter
-      holds and will re-inject later via :meth:`inject`.
+      consumed the packet — a pause frame, which the first role to see
+      it hands to the fabric that sent it (``frame.backpressure``), or an
+      ACK the delay arbiter holds and will re-inject via :meth:`inject`.
     * **transit** (a packet about to be queued on the port):
       ``agent.on_transit(packet)``, which may rewrite header fields
       (window stamping) and updates the token/E/rho counters, then

@@ -65,18 +65,12 @@ class Packet:
         "size", "frame_size", "flow_key", "pfc_ingress",
     )
 
-    # PFC fields with class-level defaults: data packets never carry a
-    # pause opcode and (for now) all traffic rides lossless class 0, so
-    # reads resolve against the class and cost nothing per instance.
-    # PauseFrame (repro.net.pfc) shadows these with real slots.
-    pfc_op: Optional[str] = None
-    pfc_class: int = 0
+    # Class-level defaults, so reads cost nothing per instance: all
+    # traffic rides PFC class 0, and a data packet is no pause frame.
+    # PauseFrame (repro.net.pfc) shadows ``backpressure`` with a slot
+    # naming the fabric that sent it.
     priority: int = 0
-
-    # BFC per-flow pause fields, same pattern: only BfcFrame
-    # (repro.net.bfc) shadows these with real slots.
-    bfc_op: Optional[str] = None
-    bfc_key: Optional[FlowKey] = None
+    backpressure = None
 
     def __init__(
         self,

@@ -102,7 +102,8 @@ class Link:
     def carry(self, packet: Packet) -> None:
         """Deliver a fully serialised frame to the far end after the delay.
 
-        PFC and BFC control frames ride this, skipping the data queue.
+        Pause frames (:class:`~repro.net.pfc.PauseFrame`) ride this,
+        skipping the data queue.
         The :class:`Port` transmit path inlines it (one posted
         delivery straight to the destination node) because the
         propagation delay is static.
@@ -125,6 +126,8 @@ class Port:
     * ``agent`` — the protocol agent (TFC, BFC or FairQ);
     * ``fabric`` — the lossless-fabric hook
       (:class:`~repro.net.pfc.PfcIngress` once PFC is armed);
+      ``pause()``/``resume()`` and ``kick()`` are what a pause frame
+      from the peer drives, through the fabric that sent it;
     * ``observer`` — one transit check,
       ``observer(port, packet, window_before)``, run after the agent
       (the invariant monitor's).

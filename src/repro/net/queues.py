@@ -180,7 +180,7 @@ class DropTailQueue:
     @property
     def packet_length(self) -> int:
         """Current occupancy in packets."""
-        return len(self._queue)
+        return len(self)
 
     def admit(self, packet: Packet) -> bool:
         """Whether ``packet`` fits right now (without enqueueing it)."""
@@ -220,7 +220,7 @@ class DropTailQueue:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{type(self).__name__} {self._bytes}/{self.capacity_bytes}B"
-            f" pkts={len(self._queue)} drops={self.drops}>"
+            f" pkts={len(self)} drops={self.drops}>"
         )
 
 

@@ -18,6 +18,7 @@ from repro.sim.trace import FAULT_CLEARED, FAULT_INJECTED
 from repro.sim.units import bandwidth_delay_product, milliseconds
 from repro.transport.base import FlowState
 from repro.transport.registry import open_flow
+from tests.frames import apply_frame
 
 
 def tcp_dumbbell(n_senders=2, seed=0):
@@ -193,7 +194,7 @@ def test_reset_switch_resumes_a_pfc_paused_port():
     agent = port.agent
     fab = net.lossless
     assert agent.rttb_ns < agent.params.init_rttb_ns  # it learned something
-    port.fabric._apply("xoff", 0)
+    apply_frame(port, "xoff", 0)
     assert port.paused and port in fab.paused_ports
 
     reset_at = warmup + milliseconds(1)

@@ -21,6 +21,7 @@ from repro.net.pfc import PfcParams, enable_pfc
 from repro.net.topology import dumbbell
 from repro.sim.trace import PATHOLOGY_DETECTED, PFC_PAUSE, PFC_RESUME
 from repro.sim.units import microseconds, milliseconds
+from tests.frames import apply_frame
 
 
 def _idle_fabric(n_senders=3):
@@ -130,7 +131,7 @@ def test_hol_fires_only_when_collapse_coincides_with_pause():
     assert not detector.detected
 
     port = topo.switches[0].ports[0]
-    port.fabric._apply("xoff", 0)  # now the fabric is paused somewhere
+    apply_frame(port, "xoff", 0)  # now the fabric is paused somewhere
     net.run_for(milliseconds(10))
     assert detector.detected
     assert len(detector.detections) == 1
@@ -144,7 +145,7 @@ def test_hol_slow_start_victim_cannot_false_positive():
     detector = HolBlockingDetector(
         net, fab, {"trickle": lambda: 0}, min_peak_bytes=20_000
     )
-    topo.switches[0].ports[0].fabric._apply("xoff", 0)
+    apply_frame(topo.switches[0].ports[0], "xoff", 0)
     net.run_for(milliseconds(10))
     assert not detector.detected
 
@@ -175,7 +176,7 @@ def test_cbd_no_cycle_on_single_switch():
         net, fab, check_interval_ns=microseconds(150), persistence=2
     )
     for port in topo.switches[0].ports[:2]:
-        port.fabric._apply("xoff", 0)
+        apply_frame(port, "xoff", 0)
     net.run_for(milliseconds(5))
     assert not detector.detected
 
@@ -188,8 +189,8 @@ def test_cbd_two_switch_cycle_detects_once_and_requires_persistence():
     detector = CbdDeadlockDetector(
         net, fab, check_interval_ns=microseconds(150), persistence=2
     )
-    a.ports[0].fabric._apply("xoff", 0)
-    b.ports[0].fabric._apply("xoff", 0)
+    apply_frame(a.ports[0], "xoff", 0)
+    apply_frame(b.ports[0], "xoff", 0)
     net.run_for(milliseconds(2))
     assert detector.detected
     assert len(detector.detections) == 1  # reported once despite sweeps
@@ -206,11 +207,11 @@ def test_cbd_transient_cycle_resolves_without_detection():
     detector = CbdDeadlockDetector(
         net, fab, check_interval_ns=microseconds(150), persistence=2
     )
-    a.ports[0].fabric._apply("xoff", 0)
-    b.ports[0].fabric._apply("xoff", 0)
+    apply_frame(a.ports[0], "xoff", 0)
+    apply_frame(b.ports[0], "xoff", 0)
     # Break the cycle before the second sweep can confirm it.
     net.sim.schedule(
-        microseconds(200), lambda: a.ports[0].fabric._apply("xon", 0)
+        microseconds(200), lambda: apply_frame(a.ports[0], "xon", 0)
     )
     net.run_for(milliseconds(2))
     assert not detector.detected

@@ -19,9 +19,9 @@ import json
 import pytest
 
 from repro.experiments.common import build_topology
+from repro.faults import FaultInjector
 from repro.net.bfc import (
     BFC_PAUSE,
-    BfcHostAgent,
     BfcParams,
     BfcPortAgent,
     BfcQueue,
@@ -129,10 +129,73 @@ def test_enable_bfc_installs_agents_and_nic_queues():
         for port in switch.ports:
             assert isinstance(port.agent, BfcPortAgent)
             assert isinstance(port.queue, BfcQueue)
+    # Host NICs get per-flow queues and no agent: Host.receive hands
+    # pause frames to the fabric that sent them.
     for host in topo.hosts:
         for port in host.ports:
-            assert isinstance(port.agent, BfcHostAgent)
+            assert port.agent is None
             assert isinstance(port.queue, BfcQueue)
+
+
+def test_a_pause_frame_reaches_only_the_fabric_that_sent_it():
+    """PFC armed over BFC (the ``REPRO_LOSSLESS=pfc`` composition): a BFC
+    XOFF landing on a switch port whose ingress role is PFC's is neither
+    charged to nor counted by PFC, and a PFC XOFF pauses no BFC flow."""
+    topo = build_topology(
+        dumbbell, "bfc", buffer_bytes=256_000, n_senders=2, seed=1,
+        pfc_params=PfcParams(),
+    )
+    net = topo.network
+    pfc, bfc = net.lossless, net.bfc
+    host = topo.host(0)
+    nic = host.ports[0]
+    port = topo.switches[0].port_towards(host.node_id)
+    key = (host.node_id, topo.host(2).node_id, 1, 2)
+
+    bfc.signal(nic, key, pause=True)  # a BFC XOFF, host 0 -> switch
+    net.run_for(microseconds(100))
+    assert port.queue.paused_flows == {key} and not port.paused
+    assert port.fabric.bytes == 0 and not pfc.held
+    assert (pfc.pause_frames, bfc.pause_frames) == (0, 1)
+
+    pfc.signal(port, 0, pause=True)  # a PFC XOFF, switch -> host 0
+    net.run_for(microseconds(100))
+    assert nic.paused and not nic.queue.paused_flows
+    assert pfc.held == {nic: {0}}
+    assert (pfc.pause_frames, bfc.pause_frames) == (1, 1)
+
+
+def test_a_port_reset_resets_that_port_only():
+    """Rebooting the switch port facing sender 0 releases the pauses sent
+    upstream through it and forgets the flows it learned; the other
+    senders' flows stay congested at the bottleneck, stay paused at their
+    NICs and stay mapped to their own ingress ports."""
+    topo = build_topology(dumbbell, "bfc", buffer_bytes=256_000, n_senders=4, seed=1)
+    net = topo.network
+    port = topo.switches[0].port_towards(topo.host(0).node_id)
+    ingress = net.bfc._ingress[topo.switches[0].node_id]
+    congested = topo.bottleneck().queue._congested
+    for i in range(4):
+        open_flow(topo.host(i), topo.host(4), "bfc", awnd_bytes=200_000)
+    seen = []
+
+    def snapshot():
+        seen.append((
+            {k for k in congested if ingress.get(k) is port},
+            {k for k in congested if ingress.get(k) is not port},
+            [set(topo.host(i).ports[0].queue.paused_flows) for i in (1, 2, 3)],
+            {k: p for k, p in ingress.items() if p is not port},
+        ))
+
+    at = microseconds(800)
+    net.sim.schedule_at(at, snapshot)
+    FaultInjector(net).reset_port_agent(port, at_ns=at)
+    net.sim.schedule_at(at, snapshot)
+    net.run_for(at + 1)
+    (mine, others, paused, learned), after = seen
+    assert mine and len(others) >= 2 and all(paused)  # state to keep
+    assert after == (set(), others, paused, learned)
+    assert port not in ingress.values()
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ cut under ``reroute=True``.  Every case also asserts that its fault took
 effect, so a fault that silently does nothing cannot pass.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -31,9 +32,10 @@ import pytest
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector
 from repro.faults.engine import reverse_port
+from repro.net.pfc import PfcParams
 from repro.net.port import Link
 from repro.net.topology import dumbbell, fat_tree
-from repro.sim.trace import FAULT_CLEARED, FAULT_INJECTED
+from repro.sim.trace import FAULT_CLEARED, FAULT_INJECTED, PFC_PAUSE
 from repro.sim.units import milliseconds, seconds
 from repro.transport.base import FlowState
 from repro.transport.registry import open_flow, registered_protocols
@@ -48,10 +50,6 @@ MAX_EVENTS = 100_000
 
 #: Cases that never quiesce, by the leak that keeps them running.
 LEAKS = {
-    ("bfc", "link_flap"): (
-        "leak: a BFC XON carried onto the cut cable is lost, so the "
-        "sender's NIC keeps its flow paused forever while the RTO re-fires"
-    ),
     ("tracks", "kill_flow"): (
         "leak: the T-RACKs receiver's tail timer keeps ACKing the aborted "
         "sender forever"
@@ -116,11 +114,9 @@ def _check_ledgers(net, carried):
         assert switch.rx_packets == offered + consumed, switch.name
     # Every carried frame is a control frame some fabric counted.
     control = 0
-    if net.lossless is not None:
-        control += net.lossless.pause_frames + net.lossless.resume_frames
-    bfc = getattr(net, "bfc", None)
-    if bfc is not None:
-        control += bfc.pause_frames + bfc.resume_frames
+    for fabric in (net.lossless, net.bfc):
+        if fabric is not None:
+            control += fabric.pause_frames + fabric.resume_frames
     assert sum(carried[node] for node in net.nodes) == control
 
 
@@ -300,6 +296,84 @@ def test_switch_reset_conserves_packets(protocol, carried):
     for sender in senders:
         assert sender.receiver.bytes_received == FLOW_BYTES
     _check_ledgers(net, carried)
+
+
+def test_pfc_link_flap_with_a_paused_nic_conserves_packets(carried):
+    """Tight PFC watermarks, and sender 0's cable is cut just after an
+    XOFF has paused its NIC.  The switch ingress drains below XON while
+    the cable is down, so the XON that would resume the NIC cannot
+    cross it: without the carrier-loss rule the NIC stays paused and the
+    run never quiesces."""
+    tight = PfcParams(xoff_bytes=32_000, xon_bytes=8_000, headroom_bytes=32_000)
+    topo = build_topology(
+        dumbbell, "pfc", buffer_bytes=256_000, n_senders=N_SENDERS, seed=1,
+        pfc_params=tight,
+    )
+    net = topo.network
+    nic = topo.host(0).ports[0]
+    ingress = net.lossless.ingresses[reverse_port(nic)]
+    injector = FaultInjector(net)
+    seen = {}
+
+    def on_pause(port=None, **_kw):
+        if port is nic and "cut_ns" not in seen:
+            seen["cut_ns"] = cut_ns = net.sim.now + nic.link.delay_ns + 1
+            # Queued ahead of the cut at the same instant: reads the NIC
+            # and the switch ingress just before the cable goes.
+            net.sim.schedule_at(cut_ns, lambda: seen.update(
+                at_cut=(nic.paused, set(ingress.paused_classes))
+            ))
+            injector.link_flap(nic, at_ns=cut_ns, down_ns=milliseconds(3))
+            net.sim.schedule_at(
+                cut_ns + milliseconds(2),
+                lambda: seen.update(mid_cut_bytes=ingress.bytes),
+            )
+
+    net.tracer.subscribe(PFC_PAUSE, on_pause)
+    receiver = topo.host(N_SENDERS)
+    senders = [
+        open_flow(topo.host(i), receiver, "pfc", size_bytes=FLOW_BYTES)
+        for i in range(N_SENDERS)
+    ]
+    _drain(net)
+    assert seen["at_cut"] == (True, {0})  # paused by an XOFF not yet XON'd
+    assert seen["mid_cut_bytes"] <= tight.xon_bytes  # an XON was due mid-cut
+    assert net.tracer.counters[FAULT_CLEARED] == 1
+    for sender in senders:
+        assert sender.receiver.bytes_received == FLOW_BYTES
+    _check_ledgers(net, carried)
+
+
+@pytest.mark.parametrize("protocol", ["pfc", "bfc"])
+def test_repeated_flaps_leave_no_pause_behind(protocol, carried):
+    """Six flaps of random cables, cut from either end, some shorter than
+    the 20 us propagation delay (a pause frame is still in flight at the
+    restore): every flow still completes and the run quiesces."""
+    rng = random.Random(1)
+    tight = PfcParams(xoff_bytes=32_000, xon_bytes=8_000, headroom_bytes=32_000)
+    topo = build_topology(
+        dumbbell, protocol, buffer_bytes=256_000, n_senders=N_SENDERS, seed=1,
+        pfc_params=tight if protocol == "pfc" else None,
+    )
+    injector = FaultInjector(topo.network)
+    for _ in range(6):
+        host = topo.host(rng.randrange(N_SENDERS + 1))
+        end = rng.choice([host.ports[0], reverse_port(host.ports[0])])
+        injector.link_flap(
+            end,
+            at_ns=rng.randrange(100_000, 8_000_000),
+            down_ns=rng.choice([5_000, 30_000, 500_000, 2_000_000]),
+        )
+    receiver = topo.host(N_SENDERS)
+    senders = [
+        open_flow(topo.host(i), receiver, protocol, size_bytes=FLOW_BYTES)
+        for i in range(N_SENDERS)
+    ]
+    _drain(topo.network)
+    assert topo.network.tracer.counters[FAULT_CLEARED] == 6
+    for sender in senders:
+        assert sender.receiver.bytes_received == FLOW_BYTES
+    _check_ledgers(topo.network, carried)
 
 
 def test_tfc_delimiter_kill_conserves_packets(carried):

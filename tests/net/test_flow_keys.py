@@ -39,10 +39,8 @@ EXTRA_KINDS = {
 
 
 def _kind(packet):
-    if packet.pfc_op is not None:
-        return "pfc"
-    if packet.bfc_op is not None:
-        return "bfc"
+    if packet.backpressure is not None:
+        return packet.backpressure.name  # a pause frame: "pfc" or "bfc"
     if packet.syn:
         return "synack" if packet.is_ack else "syn"
     if packet.fin:

@@ -33,9 +33,10 @@ from repro.net.pfc import (
     peer_tx_port,
 )
 from repro.net.topology import dumbbell, fat_tree
-from repro.sim.trace import PFC_PAUSE
+from repro.sim.trace import PFC_PAUSE, PFC_RESUME
 from repro.sim.units import microseconds, milliseconds
 from repro.transport.registry import open_flow, queue_factory_for
+from tests.frames import apply_frame
 
 #: Watermarks low enough that a 4-way incast pauses within a millisecond.
 TIGHT = PfcParams(xoff_bytes=32_000, xon_bytes=8_000, headroom_bytes=32_000)
@@ -199,15 +200,15 @@ def test_xoff_pauses_port_and_xon_resumes():
     ingress = port.fabric
     assert isinstance(ingress, PfcIngress)
 
-    ingress._apply("xoff", 0)
+    apply_frame(port, "xoff", 0)
     assert port.paused
     assert port in fab.paused_ports
     # A second class pausing changes nothing; resuming only one of the
     # two keeps the port stopped.
-    ingress._apply("xoff", 1)
-    ingress._apply("xon", 0)
+    apply_frame(port, "xoff", 1)
+    apply_frame(port, "xon", 0)
     assert port.paused
-    ingress._apply("xon", 1)
+    apply_frame(port, "xon", 1)
     assert not port.paused
     assert port not in fab.paused_ports
     assert fab.pause_events == 1
@@ -223,7 +224,7 @@ def test_reset_clears_pause_state():
     )
     fab = topo.network.lossless
     port = topo.switches[0].ports[0]
-    port.fabric._apply("xoff", 0)
+    apply_frame(port, "xoff", 0)
     assert port.paused
     port.fabric.reset()
     assert not port.paused
@@ -241,16 +242,16 @@ def test_reset_while_paused_closes_the_pause():
     net = topo.network
     fab = net.lossless
     port = topo.switches[0].ports[0]
-    port.fabric._apply("xoff", 0)
+    apply_frame(port, "xoff", 0)
     net.run_for(1_000)
     port.fabric.reset()
     assert fab.pause_intervals[port] == [[0, 1_000]]
     assert (fab.pause_events, fab.resume_events) == (1, 1)
 
     net.run_for(1_000)
-    port.fabric._apply("xoff", 0)
+    apply_frame(port, "xoff", 0)
     net.run_for(1_000)
-    port.fabric._apply("xon", 0)
+    apply_frame(port, "xon", 0)
     assert fab.pause_intervals[port] == [[0, 1_000], [2_000, 3_000]]
     assert (fab.pause_events, fab.resume_events) == (2, 2)
     # A reset with nothing paused closes nothing and counts nothing.
@@ -419,19 +420,21 @@ CROSS_POD_PIN = (
 )
 
 
-def _cross_pod_incast(on_pause=None):
+def _cross_pod_incast(on_pause=None, on_resume=None):
     """Cross-pod incast: every host of pods 1-3 floods H1 (pod 0).
 
     Congestion builds where the victim's pod meets the core, and the
     core pauses the aggregation switches feeding it: pause frames cross
     from the core layer into the pods.  ``on_pause(now, record)`` sees
-    every XOFF as it is sent.
+    every XOFF as it is sent, ``on_resume`` every XON.
     """
     topo = build_topology(fat_tree, "pfc", buffer_bytes=16_000, k=4)
-    if on_pause is not None:
-        topo.network.tracer.subscribe(
-            PFC_PAUSE, lambda **record: on_pause(topo.sim.now, record)
-        )
+    for topic, handler in ((PFC_PAUSE, on_pause), (PFC_RESUME, on_resume)):
+        if handler is not None:
+            topo.network.tracer.subscribe(
+                topic,
+                lambda handler=handler, **record: handler(topo.sim.now, record),
+            )
     victim = topo.hosts[0]
     flows = [
         (
@@ -450,7 +453,15 @@ def _cross_pod_incast_fingerprint():
     """Events, XOFFs sent per core ingress, pauses per aggregation uplink,
     and a digest of each flow's counters, each ingress's PFC state and
     each node's drops."""
-    topo, flows = _cross_pod_incast()
+    sent_by = {}  # ingress name -> [XOFFs, XONs] it sent
+
+    def count(index):
+        def on_frame(now, record):
+            sent_by.setdefault(record["ingress"], [0, 0])[index] += 1
+
+        return on_frame
+
+    topo, flows = _cross_pod_incast(count(0), count(1))
     fabric = topo.network.lossless
     out = {}
     for label, sender in flows:
@@ -462,17 +473,14 @@ def _cross_pod_incast_fingerprint():
         )
         out[f"{label}:rx"] = (receiver.bytes_received, receiver.rcv_nxt)
     for ingress in fabric.ingresses.values():
-        out[f"{ingress.name}:pfc"] = (
-            ingress.pause_frames_sent,
-            ingress.resume_frames_sent,
-            ingress.max_bytes_seen,
-        )
+        pauses, resumes = sent_by.get(ingress.name, (0, 0))
+        out[f"{ingress.name}:pfc"] = (pauses, resumes, ingress.max_bytes_seen)
     for node in topo.network.nodes:
         out[f"{node.name}:drops"] = sum(port.queue.drops for port in node.ports)
     sent = sorted(
-        (ingress.name, ingress.pause_frames_sent)
-        for ingress in fabric.ingresses.values()
-        if ingress.node.name.startswith("C") and ingress.pause_frames_sent
+        (name, pauses)
+        for name, (pauses, _) in sent_by.items()
+        if name.startswith("C") and pauses
     )
     paused = sorted(
         (f"{port.node.name}->{port.peer_node.name}", len(intervals))

@@ -1,20 +1,31 @@
 """Environments the kernel unit tests run under.
 
-``REPRO_COMPILED`` once selected a second ``run()`` loop.  That loop is
-gone and the kernel reads no environment, so a shell that still exports
-the retired switch must change nothing.  The kernel unit tests therefore
-run twice: in an environment without it (``default``) and with the stale
-``REPRO_COMPILED=on`` exported (``compiled``).
+``REPRO_COMPILED`` once selected a second ``run()`` loop, and
+``REPRO_SCHEDULER``, ``REPRO_BATCH`` and ``REPRO_SHARDS`` a queue backend,
+hot-loop batching and pod sharding.  All are gone and the kernel reads
+no environment, so a shell that still exports them must change nothing.
+The kernel unit tests therefore run twice: in an environment without
+them (``default``) and with all four stale values exported
+(``compiled``).  ``test_golden_determinism`` pins the same at network
+level.
 """
 
 import contextlib
 
 import pytest
 
+#: The retired kernel switches and a value each once accepted.
+STALE = {
+    "REPRO_COMPILED": "on",
+    "REPRO_SCHEDULER": "calendar",
+    "REPRO_BATCH": "off",
+    "REPRO_SHARDS": "2",
+}
+
 #: Test id -> variables to export (``None`` unsets the variable).
 KERNEL_ENVS = {
-    "default": {"REPRO_COMPILED": None},
-    "compiled": {"REPRO_COMPILED": "on"},
+    "default": dict.fromkeys(STALE),
+    "compiled": STALE,
 }
 
 
