@@ -16,14 +16,14 @@ from repro.core.params import TfcParams
 from repro.metrics.samplers import QueueSampler
 from repro.net.topology import dumbbell
 from repro.sim.units import microseconds, seconds
-from repro.transport.registry import configure_network, open_flow, queue_factory_for
+from repro.transport.registry import get_protocol, open_flow
 
 
 def run_variant(params, n_flows=5, duration_s=0.8):
     topo = dumbbell(
-        n_senders=n_flows, queue_factory=queue_factory_for("tfc", 256_000)
+        n_senders=n_flows, queue_factory=get_protocol("tfc").port_queue_factory(256_000)
     )
-    configure_network(topo.network, "tfc", params)
+    get_protocol("tfc").install(topo.network, params)
     receiver = topo.hosts[-1]
     flows = [open_flow(host, receiver, "tfc") for host in topo.hosts[:n_flows]]
     sampler = QueueSampler(topo.sim, topo.bottleneck("main"), microseconds(100))

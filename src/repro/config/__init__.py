@@ -2,15 +2,18 @@
 
 Two pieces:
 
-* :class:`SimConfig` — a frozen dataclass carrying routing, transport,
-  telemetry, lossless-fabric and seed selection, accepted by
+* :class:`SimConfig` — a frozen dataclass carrying the seed and the
+  routing, telemetry and lossless-fabric selection, accepted by
   ``Network(config=...)`` and the experiment runner
   (``run_cells(config=...)``).
 * :func:`env` — the single validated context manager behind every
   ``REPRO_*`` environment knob (routing policy, telemetry mode and
-  directory, lossless fabric).  The historical
-  per-subsystem helper ``repro.routing.routing_env`` is a thin
-  deprecation shim over it.
+  directory, lossless fabric), and :func:`current`, the one validated
+  reader of those variables.
+
+A protocol's own parameters are not configured here: they live in the
+typed slot of its registry entry
+(``get_protocol(name).install(network, params)``).
 
 Name registries are re-exported here so callers can enumerate every
 selection surface from one import::

@@ -1,12 +1,10 @@
 """The validated ``REPRO_*`` environment surface, in one place.
 
-Subsystems grew the same copy-pasted pattern — a validated environment
-default plus a save/restore context manager (``REPRO_ROUTING``/
-``routing_env``, and telemetry was about to be the next).  This module
-consolidates them: one knob table (:data:`KNOBS`), one validated reader
-(:func:`current`), and one shared context manager (:func:`env`) that
-pins any subset of the knobs at once.  ``routing_env`` survives as a
-thin deprecation shim delegating here.
+One knob table (:data:`KNOBS`), one validated reader (:func:`current`)
+and one context manager (:func:`env`) that pins any subset of the knobs
+at once.  Nothing else in ``repro`` reads these variables: routing asks
+:func:`current`, the protocol installer asks :func:`lossless_mode`, and
+telemetry asks :func:`telemetry_mode` and :func:`telemetry_dir`.
 
 Environment variables exist for code paths that build their own
 :class:`~repro.sim.engine.Simulator` or :class:`~repro.net.network.

@@ -1,13 +1,14 @@
 """``SimConfig`` — one dataclass configuring a whole simulation run.
 
 Before this existed, a fully specified run meant hand-rolled surfaces:
-``Network(routing=..., seed=...)``, a protocol name threaded through the
-transport helpers, and whatever ``REPRO_*`` variables happened to be
-exported.  ``SimConfig`` carries all of it in one validated, frozen value
-that every layer accepts:
+``Network(routing=..., seed=...)`` plus whatever ``REPRO_*`` variables
+happened to be exported.  ``SimConfig`` carries all of it in one
+validated, frozen value:
 
 * ``Network(config=cfg)`` — seed, routing and telemetry (a session is
-  installed when ``telemetry != off``);
+  installed when ``telemetry != off``), and the lossless fabric, which
+  :meth:`repro.transport.registry.Protocol.install` arms from the
+  network's config before it consults ``$REPRO_LOSSLESS``;
 * ``run_cells(..., config=cfg)`` / ``runner --telemetry DIR`` — the
   runner pins the whole config process-wide (via :func:`repro.config.
   env`) so worker processes and internally built networks inherit it.
@@ -18,7 +19,7 @@ built-in default chain behaves exactly as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from .envvars import KNOBS, current, env as _env
@@ -26,17 +27,15 @@ from .envvars import KNOBS, current, env as _env
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Every run-level selection knob, in one place.
+    """The seed plus one field per ``REPRO_*`` knob.
 
-    ``transport`` names the protocol experiments should configure
-    (``tcp`` / ``dctcp`` / ``tfc``); it is carried and validated here but
-    applied by the transport helpers, which keep their explicit protocol
-    arguments.
+    The protocol is not a field: it is chosen per call
+    (``build_topology(builder, protocol, ...)``, ``open_flow``).  Derive
+    a variant with :func:`dataclasses.replace`, which validates again.
     """
 
     seed: int = 0
     routing: Optional[str] = None
-    transport: Optional[str] = None
     telemetry: Optional[str] = None
     telemetry_dir: Optional[str] = None
     lossless: Optional[str] = None
@@ -46,27 +45,18 @@ class SimConfig:
             value = getattr(self, knob)
             if value is not None:
                 KNOBS[knob].validate(value)
-        if self.transport is not None:
-            from ..transport.registry import get_protocol
-
-            get_protocol(self.transport)  # raises ValueError on typos
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls, seed: int = 0, transport: Optional[str] = None) -> "SimConfig":
+    def from_env(cls, seed: int = 0) -> "SimConfig":
         """A config pinning the *current* effective environment defaults."""
         return cls(
             seed=seed,
             routing=current("routing"),
-            transport=transport,
             telemetry=current("telemetry"),
             telemetry_dir=current("telemetry_dir") or None,
             lossless=current("lossless"),
         )
-
-    def with_overrides(self, **changes) -> "SimConfig":
-        """A copy with the given fields replaced (validated again)."""
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # Round-trip serialisation (the scenario loader's door into configs)

@@ -170,7 +170,7 @@ def run_chaos(
     def snapshot() -> None:
         timeouts_at_fault["n"] = sum(s.stats.timeouts for s in senders)
 
-    net.sim.schedule_at(warmup_ns, snapshot)
+    net.sim.post(warmup_ns - net.sim.now, snapshot)
 
     net.sim.run(until_ns=warmup_ns + fault_ns + tail_ns)
     sampler.stop()

@@ -13,15 +13,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
-from ..core.params import TfcParams
+from ..net.pfc import PfcParams
 from ..net.topology import Topology
 from ..obs import maybe_install as maybe_install_telemetry
 from ..sim.rng import stable_seed
-from ..transport.registry import (
-    get_protocol,
-    registered_protocols,
-    resolve_legacy_params,
-)
+from ..transport.registry import get_protocol, registered_protocols
 
 
 class _ProtocolLabels(Mapping):
@@ -84,9 +80,7 @@ def build_topology(
     protocol: str,
     buffer_bytes: int,
     protocol_params: Optional[object] = None,
-    tfc_params: Optional[TfcParams] = None,
-    ecn_threshold_bytes: int = 32_000,
-    pfc_params=None,
+    pfc_params: Optional[PfcParams] = None,
     **builder_kwargs,
 ) -> Topology:
     """Build a topology wired for ``protocol`` (queues + switch agents).
@@ -95,24 +89,21 @@ def build_topology(
     :class:`~repro.transport.registry.Protocol` hooks: the spec's queue
     factory picks the port discipline, its installer attaches switch
     agents.  ``protocol_params`` is the typed per-protocol parameter
-    object (an instance of ``spec.params_cls``); the older
-    ``tfc_params``/``ecn_threshold_bytes`` keywords still work and map
-    onto the same slot when the protocol matches.
+    object (an instance of ``spec.params_cls``; None = the defaults).
 
-    ``pfc_params`` (a :class:`repro.net.pfc.PfcParams`) forces a lossless
-    fabric with explicit thresholds regardless of protocol — the
-    pathology scenarios use it to pin tight XOFF/XON watermarks; without
-    it the fabric is installed only for lossless protocols or when
-    ``$REPRO_LOSSLESS`` asks for one (with buffer-scaled defaults).
+    ``pfc_params`` forces a lossless fabric with explicit thresholds
+    regardless of protocol — the pathology scenarios use it to pin tight
+    XOFF/XON watermarks; without it the fabric is installed only for
+    lossless protocols or when the network's config or
+    ``$REPRO_LOSSLESS`` asks for one (with buffer-scaled defaults).  On
+    the ``pfc`` transport it fills that transport's own slot: the fabric
+    installs once, so the installer must arm these thresholds rather
+    than its buffer-scaled defaults.
     """
     spec = get_protocol(protocol)
-    params = resolve_legacy_params(
-        spec,
-        params=protocol_params,
-        tfc_params=tfc_params,
-        pfc_params=pfc_params,
-        ecn_threshold_bytes=ecn_threshold_bytes,
-    )
+    if protocol_params is None and spec.params_cls is PfcParams:
+        protocol_params = pfc_params
+    params = spec.resolve_params(protocol_params)
     topo = builder(
         buffer_bytes=buffer_bytes,
         queue_factory=spec.port_queue_factory(buffer_bytes, params),

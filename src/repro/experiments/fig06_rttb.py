@@ -114,9 +114,9 @@ def run_fig06(
         # Paper: rtt_b is "measured at the interval of 1 second", i.e. the
         # window restarts each sample; reset the minimum like the testbed.
         agent.rttb_ns = agent.params.init_rttb_ns
-        net.sim.schedule(interval_ns, sample_rttb)
+        net.sim.post(interval_ns, sample_rttb)
 
-    net.sim.schedule(interval_ns, sample_rttb)
+    net.sim.post(interval_ns, sample_rttb)
     net.run_for(seconds(duration_s))
     return result
 

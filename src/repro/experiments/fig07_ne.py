@@ -104,7 +104,7 @@ def run_fig07(
         t += seconds(step_s)
     end_ns = t + seconds(step_s)
     for when, n1 in schedule:
-        net.sim.schedule_at(when, apply_step, n1)
+        net.sim.post(when - net.sim.now, apply_step, n1)
 
     agent = topo.bottleneck("to_H6").agent
     result = NeResult()
@@ -120,9 +120,9 @@ def run_fig07(
         result.rtt_ratio = ratio
         expected = state["n1"] / ratio + n2
         result.samples.append((net.sim.now_seconds, measured, expected))
-        net.sim.schedule(seconds(sample_interval_s), sample)
+        net.sim.post(seconds(sample_interval_s), sample)
 
-    net.sim.schedule(seconds(settle_s * 0.9), sample)
+    net.sim.post(seconds(settle_s * 0.9), sample)
     net.run_until(end_ns)
     return result
 

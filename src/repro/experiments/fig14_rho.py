@@ -40,7 +40,7 @@ def run_rho_point(
     """Measure goodput and queue for a single rho0 value."""
     params = TfcParams(rho0=rho0)
     topo = build_topology(
-        testbed, "tfc", buffer_bytes=256_000, tfc_params=params, seed=seed
+        testbed, "tfc", buffer_bytes=256_000, protocol_params=params, seed=seed
     )
     net = topo.network
     h6 = topo.host(5)

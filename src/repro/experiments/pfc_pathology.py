@@ -308,7 +308,7 @@ def run_pathology(
         if victim is not None:
             at_mark["victim"] = victim.receiver.bytes_received
 
-    net.sim.schedule_at(measure_from, mark)
+    net.sim.post(measure_from - net.sim.now, mark)
     net.sim.run(until_ns=duration_ns)
     sampler.stop()
     suite.stop()

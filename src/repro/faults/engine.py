@@ -107,7 +107,7 @@ class FaultInjector:
         return record
 
     def _at(self, time_ns: int, callback, *args) -> None:
-        self.sim.schedule_at(max(time_ns, self.sim.now), callback, *args)
+        self.sim.post(max(time_ns - self.sim.now, 0), callback, *args)
 
     def _emit(self, topic: str, record: FaultRecord, **extra) -> None:
         self.tracer.emit(topic, record=record, injector=self, **extra)

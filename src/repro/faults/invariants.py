@@ -13,10 +13,13 @@ slot boundary and on a periodic sweep:
 * **flow count** — the published effective-flow count is at least 1 and
   the live counter never goes negative;
 * **delay-arbiter credit** — the sub-MSS credit counter stays within
-  ``[-cap, +cap]`` (the paper's token-bucket debt bound);
-* **window monotonicity** — the window field of a packet is only ever
-  *lowered* by a switch (min-reduction along the path), checked by the
-  monitor's ``port.observer`` after each agent's transit hook.
+  ``[-cap, +cap]`` (the paper's token-bucket debt bound).
+
+Window monotonicity — a switch only ever *lowers* a packet's window
+field (min-reduction along the path) — is not watched here: it is the
+agent's contract (both stamps in ``TfcPortAgent.on_transit`` write only
+when ``packet.window > stamp``), checked per packet by
+``tests/core/test_transit_oracle.py``.
 
 Violations carry a full event-context report (time, location, the values
 involved) and raise :class:`InvariantViolation` immediately by default;
@@ -36,8 +39,6 @@ from ..sim.units import bandwidth_delay_product, microseconds
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.switch_agent import TfcPortAgent
     from ..net.network import Network
-
-_EPSILON = 1e-6
 
 
 @dataclass
@@ -125,7 +126,6 @@ class InvariantMonitor:
             self._violations_counter = registry.counter(
                 "invariant.violations", help="invariant violations observed"
             )
-        self._attached = False
         self._stopped = False
         self.agents: List["TfcPortAgent"] = [
             port.agent
@@ -133,34 +133,15 @@ class InvariantMonitor:
             for port in switch.ports
             if port.agent is not None
         ]
-        self._attach()
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def _attach(self) -> None:
-        if self._attached:
-            return
-        self._attached = True
-        for agent in self.agents:
-            port = agent.port
-            if port.observer is not None:
-                raise ValueError(
-                    f"{self._locate(agent)} already has a transit observer"
-                )
-            port.observer = self._check_transit
         self.tracer.subscribe(TFC_WINDOW_UPDATE, self._on_window_update)
-        self.sim.schedule(self.sweep_interval_ns, self._sweep)
+        self.sim.post(self.sweep_interval_ns, self._sweep)
 
     def detach(self) -> None:
-        """Remove all hooks (observers, subscription, sweep)."""
-        if not self._attached:
+        """Remove both hooks: the slot-close subscription and the sweep."""
+        if self._stopped:
             return
-        self._attached = False
         self._stopped = True
         self.tracer.unsubscribe(TFC_WINDOW_UPDATE, self._on_window_update)
-        for agent in self.agents:
-            agent.port.observer = None
 
     # ------------------------------------------------------------------
     # Checks
@@ -220,17 +201,6 @@ class InvariantMonitor:
         self.checks_run += 1
         if self._checks_counter is not None:
             self._checks_counter.inc()
-
-    def _check_transit(self, port, packet, window_before: float) -> None:
-        if packet.window > window_before + _EPSILON:
-            self._violation(
-                "window_min_reduction",
-                "switch raised a packet's window field (must only "
-                "ever lower it: min-reduction along the path)",
-                agent=port.agent,
-                window_before=window_before,
-                window_after=packet.window,
-            )
 
     def _on_window_update(self, agent: "TfcPortAgent" = None, **_kw) -> None:
         if agent is None or agent not in self.agents:
@@ -309,7 +279,7 @@ class InvariantMonitor:
         for agent in self.agents:
             self._check_arbiter(agent)
         self._count_check()
-        self.sim.schedule(self.sweep_interval_ns, self._sweep)
+        self.sim.post(self.sweep_interval_ns, self._sweep)
 
     # ------------------------------------------------------------------
     def assert_clean(self) -> None:

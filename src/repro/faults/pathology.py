@@ -106,7 +106,7 @@ class _PeriodicDetector:
                 f"pathology.{self.kind}.detections",
                 help=f"(time_ns, 1) per {self.kind} detection",
             )
-        self.sim.schedule(check_interval_ns, self._tick)
+        self.sim.post(check_interval_ns, self._tick)
 
     @property
     def detected(self) -> bool:
@@ -121,7 +121,7 @@ class _PeriodicDetector:
             return
         self.checks_run += 1
         self.check()
-        self.sim.schedule(self.check_interval_ns, self._tick)
+        self.sim.post(self.check_interval_ns, self._tick)
 
     def check(self) -> None:  # pragma: no cover - subclasses implement
         raise NotImplementedError

@@ -28,7 +28,7 @@ class PeriodicSampler:
         self.interval_ns = interval_ns
         self.series: Series = []
         self._stopped = False
-        sim.schedule_at(max(start_ns, sim.now), self._tick)
+        sim.post(max(start_ns - sim.now, 0), self._tick)
 
     def probe(self) -> float:
         """Return the current value of the measured quantity."""
@@ -51,7 +51,7 @@ class PeriodicSampler:
         if self._stopped:
             return
         self.series.append((self._sim.now, self.probe()))
-        self._sim.schedule(self.interval_ns, self._tick)
+        self._sim.post(self.interval_ns, self._tick)
 
     # ------------------------------------------------------------------
     @property

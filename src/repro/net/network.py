@@ -99,8 +99,10 @@ class Network:
         routing: Optional[Union[str, RoutingPolicy]] = None,
         config: Optional["SimConfig"] = None,
     ):
-        # ``config`` (a repro.config.SimConfig) supplies seed, routing
-        # and telemetry defaults; explicit arguments win.
+        # ``config`` (a repro.config.SimConfig) supplies seed, routing,
+        # telemetry and lossless-fabric defaults; explicit arguments win.
+        # It is kept: Protocol.install reads its ``lossless`` field.
+        self.config = config
         if config is not None:
             if seed is None:
                 seed = config.seed

@@ -91,10 +91,9 @@ class Switch(Node):
       ACK the delay arbiter holds and will re-inject via :meth:`inject`.
     * **transit** (a packet about to be queued on the port):
       ``agent.on_transit(packet)``, which may rewrite header fields
-      (window stamping) and updates the token/E/rho counters, then
-      ``observer(port, packet, window_before)``.  Both run only on a
-      port with an agent, and the pre-agent window is read only when an
-      observer is set.
+      (window stamping) and updates the token/E/rho counters.  An agent
+      may only ever *lower* ``packet.window`` (min-reduction along the
+      path); ``tests/core/test_transit_oracle.py`` holds it to that.
     * **reset** (switch reboot, :mod:`repro.faults.engine`): ``fabric``,
       then ``agent``.
 
@@ -126,12 +125,7 @@ class Switch(Node):
         out_port = ports[out_index]
         agent = out_port.agent
         if agent is not None:
-            if out_port.observer is None:
-                agent.on_transit(packet)
-            else:
-                window_before = packet.window
-                agent.on_transit(packet)
-                out_port.observer(out_port, packet, window_before)
+            agent.on_transit(packet)
         out_port.send(packet)
 
     def forward(self, packet: Packet) -> None:
@@ -149,12 +143,7 @@ class Switch(Node):
         out_port = self.ports[out_index]
         agent = out_port.agent
         if agent is not None:
-            if out_port.observer is None:
-                agent.on_transit(packet)
-            else:
-                window_before = packet.window
-                agent.on_transit(packet)
-                out_port.observer(out_port, packet, window_before)
+            agent.on_transit(packet)
         out_port.send(packet)
 
     def inject(self, packet: Packet) -> None:

@@ -120,17 +120,14 @@ class Link:
 class Port:
     """Transmit side of a link direction, owned by a node.
 
-    Three optional roles hook a port; the port itself never inspects
+    Two optional roles hook a port; the port itself never inspects
     them — nodes do (see :class:`~repro.net.node.Switch` for the order):
 
     * ``agent`` — the protocol agent (TFC, BFC or FairQ);
     * ``fabric`` — the lossless-fabric hook
       (:class:`~repro.net.pfc.PfcIngress` once PFC is armed);
       ``pause()``/``resume()`` and ``kick()`` are what a pause frame
-      from the peer drives, through the fabric that sent it;
-    * ``observer`` — one transit check,
-      ``observer(port, packet, window_before)``, run after the agent
-      (the invariant monitor's).
+      from the peer drives, through the fabric that sent it.
     """
 
     __slots__ = (
@@ -142,7 +139,6 @@ class Port:
         "tracer",
         "agent",
         "fabric",
-        "observer",
         "on_dequeue",
         "_busy",
         "paused",
@@ -170,7 +166,6 @@ class Port:
         self.tracer = tracer
         self.agent = None  # set by protocols that need per-port state
         self.fabric = None
-        self.observer = None
         # Optional callable(packet) fired when a packet leaves the queue
         # to start serialising — the lossless fabric releases its ingress
         # accounting here (the buffer slot is free once TX begins).

@@ -1,12 +1,12 @@
 """Pluggable routing / load-balancing policies for multi-path fabrics.
 
-A small registry of named policies, selection through three surfaces,
-and an environment variable for code paths that build their own
-:class:`~repro.net.network.Network` internally:
+A small registry of named policies, selected through three surfaces:
 
-* ``Network(routing=...)`` — a name or a policy instance;
-* ``REPRO_ROUTING`` — validated env default (what the experiment runner
-  and the CI shard export process-wide);
+* ``Network(routing=...)`` — a name or a policy instance (or
+  ``Network(config=SimConfig(routing=...))``);
+* ``REPRO_ROUTING`` — the env default, read and validated by
+  :func:`repro.config.current` (what the experiment runner and the CI
+  shard export process-wide; pin it with ``repro.config.env(routing=)``);
 * ``runner --routing`` — pins the policy for every experiment cell.
 
 Policies, all bit-deterministic under a fixed network seed:
@@ -21,7 +21,6 @@ Policies, all bit-deterministic under a fixed network seed:
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 from .base import RoutingPolicy, flow_hash
@@ -37,8 +36,6 @@ ROUTING_POLICIES = {
 
 #: Every accepted value for Network(routing=...) / REPRO_ROUTING.
 ROUTING_NAMES = tuple(sorted(ROUTING_POLICIES))
-
-ROUTING_ENV_VAR = "REPRO_ROUTING"
 
 
 def make_routing(name: str) -> RoutingPolicy:
@@ -66,26 +63,10 @@ def resolve_routing(
     if isinstance(routing, RoutingPolicy):
         return routing
     if routing is None:
-        routing = os.environ.get(ROUTING_ENV_VAR, "") or "single"
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"${ROUTING_ENV_VAR}={routing!r} is not a routing policy; "
-                f"choose from {', '.join(ROUTING_NAMES)}"
-            )
+        from ..config import current  # deferred: repro.config imports this module
+
+        routing = current("routing")
     return make_routing(routing)
-
-
-def routing_env(name: Optional[str]):
-    """Deprecated shim: use :func:`repro.config.env` instead.
-
-    Pins ``REPRO_ROUTING`` while the block runs (None = no-op), with
-    identical validation and restore semantics.  Kept so pre-config
-    callers keep working; new code should write
-    ``with repro.config.env(routing=name):``.
-    """
-    from ..config import env  # deferred: repro.config imports this module
-
-    return env(routing=name)
 
 
 __all__ = [
@@ -96,9 +77,7 @@ __all__ = [
     "SprayPolicy",
     "ROUTING_POLICIES",
     "ROUTING_NAMES",
-    "ROUTING_ENV_VAR",
     "flow_hash",
     "make_routing",
     "resolve_routing",
-    "routing_env",
 ]

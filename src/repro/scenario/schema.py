@@ -626,7 +626,7 @@ def scenario_from_dict(raw: Dict[str, Any], source: str = "scenario") -> Scenari
     config = None
     if raw_config is not None:
         cfg_map = dict(_require_mapping(raw_config, ".config"))
-        for reserved in ("seed", "routing", "telemetry", "transport"):
+        for reserved in ("seed", "routing", "telemetry"):
             if reserved in cfg_map:
                 raise ScenarioError(
                     f".config.{reserved}",

@@ -19,11 +19,13 @@ The registry hosts both, behind a plugin-style :class:`Protocol` spec:
 New transports register through :func:`register_protocol` — experiments
 and tests can add entries without editing this module, and a registered
 name is immediately valid everywhere a transport name is accepted
-(scenario ``transport:``/``fabric:`` fields, ``SimConfig.transport``,
-the runner's ``--scenario-transports`` sweep).
+(scenario ``transport:``/``fabric:`` fields, the runner's
+``--scenario-transports`` sweep).
 
-:func:`queue_factory_for` and :func:`configure_network` survive as thin
-deprecated shims delegating to the hooks above.
+The hooks are the one way to configure a protocol: a topology is wired
+with ``get_protocol(name).port_queue_factory(buffer_bytes, params)`` and
+armed with ``get_protocol(name).install(network, params)`` (or both at
+once by :func:`repro.experiments.common.build_topology`).
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class Protocol:
         fabric-wide lossless layer (``port.fabric``): an explicit
         ``pfc_params`` (a :class:`repro.net.pfc.PfcParams`, the pathology
         scenarios' knob) forces PFC regardless of protocol; otherwise the
-        ``$REPRO_LOSSLESS`` environment knob decides.
+        network's ``SimConfig.lossless`` decides when it is set, and the
+        ``$REPRO_LOSSLESS`` environment knob when it is not.
         """
         params = self.resolve_params(params)
         if self.installer is not None:
@@ -145,10 +148,12 @@ class Protocol:
             from ..net.pfc import enable_pfc
 
             enable_pfc(network, pfc_params)
-        elif getattr(network, "lossless", None) is None:
+        elif network.lossless is None:
             from ..config import lossless_mode
 
-            if lossless_mode() == "pfc":
+            # An explicit config wins over the environment, as with routing.
+            mode = getattr(network.config, "lossless", None) or lossless_mode()
+            if mode == "pfc":
                 from ..net.pfc import enable_pfc
 
                 enable_pfc(network)
@@ -255,8 +260,8 @@ def register_protocol(protocol: Protocol, replace: bool = False) -> Protocol:
     """Add ``protocol`` to the live registry (the public plugin point).
 
     The name becomes immediately valid everywhere transports are named:
-    :func:`open_flow`, scenario ``transport:``/``fabric:`` fields,
-    ``SimConfig.transport`` and the experiment runner's transport sweeps.
+    :func:`open_flow`, scenario ``transport:``/``fabric:`` fields and the
+    experiment runner's transport sweeps.
     Registering an existing name raises unless ``replace=True`` (tests
     overriding a baseline restore the original afterwards).
     """
@@ -293,77 +298,6 @@ def get_protocol(name: str) -> Protocol:
         raise ValueError(
             f"unknown protocol {name!r}; choose from {sorted(registry)}"
         ) from None
-
-
-def resolve_legacy_params(
-    spec: Protocol,
-    params: Optional[object] = None,
-    tfc_params=None,
-    pfc_params=None,
-    ecn_threshold_bytes: Optional[int] = None,
-) -> Optional[object]:
-    """Map the old per-protocol keyword soup onto the typed params slot.
-
-    The only place allowed to branch on protocol parameter types: the
-    deprecated ``tfc_params``/``pfc_params``/``ecn_threshold_bytes``
-    keywords apply exactly when the protocol's params slot is of the
-    matching type, and are ignored otherwise (as the old
-    ``queue_factory_for`` / ``configure_network`` pair ignored them;
-    a ``pfc_params`` on a non-PFC protocol still layers the lossless
-    fabric via :meth:`Protocol.install`'s own keyword).
-    """
-    if params is not None:
-        return spec.resolve_params(params)
-    from ..core.params import TfcParams
-    from ..net.pfc import PfcParams
-
-    if tfc_params is not None and spec.params_cls is TfcParams:
-        return spec.resolve_params(tfc_params)
-    if pfc_params is not None and spec.params_cls is PfcParams:
-        return spec.resolve_params(pfc_params)
-    if (
-        ecn_threshold_bytes is not None
-        and spec.params_cls is EcnParams
-        and ecn_threshold_bytes != DEFAULT_DCTCP_K_BYTES
-    ):
-        return EcnParams(ecn_threshold_bytes)
-    return spec.default_params
-
-
-def queue_factory_for(
-    protocol: str,
-    buffer_bytes: int,
-    ecn_threshold_bytes: int = DEFAULT_DCTCP_K_BYTES,
-) -> Callable[[int], DropTailQueue]:
-    """Queue discipline the given protocol expects on switch ports.
-
-    .. deprecated:: use ``get_protocol(name).port_queue_factory(...)``
-       (or :func:`repro.experiments.common.build_topology`); kept as a
-       thin shim for existing call sites.
-    """
-    spec = get_protocol(protocol)
-    params = resolve_legacy_params(
-        spec, ecn_threshold_bytes=ecn_threshold_bytes
-    )
-    return spec.port_queue_factory(buffer_bytes, params)
-
-
-def configure_network(
-    network: Network,
-    protocol: str,
-    tfc_params=None,
-    pfc_params=None,
-) -> None:
-    """Install protocol-specific switch behaviour.
-
-    .. deprecated:: use ``get_protocol(name).install(network, params)``;
-       kept as a thin shim for existing call sites.
-    """
-    spec = get_protocol(protocol)
-    params = resolve_legacy_params(
-        spec, tfc_params=tfc_params, pfc_params=pfc_params
-    )
-    spec.install(network, params, pfc_params=pfc_params)
 
 
 def open_flow(
@@ -417,8 +351,9 @@ def open_flow(
     if tenant is not None:
         sender.tenant = tenant
         receiver.tenant = tenant
-    if start_ns is None or start_ns <= src.sim.now:
+    sim = src.sim
+    if start_ns is None or start_ns <= sim.now:
         sender.start()
     else:
-        src.sim.schedule_at(start_ns, sender.start)
+        sim.post(start_ns - sim.now, sender.start)
     return sender

@@ -138,7 +138,7 @@ class AllReduceWorkload:
         self._step_index = 0
         self._outstanding = 0
         self._iteration_start_ns: Optional[int] = None
-        self.sim.schedule_at(max(start_ns, self.sim.now), self._begin_step)
+        self.sim.post(max(start_ns - self.sim.now, 0), self._begin_step)
 
     # ------------------------------------------------------------------
     @property
@@ -187,6 +187,6 @@ class AllReduceWorkload:
             self.finished_ns = self.sim.now
             return
         if self.compute_gap_ns > 0:
-            self.sim.schedule(self.compute_gap_ns, self._begin_step)
+            self.sim.post(self.compute_gap_ns, self._begin_step)
         else:
             self._begin_step()

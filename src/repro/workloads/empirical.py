@@ -87,7 +87,7 @@ class BenchmarkWorkload:
         for t in poisson_arrival_times_ns(
             self._rng, rate_per_s, self.duration_ns, start_ns=self.sim.now
         ):
-            self.sim.schedule_at(t, self._launch_query)
+            self.sim.post(t - self.sim.now, self._launch_query)
 
     def _launch_query(self) -> None:
         aggregator = self._rng.choice(self.hosts)
@@ -110,7 +110,7 @@ class BenchmarkWorkload:
             rng, rate_per_s, self.duration_ns, start_ns=self.sim.now
         ):
             size = max(int(cdf.sample(rng)), 1)
-            self.sim.schedule_at(t, self._launch_pair_flow, size, category)
+            self.sim.post(t - self.sim.now, self._launch_pair_flow, size, category)
 
     def _launch_pair_flow(self, size: int, category: str) -> None:
         src, dst = self._rng.sample(self.hosts, 2)

@@ -68,7 +68,7 @@ class IncastCoordinator:
         ]
         for sender in self.senders:
             sender.fin_on_empty = False
-        self.sim.schedule_at(max(start_ns, self.sim.now), self._issue_round)
+        self.sim.post(max(start_ns - self.sim.now, 0), self._issue_round)
 
     # ------------------------------------------------------------------
     @property
@@ -105,7 +105,7 @@ class IncastCoordinator:
         self.round_start_ns = self.sim.now
         self._expected_acked += self.block_bytes
         # The request reaches every server after the request latency.
-        self.sim.schedule(self.request_delay_ns, self._deliver_requests)
+        self.sim.post(self.request_delay_ns, self._deliver_requests)
         self._watch_completion()
 
     def _deliver_requests(self) -> None:
@@ -125,7 +125,7 @@ class IncastCoordinator:
         # Poll at a fine grain; event-driven completion would require the
         # coordinator to hook every sender's ACK path, and 10 us polling is
         # far below any per-round timescale of interest.
-        self.sim.schedule(microseconds(10), self._watch_completion)
+        self.sim.post(microseconds(10), self._watch_completion)
 
     def _finish(self) -> None:
         self.finished = True

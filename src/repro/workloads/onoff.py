@@ -46,7 +46,7 @@ class OnOffSource:
         self.bursts_sent = 0
         self.active = False
         self._stopped = False
-        sim.schedule_at(max(start_ns, sim.now), self._begin_on_phase)
+        sim.post(max(start_ns - sim.now, 0), self._begin_on_phase)
 
     def stop(self) -> None:
         """Stop cycling (the sender is left as-is, silent)."""
@@ -62,7 +62,7 @@ class OnOffSource:
         self.active = True
         self.sender.queue_bytes(self.burst_bytes)
         self.bursts_sent += 1
-        self._sim.schedule(self.on_ns, self._begin_off_phase)
+        self._sim.post(self.on_ns, self._begin_off_phase)
 
     def _begin_off_phase(self) -> None:
         if self._stopped:
@@ -70,7 +70,7 @@ class OnOffSource:
         self.active = False
         if self.cycles_remaining is not None:
             self.cycles_remaining -= 1
-        self._sim.schedule(self.off_ns, self._begin_on_phase)
+        self._sim.post(self.off_ns, self._begin_on_phase)
 
 
 class PacedSource:
@@ -95,7 +95,7 @@ class PacedSource:
         self.rate_bps = rate_bps
         self.interval_ns = interval_ns
         self._stopped = False
-        sim.schedule_at(max(start_ns, sim.now), self._tick)
+        sim.post(max(start_ns - sim.now, 0), self._tick)
 
     def stop(self) -> None:
         """Stop feeding the sender."""
@@ -107,4 +107,4 @@ class PacedSource:
         chunk = round(self.rate_bps * self.interval_ns / (8 * 1_000_000_000))
         if chunk > 0:
             self.sender.queue_bytes(chunk)
-        self._sim.schedule(self.interval_ns, self._tick)
+        self._sim.post(self.interval_ns, self._tick)

@@ -96,7 +96,7 @@ class ReplicationWorkload:
             self._rng, write_rate_per_s, duration_ns,
             start_ns=max(start_ns, self.sim.now),
         ):
-            self.sim.schedule_at(t, self._launch_write)
+            self.sim.post(t - self.sim.now, self._launch_write)
 
     # ------------------------------------------------------------------
     @property

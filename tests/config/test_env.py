@@ -1,4 +1,4 @@
-"""The consolidated REPRO_* environment surface and its legacy shims."""
+"""The consolidated REPRO_* environment surface."""
 
 import os
 
@@ -103,17 +103,3 @@ def test_env_restores_on_exception(monkeypatch):
         with env(routing="ecmp"):
             raise RuntimeError("boom")
     assert "REPRO_ROUTING" not in os.environ
-
-
-# ----------------------------------------------------------------------
-# Legacy shims
-# ----------------------------------------------------------------------
-def test_routing_env_shim(monkeypatch):
-    from repro.routing import routing_env
-
-    monkeypatch.delenv("REPRO_ROUTING", raising=False)
-    with routing_env("flowlet"):
-        assert os.environ["REPRO_ROUTING"] == "flowlet"
-    assert "REPRO_ROUTING" not in os.environ
-    with pytest.raises(ValueError, match="unknown routing policy"):
-        routing_env("bogus")

@@ -1,5 +1,7 @@
 """SimConfig: validation, env round-trip, and layer acceptance."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimConfig
@@ -19,7 +21,6 @@ def test_defaults_defer_everything():
     cfg = SimConfig()
     assert cfg.seed == 0
     assert cfg.routing is None
-    assert cfg.transport is None
     assert cfg.telemetry is None
     assert not cfg.telemetry_enabled
 
@@ -29,16 +30,16 @@ def test_validation_matches_legacy_error_messages():
         SimConfig(routing="bogus")
     with pytest.raises(ValueError, match="unknown telemetry mode"):
         SimConfig(telemetry="bogus")
-    with pytest.raises(ValueError, match="unknown protocol"):
-        SimConfig(transport="quic")
 
 
 def test_with_overrides_revalidates():
+    """A variant is derived with ``dataclasses.replace``, which runs the
+    same validation as the constructor (``with_overrides`` is gone)."""
     cfg = SimConfig(lossless="pfc")
-    assert cfg.with_overrides(routing="ecmp").routing == "ecmp"
-    assert cfg.with_overrides(routing="ecmp").lossless == "pfc"
+    assert replace(cfg, routing="ecmp").routing == "ecmp"
+    assert replace(cfg, routing="ecmp").lossless == "pfc"
     with pytest.raises(ValueError):
-        cfg.with_overrides(lossless="bogus")
+        replace(cfg, lossless="bogus")
 
 
 def test_from_env_pins_current_defaults(monkeypatch):
@@ -83,6 +84,28 @@ def test_network_config_installs_telemetry():
     assert drain_pending() == [net.telemetry]
 
 
+@pytest.mark.parametrize("mode", ("pfc", "off"))
+def test_network_config_lossless_beats_the_environment(monkeypatch, mode):
+    """``Network(config=SimConfig(lossless=...))`` decides whether the
+    protocol installer arms PFC; ``$REPRO_LOSSLESS`` only fills in for a
+    config that leaves the field unset."""
+    from repro.transport.registry import get_protocol
+
+    monkeypatch.setenv("REPRO_LOSSLESS", "off" if mode == "pfc" else "pfc")
+    net = Network(config=SimConfig(lossless=mode))
+    a, b, switch = net.add_host("a"), net.add_host("b"), net.add_switch("sw")
+    net.cable(a, switch, 10**9, 1_000)
+    net.cable(switch, b, 10**9, 1_000)
+    net.build_routes()
+    get_protocol("tfc").install(net)
+    assert (net.lossless is not None) == (mode == "pfc")
+    # A config without a lossless field defers to the environment.
+    unset = Network(config=SimConfig())
+    unset.add_host("h")
+    get_protocol("tcp").install(unset)
+    assert (unset.lossless is not None) == (mode == "off")
+
+
 def test_telemetry_enabled_property():
     assert SimConfig(telemetry="counters").telemetry_enabled
     assert not SimConfig(telemetry="off").telemetry_enabled
@@ -96,7 +119,6 @@ def test_to_dict_from_dict_round_trip_all_fields():
     cfg = SimConfig(
         seed=42,
         routing="ecmp",
-        transport="tfc",
         telemetry="counters",
         telemetry_dir="/tmp/somewhere",
         lossless="pfc",
@@ -159,14 +181,15 @@ def test_from_env_ignores_a_stale_shard_count(monkeypatch):
 
 
 def test_fields_are_the_seed_the_transport_and_the_knobs():
-    """One field per ``REPRO_*`` knob, plus the seed and the transport."""
+    """One field per ``REPRO_*`` knob, plus the seed.  The transport is
+    not a field: it was validated but applied nowhere, so it is gone."""
     from dataclasses import fields
 
     from repro.config import KNOBS
 
     names = [f.name for f in fields(SimConfig)]
-    assert len(names) == 6
-    assert set(names) == {"seed", "transport"} | set(KNOBS)
+    assert len(names) == 5
+    assert set(names) == {"seed"} | set(KNOBS)
 
 
 def test_from_dict_validates_values():

@@ -3,7 +3,7 @@
 from repro.net.packet import MSS, Packet, WINDOW_SENTINEL
 from repro.sim.units import MILLISECOND, seconds
 from repro.transport.base import FlowState
-from repro.transport.registry import configure_network, open_flow
+from repro.transport.registry import get_protocol, open_flow
 
 
 def test_syn_is_rm_marked(tiny_net):
@@ -118,7 +118,7 @@ def test_outgoing_window_field_reset_to_sentinel(tiny_net):
 
 def test_probe_retransmitted_if_lost(tiny_net):
     net, a, b, _ = tiny_net
-    configure_network(net, "tfc")
+    get_protocol("tfc").install(net)
     sender = open_flow(a, b, "tfc", size_bytes=10_000, min_rto_ns=MILLISECOND)
     receiver = sender.receiver
     # Black-hole everything after the handshake so the probe is lost.
@@ -132,7 +132,7 @@ def test_probe_retransmitted_if_lost(tiny_net):
 
 def test_idle_flow_reacquires_window(tiny_net):
     net, a, b, _ = tiny_net
-    configure_network(net, "tfc")
+    get_protocol("tfc").install(net)
     sender = open_flow(a, b, "tfc", size_bytes=0)
     sender.fin_on_empty = False
     sender.queue_bytes(20_000)
@@ -149,7 +149,7 @@ def test_idle_flow_reacquires_window(tiny_net):
 
 def test_oversized_held_window_forces_reacquisition(tiny_net):
     net, a, b, _ = tiny_net
-    configure_network(net, "tfc")
+    get_protocol("tfc").install(net)
     sender = open_flow(a, b, "tfc", size_bytes=0)
     sender.fin_on_empty = False
     sender.queue_bytes(10_000)
@@ -163,7 +163,7 @@ def test_oversized_held_window_forces_reacquisition(tiny_net):
 
 def test_small_held_window_resumes_without_probe(tiny_net):
     net, a, b, _ = tiny_net
-    configure_network(net, "tfc")
+    get_protocol("tfc").install(net)
     # awnd caps the held window below resume_burst_limit.
     sender = open_flow(a, b, "tfc", size_bytes=0, awnd_bytes=2 * MSS)
     sender.fin_on_empty = False
@@ -191,7 +191,7 @@ def test_no_window_change_on_loss(tiny_net):
 
 def test_tfc_transfer_end_to_end(tiny_net):
     net, a, b, _ = tiny_net
-    configure_network(net, "tfc")
+    get_protocol("tfc").install(net)
     done = []
     sender = open_flow(a, b, "tfc", size_bytes=500_000, on_complete=done.append)
     net.run_for(seconds(1))

@@ -10,12 +10,13 @@ from repro.metrics.stats import jain_fairness
 from repro.net.topology import dumbbell, fat_tree, multi_bottleneck
 from repro.sim.units import microseconds, milliseconds, seconds
 from repro.transport.base import FlowState
-from repro.transport.registry import configure_network, open_flow, queue_factory_for
+from repro.transport.registry import get_protocol, open_flow
 
 
 def tfc_dumbbell(n, params=None, **kwargs):
-    topo = dumbbell(n_senders=n, queue_factory=queue_factory_for("tfc", 256_000), **kwargs)
-    configure_network(topo.network, "tfc", params)
+    tfc = get_protocol("tfc")
+    topo = dumbbell(n_senders=n, queue_factory=tfc.port_queue_factory(256_000), **kwargs)
+    tfc.install(topo.network, params)
     return topo
 
 
@@ -104,8 +105,8 @@ def test_flash_crowd_of_new_flows_does_not_drop():
 
 
 def test_work_conserving_two_bottlenecks():
-    topo = multi_bottleneck(queue_factory=queue_factory_for("tfc", 256_000))
-    configure_network(topo.network, "tfc")
+    topo = multi_bottleneck(queue_factory=get_protocol("tfc").port_queue_factory(256_000))
+    get_protocol("tfc").install(topo.network)
     h1, h2, h3, h4 = topo.hosts
     n1 = [open_flow(h1, h4, "tfc") for _ in range(8)]
     n2 = [open_flow(h1, h3, "tfc") for _ in range(2)]
@@ -162,8 +163,9 @@ def test_tfc_vs_tcp_queue_comparison():
     """The core Fig. 8 claim: TFC's queue is orders below TCP's."""
     maxima = {}
     for proto in ("tfc", "tcp"):
-        topo = dumbbell(n_senders=4, queue_factory=queue_factory_for(proto, 256_000))
-        configure_network(topo.network, proto)
+        spec = get_protocol(proto)
+        topo = dumbbell(n_senders=4, queue_factory=spec.port_queue_factory(256_000))
+        spec.install(topo.network)
         receiver = topo.hosts[-1]
         for host in topo.hosts[:4]:
             open_flow(host, receiver, proto)

@@ -9,12 +9,13 @@ from repro.sim.trace import (
 )
 from repro.sim.units import seconds
 from repro.transport.base import FlowState
-from repro.transport.registry import configure_network, open_flow, queue_factory_for
+from repro.transport.registry import get_protocol, open_flow
 
 
 def tfc_topo(n, params=None):
-    topo = dumbbell(n_senders=n, queue_factory=queue_factory_for("tfc", 256_000))
-    configure_network(topo.network, "tfc", params)
+    tfc = get_protocol("tfc")
+    topo = dumbbell(n_senders=n, queue_factory=tfc.port_queue_factory(256_000))
+    tfc.install(topo.network, params)
     return topo
 
 

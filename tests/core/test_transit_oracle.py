@@ -8,6 +8,10 @@ the slot budget (item 3).  Slot closes and elections are the agent's own
 (``_on_round_mark``/``_elect``); what is compared is everything the cache
 and the lazy count could get wrong: every stamped window, and the whole
 agent state after each RM packet.
+
+It also holds the agent to its contract with the path: a switch only
+ever *lowers* a packet's window field (min-reduction), so no stamp may
+raise the window the packet arrived with.
 """
 
 from hypothesis import given, seed, settings, strategies as st
@@ -131,8 +135,10 @@ def test_agent_matches_reference_transit(steps):
             continue
         packet = _packet(b.node_id, *fields)
         expected = _packet(b.node_id, *fields)
+        window_before = packet.window
         agent.on_transit(packet)
         reference_on_transit(reference, expected)
+        assert packet.window <= window_before, "a switch raised the window"
         assert packet.window == expected.window
         if packet.rm:
             for name in _STATE:

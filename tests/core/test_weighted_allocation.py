@@ -10,12 +10,13 @@ import pytest
 
 from repro.net.topology import dumbbell
 from repro.sim.units import seconds
-from repro.transport.registry import configure_network, open_flow, queue_factory_for
+from repro.transport.registry import get_protocol, open_flow
 
 
 def weighted_pair(w_light, w_heavy, duration_s=0.5):
-    topo = dumbbell(n_senders=2, queue_factory=queue_factory_for("tfc", 256_000))
-    configure_network(topo.network, "tfc")
+    tfc = get_protocol("tfc")
+    topo = dumbbell(n_senders=2, queue_factory=tfc.port_queue_factory(256_000))
+    tfc.install(topo.network)
     receiver = topo.hosts[-1]
     light = open_flow(topo.hosts[0], receiver, "tfc", weight=w_light)
     heavy = open_flow(topo.hosts[1], receiver, "tfc", weight=w_heavy)
@@ -43,8 +44,9 @@ def test_weighted_flows_keep_link_utilised():
 
 
 def test_weight_validation():
-    topo = dumbbell(n_senders=1, queue_factory=queue_factory_for("tfc", 256_000))
-    configure_network(topo.network, "tfc")
+    tfc = get_protocol("tfc")
+    topo = dumbbell(n_senders=1, queue_factory=tfc.port_queue_factory(256_000))
+    tfc.install(topo.network)
     with pytest.raises(ValueError):
         open_flow(topo.hosts[0], topo.hosts[-1], "tfc", weight=0)
 
@@ -58,8 +60,9 @@ def test_weight_rejected_for_non_tfc():
 def test_weight_carried_on_rm_packets():
     from repro.net.packet import Packet
 
-    topo = dumbbell(n_senders=1, queue_factory=queue_factory_for("tfc", 256_000))
-    configure_network(topo.network, "tfc")
+    tfc = get_protocol("tfc")
+    topo = dumbbell(n_senders=1, queue_factory=tfc.port_queue_factory(256_000))
+    tfc.install(topo.network)
     sender = open_flow(topo.hosts[0], topo.hosts[-1], "tfc", size_bytes=0, weight=5)
     pkt = Packet(sender.src_id, sender.dst_id, sender.sport, sender.dport, payload=100)
     sender.next_packet_hook(pkt)

@@ -1,5 +1,7 @@
 """Tests for the experiment plumbing shared across figure drivers."""
 
+import inspect
+
 import pytest
 
 from repro.core.params import TfcParams
@@ -12,8 +14,10 @@ from repro.experiments.common import (
     format_rate,
     format_table,
 )
+from repro.net.pfc import PfcParams
 from repro.net.queues import DropTailQueue, EcnQueue
 from repro.net.topology import dumbbell
+from repro.transport.registry import EcnParams
 
 
 def test_protocol_labels_cover_all():
@@ -37,8 +41,8 @@ def test_build_topology_tcp_plain_queues():
 
 def test_build_topology_dctcp_ecn_queues():
     topo = build_topology(
-        dumbbell, "dctcp", buffer_bytes=128_000, ecn_threshold_bytes=9000,
-        n_senders=2,
+        dumbbell, "dctcp", buffer_bytes=128_000,
+        protocol_params=EcnParams(ecn_threshold_bytes=9000), n_senders=2,
     )
     queue = topo.bottleneck("main").queue
     assert isinstance(queue, EcnQueue)
@@ -48,11 +52,37 @@ def test_build_topology_dctcp_ecn_queues():
 def test_build_topology_tfc_agents_installed():
     params = TfcParams(rho0=0.93)
     topo = build_topology(
-        dumbbell, "tfc", buffer_bytes=128_000, tfc_params=params, n_senders=2
+        dumbbell, "tfc", buffer_bytes=128_000, protocol_params=params, n_senders=2
     )
     agent = topo.bottleneck("main").agent
     assert isinstance(agent, TfcPortAgent)
     assert agent.params.rho0 == 0.93
+
+
+def test_build_topology_pfc_params_fill_the_pfc_slot():
+    """On the ``pfc`` transport, ``pfc_params`` is the transport's own
+    slot: the fabric installs once, so these thresholds must be the ones
+    its installer arms (not the buffer-scaled defaults)."""
+    params = PfcParams(xoff_bytes=20_000, xon_bytes=10_000)
+    topo = build_topology(
+        dumbbell, "pfc", buffer_bytes=128_000, pfc_params=params, n_senders=2
+    )
+    assert topo.network.lossless.params is params
+    # On any other transport it layers the same fabric next to the agents.
+    topo = build_topology(
+        dumbbell, "tfc", buffer_bytes=128_000, pfc_params=params, n_senders=2
+    )
+    assert topo.network.lossless.params is params
+    assert isinstance(topo.bottleneck("main").agent, TfcPortAgent)
+
+
+def test_build_topology_has_one_typed_params_slot():
+    """``protocol_params`` is the one way in; the per-protocol keywords
+    that predate the registry are gone."""
+    parameters = inspect.signature(build_topology).parameters
+    assert "protocol_params" in parameters
+    for retired in ("tfc_params", "ecn_threshold_bytes"):
+        assert retired not in parameters
 
 
 def test_format_table_rows():

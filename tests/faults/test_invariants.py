@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.common import build_topology
 from repro.faults import InvariantMonitor, InvariantViolation
-from repro.net.packet import MSS, Packet
 from repro.net.topology import dumbbell
 from repro.sim.trace import INVARIANT_VIOLATION
 from repro.sim.units import milliseconds
@@ -66,27 +65,6 @@ def test_collect_mode_keeps_running_and_emits_trace():
         monitor.assert_clean()
 
 
-def test_window_min_reduction_check(monkeypatch):
-    """A switch that *raises* the window field is caught by the port's
-    observer, which ``Switch.forward`` runs after the agent."""
-    topo, _ = tfc_scenario()
-    port = topo.bottleneck()
-    agent = port.agent
-
-    def raising_transit(packet):
-        packet.window += float(MSS)
-
-    monkeypatch.setattr(agent, "on_transit", raising_transit)
-    monitor = InvariantMonitor(topo.network, raise_on_violation=False)
-    receiver = topo.hosts[-1]
-    packet = Packet(0, receiver.node_id, 1, 2, payload=MSS, window=float(10 * MSS))
-    port.node.forward(packet)
-    assert [v.invariant for v in monitor.violations] == ["window_min_reduction"]
-    violation = monitor.violations[0]
-    assert violation.context["window_after"] == float(11 * MSS)
-    assert (violation.node, violation.port_index) == (port.node.name, port.index)
-
-
 def test_queue_capacity_sweep():
     topo, _ = tfc_scenario()
     monitor = InvariantMonitor(topo.network, raise_on_violation=False)
@@ -99,25 +77,15 @@ def test_queue_capacity_sweep():
 def test_detach_removes_all_hooks():
     topo, _ = tfc_scenario()
     monitor = InvariantMonitor(topo.network)
-    ports = [port for switch in topo.switches for port in switch.ports]
-    assert all(port.observer is not None for port in ports)
+    topo.network.run_for(milliseconds(1))
+    checks = monitor.checks_run
+    assert checks > 0
     monitor.detach()
-    assert all(port.observer is None for port in ports)
     agent = topo.bottleneck().agent
     agent.tokens = 1e12  # would violate, but nobody is watching
     topo.network.run_for(milliseconds(5))
     assert monitor.violations == []
-
-
-def test_one_monitor_per_network_at_a_time():
-    """A port has one observer slot: a second monitor is refused until
-    the first detaches."""
-    topo, _ = tfc_scenario()
-    monitor = InvariantMonitor(topo.network)
-    with pytest.raises(ValueError, match="already has a transit observer"):
-        InvariantMonitor(topo.network)
-    monitor.detach()
-    InvariantMonitor(topo.network).detach()
+    assert monitor.checks_run == checks  # no slot check, no sweep
 
 
 def test_monitor_mirrors_counters_into_registry():

@@ -35,7 +35,7 @@ from repro.net.pfc import (
 from repro.net.topology import dumbbell, fat_tree
 from repro.sim.trace import PFC_PAUSE, PFC_RESUME
 from repro.sim.units import microseconds, milliseconds
-from repro.transport.registry import open_flow, queue_factory_for
+from repro.transport.registry import get_protocol, open_flow
 from tests.frames import apply_frame
 
 #: Watermarks low enough that a 4-way incast pauses within a millisecond.
@@ -299,7 +299,7 @@ def _tfc_incast_with_pfc(pfc_first):
     """A TFC incast on a PFC-armed dumbbell, PFC installed before or
     after TFC; returns what a run can tell about both roles."""
     topo = dumbbell(
-        n_senders=4, seed=1, queue_factory=queue_factory_for("tfc", 256_000)
+        n_senders=4, seed=1, queue_factory=get_protocol("tfc").port_queue_factory(256_000)
     )
     net = topo.network
     if pfc_first:

@@ -1,12 +1,10 @@
 """Routing registry and selection surfaces: make/resolve/env."""
 
-import os
-
 import pytest
 
+from repro.config import ROUTING_ENV_VAR
 from repro.net.topology import dumbbell
 from repro.routing import (
-    ROUTING_ENV_VAR,
     ROUTING_NAMES,
     ROUTING_POLICIES,
     EcmpPolicy,
@@ -14,7 +12,6 @@ from repro.routing import (
     RoutingPolicy,
     make_routing,
     resolve_routing,
-    routing_env,
 )
 
 
@@ -57,28 +54,6 @@ def test_resolve_routing_passes_instances_through():
     policy = FlowletPolicy(gap_ns=1234)
     assert resolve_routing(policy) is policy
     assert policy.gap_ns == 1234
-
-
-def test_routing_env_sets_and_restores(monkeypatch):
-    monkeypatch.setenv(ROUTING_ENV_VAR, "flowlet")
-    with routing_env("spray"):
-        assert os.environ[ROUTING_ENV_VAR] == "spray"
-    assert os.environ[ROUTING_ENV_VAR] == "flowlet"
-    monkeypatch.delenv(ROUTING_ENV_VAR)
-    with routing_env("ecmp"):
-        assert os.environ[ROUTING_ENV_VAR] == "ecmp"
-    assert ROUTING_ENV_VAR not in os.environ
-    # None is a documented no-op.
-    with routing_env(None):
-        assert ROUTING_ENV_VAR not in os.environ
-
-
-def test_routing_env_validates_eagerly(monkeypatch):
-    monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    with pytest.raises(ValueError, match="unknown routing"):
-        with routing_env("bogus"):
-            pass  # pragma: no cover - must not be reached
-    assert ROUTING_ENV_VAR not in os.environ
 
 
 def test_network_accepts_name_and_instance(monkeypatch):

@@ -1,0 +1,50 @@
+"""A caller that drops the handle ``schedule`` returns posts instead.
+
+``Simulator.post`` pushes a handle-free heap entry; ``schedule`` and
+``schedule_at`` allocate an :class:`~repro.sim.engine.Event` whose only
+use is ``cancel``/``reschedule``.  Both draw from the same ``seq``
+counter, so the choice never changes event order — only the allocation.
+This walks every module of ``repro`` and fails on a statement that
+throws the handle away.
+"""
+
+import ast
+import pathlib
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).resolve().parent
+SCHEDULERS = ("schedule", "schedule_at")
+
+
+def _is_schedule_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SCHEDULERS
+    )
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def test_no_statement_discards_a_schedule_handle():
+    dropped = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and _is_schedule_call(node.value)
+    ]
+    assert dropped == [], f"use Simulator.post: {dropped}"
+
+
+def test_only_the_timer_and_the_delay_arbiter_keep_handles():
+    """Outside the kernel itself, the two owners of a cancellable event."""
+    users = {
+        name
+        for name, tree in _modules()
+        if name != "sim/engine.py" and any(map(_is_schedule_call, ast.walk(tree)))
+    }
+    assert users == {"sim/timers.py", "core/delay.py"}

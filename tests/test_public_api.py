@@ -97,6 +97,38 @@ def test_the_shard_knob_helpers_are_gone():
         assert name not in repro.config.__all__
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    (
+        ("repro.routing", "routing_env"),
+        ("repro.routing", "ROUTING_ENV_VAR"),
+        ("repro.transport", "configure_network"),
+        ("repro.transport", "queue_factory_for"),
+        ("repro.transport.registry", "configure_network"),
+        ("repro.transport.registry", "queue_factory_for"),
+        ("repro.transport.registry", "resolve_legacy_params"),
+    ),
+)
+def test_retired_configuration_shims_are_gone(module, name):
+    """A protocol is configured one way: its registry entry's typed hooks
+    (``get_protocol(name).install(network, params)``) plus ``SimConfig`` /
+    ``repro.config`` for the run-level knobs."""
+    namespace = importlib.import_module(module)
+    assert not hasattr(namespace, name)
+    assert name not in getattr(namespace, "__all__", ())
+
+
+def test_simconfig_has_no_transport_and_no_with_overrides():
+    from repro.config import SimConfig
+
+    assert not hasattr(SimConfig(), "transport")
+    assert not hasattr(SimConfig, "with_overrides")
+    with pytest.raises(TypeError, match="transport"):
+        SimConfig(transport="tfc")
+    with pytest.raises(ValueError, match="unknown SimConfig field"):
+        SimConfig.from_dict({"transport": "tfc"})
+
+
 def test_obs_namespace_surface():
     from repro.obs import (
         SLOT_FIELDS,
@@ -133,7 +165,7 @@ def test_observability_quickstart_from_package_docstring(tmp_path):
     from repro.net import Network
     from repro.obs import drain_pending
     from repro.sim.units import seconds
-    from repro.transport import configure_network, open_flow
+    from repro.transport import get_protocol, open_flow
 
     net = Network(config=SimConfig(seed=1, telemetry="full"))
     senders = [net.add_host(f"s{i}") for i in range(2)]
@@ -142,7 +174,7 @@ def test_observability_quickstart_from_package_docstring(tmp_path):
     for host in senders + [receiver]:
         net.cable(host, switch, 10_000_000_000, 1_000)
     net.build_routes()
-    configure_network(net, "tfc")
+    get_protocol("tfc").install(net)
     for host in senders:
         open_flow(host, receiver, "tfc")
     net.run_for(seconds(0.02))

@@ -2,9 +2,8 @@
 
 Covers the API surface DESIGN.md §6k documents: protocol-owned queue
 factories and installers, the typed params slot, the capability surface
-(``supports_weight``/``monitor_invariants``), runtime registration via
-``register_protocol``, and the deprecated ``queue_factory_for`` /
-``configure_network`` shims.
+(``supports_weight``/``monitor_invariants``) and runtime registration
+via ``register_protocol``.
 """
 
 import pytest
@@ -19,13 +18,10 @@ from repro.transport.newreno import NewRenoReceiver, NewRenoSender
 from repro.transport.registry import (
     EcnParams,
     Protocol,
-    configure_network,
     get_protocol,
     open_flow,
-    queue_factory_for,
     register_protocol,
     registered_protocols,
-    resolve_legacy_params,
     unregister_protocol,
 )
 from repro.transport.tbtcp import TbtcpParams
@@ -148,41 +144,3 @@ def test_get_protocol_error_lists_live_registry():
     message = str(excinfo.value)
     for name in registered_protocols():
         assert name in message
-
-
-# ----------------------------------------------------------------------
-# Legacy keyword mapping + deprecated shims
-# ----------------------------------------------------------------------
-def test_resolve_legacy_params_matches_slot_type():
-    tfc_params = TfcParams(rho0=0.9)
-    assert resolve_legacy_params(get_protocol("tfc"), tfc_params=tfc_params) is tfc_params
-    # Mismatched keywords fall back to defaults instead of leaking across.
-    tcp = get_protocol("tcp")
-    assert resolve_legacy_params(tcp, tfc_params=tfc_params) is None
-    dctcp = get_protocol("dctcp")
-    resolved = resolve_legacy_params(dctcp, ecn_threshold_bytes=9000)
-    assert isinstance(resolved, EcnParams)
-    assert resolved.ecn_threshold_bytes == 9000
-    # The explicit typed slot always wins.
-    explicit = EcnParams(ecn_threshold_bytes=12_000)
-    assert (
-        resolve_legacy_params(
-            dctcp, params=explicit, ecn_threshold_bytes=9000
-        )
-        is explicit
-    )
-
-
-def test_deprecated_shims_still_work():
-    factory = queue_factory_for("dctcp", 64_000, ecn_threshold_bytes=9000)
-    queue = factory(10**9)
-    assert isinstance(queue, EcnQueue)
-    assert queue.mark_threshold_bytes == 9000
-
-    topo = dumbbell(
-        n_senders=2,
-        queue_factory=queue_factory_for("tfc", 64_000),
-    )
-    configure_network(topo.network, "tfc", tfc_params=TfcParams(rho0=0.9))
-    agent = topo.bottleneck("main").agent
-    assert agent is not None and agent.params.rho0 == 0.9

@@ -5,13 +5,13 @@ import pytest
 from repro.metrics.fct import FctCollector
 from repro.net.topology import testbed as build_testbed
 from repro.sim.units import seconds
-from repro.transport.registry import configure_network, queue_factory_for
+from repro.transport.registry import get_protocol
 from repro.workloads.empirical import BenchmarkWorkload
 
 
 def make_topo():
-    topo = build_testbed(queue_factory=queue_factory_for("tfc", 256_000))
-    configure_network(topo.network, "tfc")
+    topo = build_testbed(queue_factory=get_protocol("tfc").port_queue_factory(256_000))
+    get_protocol("tfc").install(topo.network)
     return topo
 
 
