@@ -5,7 +5,9 @@ Two pieces:
 * :class:`SimConfig` — a frozen dataclass carrying the seed and the
   routing, telemetry and lossless-fabric selection, accepted by
   ``Network(config=...)`` and the experiment runner
-  (``run_cells(config=...)``).
+  (``run_cells(config=...)``).  ``Network`` resolves it once
+  (:meth:`SimConfig.resolved`: explicit argument > config field >
+  ``$REPRO_*`` > default) and every layer reads ``network.config``.
 * :func:`env` — the single validated context manager behind every
   ``REPRO_*`` environment knob (routing policy, telemetry mode and
   directory, lossless fabric), and :func:`current`, the one validated
@@ -33,10 +35,6 @@ from .envvars import (
     EnvKnob,
     current,
     env,
-    lossless_mode,
-    routing_name,
-    telemetry_dir,
-    telemetry_mode,
 )
 from .simconfig import SimConfig
 
@@ -46,10 +44,6 @@ __all__ = [
     "current",
     "EnvKnob",
     "KNOBS",
-    "routing_name",
-    "telemetry_mode",
-    "telemetry_dir",
-    "lossless_mode",
     "ROUTING_NAMES",
     "TELEMETRY_MODES",
     "LOSSLESS_MODES",

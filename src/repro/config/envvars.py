@@ -2,15 +2,14 @@
 
 One knob table (:data:`KNOBS`), one validated reader (:func:`current`)
 and one context manager (:func:`env`) that pins any subset of the knobs
-at once.  Nothing else in ``repro`` reads these variables: routing asks
-:func:`current`, the protocol installer asks :func:`lossless_mode`, and
-telemetry asks :func:`telemetry_mode` and :func:`telemetry_dir`.
+at once.  The only reader outside this package is
+:meth:`repro.config.SimConfig.resolved`, which ``Network`` calls once
+per network; every other layer reads the resolved ``network.config``.
 
-Environment variables exist for code paths that build their own
-:class:`~repro.sim.engine.Simulator` or :class:`~repro.net.network.
-Network` internally (topology builders, figure cells, pool workers) and
-therefore cannot take a constructor argument; everything else should
-prefer :class:`~repro.config.SimConfig`.
+Environment variables exist for code paths that build their
+:class:`~repro.net.network.Network` internally (topology builders,
+figure cells, pool workers) and therefore cannot take a constructor
+argument; everything else should prefer :class:`~repro.config.SimConfig`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ class EnvKnob:
     """One validated environment variable."""
 
     var: str
-    default: str
+    default: Optional[str]  # None: no value (the telemetry directory)
     names: Optional[Tuple[str, ...]]  # None: free-form (paths)
     what: str  # noun for error messages: "routing policy", ...
 
@@ -60,7 +59,7 @@ KNOBS: Dict[str, EnvKnob] = {
         TELEMETRY_ENV_VAR, "off", TELEMETRY_MODES, "telemetry mode"
     ),
     "telemetry_dir": EnvKnob(
-        TELEMETRY_DIR_ENV_VAR, "", None, "telemetry directory"
+        TELEMETRY_DIR_ENV_VAR, None, None, "telemetry directory"
     ),
     "lossless": EnvKnob(
         LOSSLESS_ENV_VAR, "off", LOSSLESS_MODES, "lossless fabric mode"
@@ -68,7 +67,7 @@ KNOBS: Dict[str, EnvKnob] = {
 }
 
 
-def current(knob: str) -> str:
+def current(knob: str) -> Optional[str]:
     """The knob's effective value: its env var if set (validated, with
     the variable named in the error), else its default."""
     spec = KNOBS[knob]
@@ -79,26 +78,6 @@ def current(knob: str) -> str:
         return spec.validate(raw)
     except ValueError as exc:
         raise ValueError(f"${spec.var}: {exc}") from None
-
-
-def routing_name() -> str:
-    """Effective default routing policy (``single`` when unset)."""
-    return current("routing")
-
-
-def telemetry_mode() -> str:
-    """Effective telemetry mode (``off`` when unset)."""
-    return current("telemetry")
-
-
-def telemetry_dir() -> Optional[str]:
-    """Telemetry export directory, or None when not configured."""
-    return current("telemetry_dir") or None
-
-
-def lossless_mode() -> str:
-    """Effective lossless-fabric mode (``off`` when unset)."""
-    return current("lossless")
 
 
 class _EnvContext:

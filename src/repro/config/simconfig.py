@@ -1,20 +1,16 @@
 """``SimConfig`` — one dataclass configuring a whole simulation run.
 
-Before this existed, a fully specified run meant hand-rolled surfaces:
-``Network(routing=..., seed=...)`` plus whatever ``REPRO_*`` variables
-happened to be exported.  ``SimConfig`` carries all of it in one
-validated, frozen value:
+It carries the seed and one field per ``REPRO_*`` knob in one validated,
+frozen value.  A run's configuration is resolved in exactly one place,
+``Network.__init__``, by :meth:`SimConfig.resolved`, under one rule:
 
-* ``Network(config=cfg)`` — seed, routing and telemetry (a session is
-  installed when ``telemetry != off``), and the lossless fabric, which
-  :meth:`repro.transport.registry.Protocol.install` arms from the
-  network's config before it consults ``$REPRO_LOSSLESS``;
-* ``run_cells(..., config=cfg)`` / ``runner --telemetry DIR`` — the
-  runner pins the whole config process-wide (via :func:`repro.config.
-  env`) so worker processes and internally built networks inherit it.
+    explicit argument > config field > ``$REPRO_*`` > default
 
-``None`` fields mean "defer": the constructor-argument / environment /
-built-in default chain behaves exactly as before.
+Every layer then reads the complete result from ``network.config``
+(routing, the telemetry session and its directory, the lossless
+fabric).  ``run_cells(..., config=cfg)`` / ``runner --telemetry DIR``
+pin a config process-wide (via :func:`repro.config.env`), so worker
+processes and internally built networks resolve to it too.
 """
 
 from __future__ import annotations
@@ -29,9 +25,11 @@ from .envvars import KNOBS, current, env as _env
 class SimConfig:
     """The seed plus one field per ``REPRO_*`` knob.
 
-    The protocol is not a field: it is chosen per call
-    (``build_topology(builder, protocol, ...)``, ``open_flow``).  Derive
-    a variant with :func:`dataclasses.replace`, which validates again.
+    A ``None`` knob is unset: :meth:`resolved` fills it from the
+    environment or the default.  The protocol is not a field: it is
+    chosen per call (``build_topology(builder, protocol, ...)``,
+    ``open_flow``).  Derive a variant with :func:`dataclasses.replace`,
+    which validates again.
     """
 
     seed: int = 0
@@ -41,22 +39,30 @@ class SimConfig:
     lossless: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for knob in ("routing", "telemetry", "lossless"):
+        for knob, spec in KNOBS.items():
             value = getattr(self, knob)
             if value is not None:
-                KNOBS[knob].validate(value)
+                spec.validate(value)
 
     # ------------------------------------------------------------------
+    def resolved(self, **explicit: object) -> "SimConfig":
+        """The complete config a run uses: per field, the non-None
+        ``explicit`` value, else this config's field, else the knob's
+        ``$REPRO_*`` variable (validated), else its default.  Only
+        ``telemetry_dir`` may stay None: no directory is configured."""
+        values = self.to_dict()
+        for name, value in explicit.items():
+            if value is not None:
+                values[name] = value
+        for knob in KNOBS:
+            if values[knob] is None:
+                values[knob] = current(knob)
+        return SimConfig(**values)
+
     @classmethod
     def from_env(cls, seed: int = 0) -> "SimConfig":
         """A config pinning the *current* effective environment defaults."""
-        return cls(
-            seed=seed,
-            routing=current("routing"),
-            telemetry=current("telemetry"),
-            telemetry_dir=current("telemetry_dir") or None,
-            lossless=current("lossless"),
-        )
+        return cls(seed=seed).resolved()
 
     # ------------------------------------------------------------------
     # Round-trip serialisation (the scenario loader's door into configs)
@@ -88,13 +94,4 @@ class SimConfig:
         built networks and pool workers see the config without any
         argument threading.
         """
-        return _env(
-            routing=self.routing,
-            telemetry=self.telemetry,
-            telemetry_dir=self.telemetry_dir,
-            lossless=self.lossless,
-        )
-
-    @property
-    def telemetry_enabled(self) -> bool:
-        return self.telemetry is not None and self.telemetry != "off"
+        return _env(**{knob: getattr(self, knob) for knob in KNOBS})

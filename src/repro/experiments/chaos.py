@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..config import telemetry_dir as _configured_telemetry_dir
 from ..faults import (
     FaultInjector,
     FaultRecord,
@@ -132,7 +131,7 @@ def run_chaos(
     flight recorder, with invariant counters, the goodput timeline and
     the recovery report folded into the registry) and exports it there
     labelled ``chaos_{fault}_{seed}``; ``$REPRO_TELEMETRY`` attaches the
-    same machinery through :func:`~repro.experiments.common.build_topology`.
+    same machinery through the network's resolved config.
     """
     topo = build_topology(
         dumbbell,
@@ -192,7 +191,7 @@ def run_chaos(
         report.register(registry)
         session.detach()
         _drain_telemetry()  # this run's session is exported right here
-        export_dir = telemetry_dir or _configured_telemetry_dir()
+        export_dir = telemetry_dir or net.config.telemetry_dir
         if export_dir:
             telemetry_paths = session.export(
                 export_dir, f"chaos_{fault}_{seed}"

@@ -15,7 +15,6 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from ..net.pfc import PfcParams
 from ..net.topology import Topology
-from ..obs import maybe_install as maybe_install_telemetry
 from ..sim.rng import stable_seed
 from ..transport.registry import get_protocol, registered_protocols
 
@@ -94,8 +93,8 @@ def build_topology(
     ``pfc_params`` forces a lossless fabric with explicit thresholds
     regardless of protocol — the pathology scenarios use it to pin tight
     XOFF/XON watermarks; without it the fabric is installed only for
-    lossless protocols or when the network's config or
-    ``$REPRO_LOSSLESS`` asks for one (with buffer-scaled defaults).  On
+    lossless protocols or when the network's resolved ``config.lossless``
+    asks for one (with buffer-scaled defaults).  On
     the ``pfc`` transport it fills that transport's own slot: the fabric
     installs once, so the installer must arm these thresholds rather
     than its buffer-scaled defaults.
@@ -110,10 +109,6 @@ def build_topology(
         **builder_kwargs,
     )
     spec.install(topo.network, params, pfc_params=pfc_params)
-    # Env-selected telemetry ($REPRO_TELEMETRY / runner --telemetry)
-    # attaches here — the one chokepoint every experiment cell, chaos
-    # scenario and perf workload builds through.  One dict lookup when off.
-    maybe_install_telemetry(topo.network)
     return topo
 
 

@@ -19,7 +19,7 @@ from typing import List
 
 from ..metrics.stats import cdf_points, mean
 from ..net.topology import testbed
-from ..sim.units import microseconds, seconds, to_microseconds
+from ..sim.units import seconds, to_microseconds
 from ..transport.base import RtoEstimator
 from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology

@@ -53,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..config import telemetry_dir as _configured_telemetry_dir
 from ..faults import FaultInjector, InvariantMonitor, Pathology, PathologySuite, Violation
 from ..metrics.samplers import RateSampler, Series
 from ..net.pfc import PfcParams
@@ -347,7 +346,7 @@ def run_pathology(
         sampler.register(registry, "pathology.goodput_bps")
         session.detach()
         _drain_telemetry()
-        export_dir = telemetry_dir or _configured_telemetry_dir()
+        export_dir = telemetry_dir or net.config.telemetry_dir
         if export_dir:
             telemetry_paths = session.export(
                 export_dir, f"pfc_{scenario}_{fabric}_{seed}"

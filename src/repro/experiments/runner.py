@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import ROUTING_NAMES, SimConfig
-from ..config import telemetry_dir as _configured_telemetry_dir
 from ..obs import drain_pending as _drain_telemetry
 from .baselines import run_baselines_cell
 from .common import (
@@ -148,11 +147,11 @@ def _export_cell_telemetry(spec: CellSpec) -> None:
     finished networks are not kept pinned between cells.
     """
     sessions = _drain_telemetry()
-    directory = _configured_telemetry_dir()
-    if not directory or not sessions:
-        return
     base = _safe_label(spec)
     for index, session in enumerate(sessions):
+        directory = session.network.config.telemetry_dir
+        if not directory:
+            continue
         label = base if len(sessions) == 1 else f"{base}_{index}"
         for path in session.export(directory, label):
             print(f"telemetry written to {path}", file=sys.stderr)
@@ -161,12 +160,8 @@ def _export_cell_telemetry(spec: CellSpec) -> None:
 def run_cells(
     specs: Sequence[CellSpec],
     jobs: int = 1,
-    root_seed: int = 0,
-    routing: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-    telemetry: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
     config: Optional[SimConfig] = None,
+    profile_dir: Optional[str] = None,
     cell_timeout: Optional[float] = None,
 ) -> List[ExperimentResult]:
     """Run every cell and return results in the order specs were given.
@@ -176,14 +171,13 @@ def run_cells(
     process pool; a pool that cannot even start degrades to the serial
     path, but a cell that *fails* always surfaces as :class:`RunnerError`.
 
-    Selection: pass one :class:`~repro.config.SimConfig` as ``config``,
-    or the individual knobs (``routing``, ``telemetry``, ``telemetry_dir``),
-    which are folded into one.  The config is pinned
-    process-wide for the batch (exported as the ``REPRO_*`` variables,
-    which pool workers inherit; a cell that takes an explicit ``routing``
-    kwarg — the multi-path figures — wins over the env default).
-    ``telemetry_dir`` makes every cell export its telemetry files there
-    (mode defaults to ``full``); ``profile_dir`` writes one cProfile
+    Selection: one :class:`~repro.config.SimConfig` as ``config`` (its
+    ``seed`` is the root seed).  The config is pinned process-wide for
+    the batch (exported as the ``REPRO_*`` variables, which pool workers
+    and every network a cell builds resolve; a cell that takes an
+    explicit ``routing`` kwarg — the multi-path figures — wins over the
+    env default).  A ``telemetry_dir`` makes every cell export its
+    telemetry sessions' files there; ``profile_dir`` writes one cProfile
     stats file per cell.  Profiling composes with ``jobs > 1``: each
     pool worker profiles *its own cell* (profiler enabled around the
     cell entry point only, inside the worker) and dumps the stats file
@@ -196,14 +190,7 @@ def run_cells(
     plain serial execution (without timeouts) where multiprocessing is
     unavailable.
     """
-    if config is None:
-        config = SimConfig(
-            seed=root_seed,
-            routing=routing,
-            telemetry=telemetry
-            or ("full" if telemetry_dir is not None else None),
-            telemetry_dir=telemetry_dir,
-        )
+    config = config or SimConfig()
     resolved = [spec.resolved(config.seed) for spec in specs]
     with config.env():
         if profile_dir is not None:
@@ -801,13 +788,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     )
     start = time.perf_counter()
+    config = SimConfig(
+        seed=args.seed,
+        routing=args.routing,
+        telemetry="full" if args.telemetry is not None else None,
+        telemetry_dir=args.telemetry,
+    )
     results = run_cells(
         specs,
         jobs=jobs,
-        root_seed=args.seed,
-        routing=args.routing,
+        config=config,
         profile_dir=args.profile,
-        telemetry_dir=args.telemetry,
         cell_timeout=args.cell_timeout,
     )
     elapsed = time.perf_counter() - start

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..config import SimConfig
+from ..obs import install as install_telemetry
 from ..routing import RoutingPolicy, resolve_routing
 from ..sim.engine import Simulator
 from ..sim.rng import SeedSequence
@@ -43,9 +45,6 @@ from .host import Host
 from .node import Node, Switch
 from .port import Link, Port
 from .queues import DropTailQueue
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..config import SimConfig
 
 QueueFactory = Callable[[int], DropTailQueue]
 
@@ -97,26 +96,23 @@ class Network:
         host_processing_delay_ns: int = 2_000,
         host_processing_jitter_ns: int = 4_000,
         routing: Optional[Union[str, RoutingPolicy]] = None,
-        config: Optional["SimConfig"] = None,
+        config: Optional[SimConfig] = None,
     ):
-        # ``config`` (a repro.config.SimConfig) supplies seed, routing,
-        # telemetry and lossless-fabric defaults; explicit arguments win.
-        # It is kept: Protocol.install reads its ``lossless`` field.
-        self.config = config
-        if config is not None:
-            if seed is None:
-                seed = config.seed
-            if routing is None:
-                routing = config.routing
+        """The one place a run's configuration is resolved: explicit
+        argument > ``config`` field > ``$REPRO_*`` > default.  Every layer
+        reads the complete result from ``self.config``, never the
+        environment.  A ``RoutingPolicy`` instance is used as given."""
+        named = not isinstance(routing, RoutingPolicy)
+        self.config = config = (config or SimConfig()).resolved(
+            seed=seed, routing=routing if named else None
+        )
         self.sim = Simulator()
         self.tracer = Tracer()
-        self.seeds = SeedSequence(seed if seed is not None else 0)
-        # Policy name, instance, or None (= $REPRO_ROUTING, then "single").
-        self.routing = resolve_routing(routing)
+        self.seeds = SeedSequence(config.seed)
+        self.routing = resolve_routing(config.routing if named else routing)
         self.route_rebuilds = 0
-        # Telemetry session handle (repro.obs.Telemetry) or None; an
-        # explicit config installs one here, env-driven installs land via
-        # repro.obs.maybe_install at the topology-build chokepoints.
+        # Telemetry session handle (repro.obs.Telemetry) or None; installed
+        # below when the resolved config asks for one.
         self.telemetry = None
         # Backpressure fabric handles or None: enable_pfc installs a
         # repro.net.pfc.LosslessFabric here, enable_bfc a BfcFabric.
@@ -130,12 +126,8 @@ class Network:
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []
         self._adjacency: Dict[int, List[Tuple[int, int]]] = {}
-        if config is not None and config.telemetry and config.telemetry != "off":
-            from ..obs import install as _install_telemetry
-
-            _install_telemetry(
-                self, config.telemetry, dump_dir=config.telemetry_dir
-            )
+        if config.telemetry != "off":
+            install_telemetry(self, config.telemetry, dump_dir=config.telemetry_dir)
 
     # ------------------------------------------------------------------
     # Construction

@@ -145,7 +145,7 @@ class Backpressure:
     @classmethod
     def install(cls, network: "Network", params) -> "Backpressure":
         """Install on ``network`` once; a second call returns the first
-        install (the env-driven chokepoint and an explicit experiment
+        install (the config-armed fabric and an explicit experiment
         install must not stack)."""
         existing = getattr(network, cls.attr)
         if existing is None:

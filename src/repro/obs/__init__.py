@@ -16,10 +16,11 @@ One observability surface for everything the repo measures:
 
 Selection follows the routing pattern: a validated mode name
 (:data:`TELEMETRY_MODES`) chosen via ``SimConfig(telemetry=...)`` or the
-``REPRO_TELEMETRY`` environment variable (see :mod:`repro.config`).
-Capture is purely trace-driven — no scheduled events, no RNG draws — so
-telemetry-on runs are bit-identical to telemetry-off runs, and the
-disabled path costs one environment lookup per topology build.
+``REPRO_TELEMETRY`` environment variable, resolved once per ``Network``
+(see :mod:`repro.config`).  Capture is purely trace-driven — no
+scheduled events, no RNG draws — so telemetry-on runs are bit-identical
+to telemetry-off runs, and the disabled path costs nothing past that
+resolution.
 """
 
 from .export import write_metrics_jsonl, write_slots_csv
@@ -37,7 +38,6 @@ from .session import (
     Telemetry,
     drain_pending,
     install,
-    maybe_install,
 )
 from .slots import SLOT_FIELDS, SlotTimelineRecorder, agent_label
 
@@ -56,7 +56,6 @@ __all__ = [
     "Telemetry",
     "TELEMETRY_MODES",
     "install",
-    "maybe_install",
     "drain_pending",
     "write_metrics_jsonl",
     "write_slots_csv",

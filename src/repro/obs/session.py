@@ -11,13 +11,11 @@ slot recorder and the flight recorder for one network, selected by a
   W, queue_bytes)`` recorder on every TFC agent.
 * ``full``     — slots plus the flight-recorder ring buffer.
 
-Sessions attach through three doors, all arriving at :func:`install`:
-
-* ``Network(config=SimConfig(telemetry=...))`` — explicit, per network;
-* the ``REPRO_TELEMETRY`` environment variable via :func:`maybe_install`
-  (called by ``build_topology``, so experiment cells, chaos runs and the
-  perf workloads are all covered without touching each driver);
-* direct construction, for bespoke harnesses.
+Sessions attach through one door, :func:`install`, which ``Network``
+calls when its resolved ``config.telemetry`` is not ``off`` (set by
+``SimConfig(telemetry=...)``, ``$REPRO_TELEMETRY`` or ``runner
+--telemetry``), so every network is covered without touching each
+driver; bespoke harnesses may call :func:`install` directly.
 
 Every install lands the session in a small bounded *pending* queue; the
 experiment runner drains it after each cell and, when a telemetry
@@ -209,23 +207,6 @@ def install(
     network.telemetry = session
     _PENDING.append(session)
     return session
-
-
-def maybe_install(network: "Network") -> Optional[Telemetry]:
-    """Install from ``$REPRO_TELEMETRY`` (validated); None when off.
-
-    The one hook shared by every topology-building chokepoint; networks
-    that already carry a session (e.g. built with an explicit
-    ``SimConfig``) are left alone.
-    """
-    if getattr(network, "telemetry", None) is not None:
-        return network.telemetry
-    from ..config import telemetry_dir, telemetry_mode
-
-    mode = telemetry_mode()
-    if mode == "off":
-        return None
-    return install(network, mode, dump_dir=telemetry_dir())
 
 
 def drain_pending() -> List[Telemetry]:

@@ -1,12 +1,13 @@
 """Pluggable routing / load-balancing policies for multi-path fabrics.
 
-A small registry of named policies, selected through three surfaces:
+A small registry of named policies, selected through three surfaces,
+all resolved once into ``network.config.routing`` by ``Network``:
 
 * ``Network(routing=...)`` — a name or a policy instance (or
   ``Network(config=SimConfig(routing=...))``);
-* ``REPRO_ROUTING`` — the env default, read and validated by
-  :func:`repro.config.current` (what the experiment runner and the CI
-  shard export process-wide; pin it with ``repro.config.env(routing=)``);
+* ``REPRO_ROUTING`` — the env default (what the experiment runner and
+  the CI shard export process-wide; pin it with
+  ``repro.config.env(routing=)``);
 * ``runner --routing`` — pins the policy for every experiment cell.
 
 Policies, all bit-deterministic under a fixed network seed:
@@ -21,7 +22,7 @@ Policies, all bit-deterministic under a fixed network seed:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .base import RoutingPolicy, flow_hash
 from .policies import EcmpPolicy, FlowletPolicy, SinglePathPolicy, SprayPolicy
@@ -50,22 +51,16 @@ def make_routing(name: str) -> RoutingPolicy:
     return policy_cls()
 
 
-def resolve_routing(
-    routing: Optional[Union[str, RoutingPolicy]],
-) -> RoutingPolicy:
-    """Turn a Network's ``routing=`` argument into a policy instance.
+def resolve_routing(routing: Union[str, RoutingPolicy]) -> RoutingPolicy:
+    """Turn a Network's routing selection into a policy instance.
 
-    ``None`` falls back to ``$REPRO_ROUTING`` (validated), then to
-    ``single``.  Policy instances pass through untouched, so one
+    A name (``Network`` passes its resolved ``config.routing``) builds
+    that policy.  Policy instances pass through untouched, so one
     pre-configured policy (e.g. a custom flowlet gap) can be handed to a
     network directly.
     """
     if isinstance(routing, RoutingPolicy):
         return routing
-    if routing is None:
-        from ..config import current  # deferred: repro.config imports this module
-
-        routing = current("routing")
     return make_routing(routing)
 
 

@@ -251,7 +251,7 @@ def run_scenario(
         network = topo.network
 
         # An explicit telemetry: mode wins over (but never duplicates) the
-        # env-selected session build_topology may already have attached.
+        # session the network's resolved config may already have attached.
         if scenario.telemetry and scenario.telemetry != "off":
             if getattr(network, "telemetry", None) is None:
                 install_telemetry(network, scenario.telemetry)

@@ -138,25 +138,15 @@ class Protocol:
         fabric-wide lossless layer (``port.fabric``): an explicit
         ``pfc_params`` (a :class:`repro.net.pfc.PfcParams`, the pathology
         scenarios' knob) forces PFC regardless of protocol; otherwise the
-        network's ``SimConfig.lossless`` decides when it is set, and the
-        ``$REPRO_LOSSLESS`` environment knob when it is not.
+        network's resolved ``config.lossless`` decides.
         """
         params = self.resolve_params(params)
         if self.installer is not None:
             self.installer(network, params)
-        if pfc_params is not None:
+        if pfc_params is not None or network.config.lossless == "pfc":
             from ..net.pfc import enable_pfc
 
             enable_pfc(network, pfc_params)
-        elif network.lossless is None:
-            from ..config import lossless_mode
-
-            # An explicit config wins over the environment, as with routing.
-            mode = getattr(network.config, "lossless", None) or lossless_mode()
-            if mode == "pfc":
-                from ..net.pfc import enable_pfc
-
-                enable_pfc(network)
 
 
 # Populated lazily: repro.core imports this module (its endpoints subclass

@@ -11,10 +11,6 @@ from repro.config import (
     TELEMETRY_MODES,
     current,
     env,
-    lossless_mode,
-    routing_name,
-    telemetry_dir,
-    telemetry_mode,
 )
 
 
@@ -29,10 +25,10 @@ def test_knob_table_covers_every_surface():
 def test_defaults_when_unset(monkeypatch):
     for knob in KNOBS.values():
         monkeypatch.delenv(knob.var, raising=False)
-    assert routing_name() == "single"
-    assert telemetry_mode() == "off"
-    assert telemetry_dir() is None
-    assert lossless_mode() == "off"
+    assert current("routing") == "single"
+    assert current("telemetry") == "off"
+    assert current("telemetry_dir") is None
+    assert current("lossless") == "off"
 
 
 def test_current_validates_and_names_the_variable(monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import SimConfig
+from repro.config import KNOBS, SimConfig
 from repro.net.network import Network
 from repro.obs import drain_pending
 from repro.sim.engine import Simulator
@@ -22,7 +22,6 @@ def test_defaults_defer_everything():
     assert cfg.seed == 0
     assert cfg.routing is None
     assert cfg.telemetry is None
-    assert not cfg.telemetry_enabled
 
 
 def test_validation_matches_legacy_error_messages():
@@ -106,10 +105,59 @@ def test_network_config_lossless_beats_the_environment(monkeypatch, mode):
     assert (unset.lossless is not None) == (mode == "off")
 
 
-def test_telemetry_enabled_property():
-    assert SimConfig(telemetry="counters").telemetry_enabled
-    assert not SimConfig(telemetry="off").telemetry_enabled
-    assert not SimConfig().telemetry_enabled
+#: The value each source supplies for a field, highest precedence first:
+#: explicit ``Network`` argument, config field, ``$REPRO_*``, default.
+#: None: the field has no such source (only seed and routing are
+#: ``Network`` arguments; the seed has no environment variable).
+SOURCES = ("explicit", "config", "env", "default")
+LADDER = {
+    "seed": (9, 5, None, 0),
+    "routing": ("spray", "flowlet", "ecmp", "single"),
+    "telemetry": (None, "counters", "slots", "off"),
+    "telemetry_dir": (None, "/cfg", "/env", None),
+    "lossless": (None, "off", "pfc", "off"),
+}
+PRECEDENCE_CASES = [
+    (field, source)
+    for field, values in LADDER.items()
+    for source, value in zip(SOURCES, values)
+    if value is not None or source == "default"
+]
+
+
+@pytest.mark.parametrize("field, source", PRECEDENCE_CASES)
+def test_network_config_resolves_by_one_precedence_rule(
+    monkeypatch, field, source
+):
+    """Every source below ``source`` is set to its own value; the one at
+    ``source`` must win, and ``network.config`` must come out complete."""
+    for knob in KNOBS.values():
+        monkeypatch.delenv(knob.var, raising=False)
+    values = dict(zip(SOURCES, LADDER[field]))
+    present = SOURCES[SOURCES.index(source):]
+    explicit, config = {}, None
+    if "explicit" in present and values["explicit"] is not None:
+        explicit[field] = values["explicit"]
+    if "config" in present:
+        config = SimConfig(**{field: values["config"]})
+    if "env" in present and values["env"] is not None:
+        monkeypatch.setenv(KNOBS[field].var, values["env"])
+    net = Network(config=config, **explicit)
+    assert getattr(net.config, field) == values[source]
+    assert net.routing.name == net.config.routing
+    assert None not in (net.config.routing, net.config.telemetry,
+                        net.config.lossless)
+
+
+@pytest.mark.parametrize("knob", ("routing", "telemetry", "lossless"))
+def test_network_rejects_a_bad_environment_value(monkeypatch, knob):
+    var = KNOBS[knob].var
+    monkeypatch.setenv(var, "bogus")
+    with pytest.raises(ValueError, match=rf"\${var}"):
+        Network()
+    # A config field shadows the variable, which is then never read.
+    default = KNOBS[knob].default
+    assert getattr(Network(config=SimConfig(**{knob: default})).config, knob) == default
 
 
 # ----------------------------------------------------------------------

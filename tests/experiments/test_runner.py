@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.config import SimConfig
 from repro.experiments.common import derive_cell_seed
 from repro.experiments.runner import (
     FIGURE_CELLS,
@@ -24,8 +25,8 @@ QUICK_SPECS = [
 
 def test_serial_matches_parallel():
     """jobs=1 and jobs=4 must return bit-identical ExperimentResults."""
-    serial = run_cells(QUICK_SPECS, jobs=1, root_seed=7)
-    parallel = run_cells(QUICK_SPECS, jobs=4, root_seed=7)
+    serial = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
+    parallel = run_cells(QUICK_SPECS, jobs=4, config=SimConfig(seed=7))
     assert serial == parallel
     # Results survive pickling unchanged (the pool relies on this).
     assert pickle.loads(pickle.dumps(serial)) == serial
@@ -37,7 +38,7 @@ def test_unknown_scheduler_rejected():
     from repro.experiments.runner import main
 
     with pytest.raises(TypeError):
-        run_cells(QUICK_SPECS[:1], jobs=1, root_seed=7, scheduler="heap")
+        run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7), scheduler="heap")
     with pytest.raises(SystemExit):
         main(["--figures", "fig14", "--scheduler", "heap"])
 
@@ -48,7 +49,7 @@ def test_removed_shard_count_is_refused():
     from repro.experiments.runner import main
 
     with pytest.raises(TypeError, match="shards"):
-        run_cells(QUICK_SPECS[:1], jobs=1, root_seed=7, shards=2)
+        run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7), shards=2)
     with pytest.raises(SystemExit) as excinfo:
         main(["--list-figures", "--shards", "2"])
     assert excinfo.value.code == 2
@@ -81,29 +82,29 @@ MULTIPATH_SPECS = [
 
 def test_multipath_cells_serial_matches_parallel():
     """Routing policies keep --jobs N bit-identical to a serial run."""
-    serial = run_cells(MULTIPATH_SPECS, jobs=1, root_seed=7)
-    parallel = run_cells(MULTIPATH_SPECS, jobs=2, root_seed=7)
+    serial = run_cells(MULTIPATH_SPECS, jobs=1, config=SimConfig(seed=7))
+    parallel = run_cells(MULTIPATH_SPECS, jobs=2, config=SimConfig(seed=7))
     assert serial == parallel
     assert pickle.loads(pickle.dumps(serial)) == serial
 
 
 def test_routing_env_pins_policy_and_is_restored(monkeypatch):
-    """run_cells(routing=...) exports REPRO_ROUTING for the cells' own
+    """run_cells(config=SimConfig(routing=...)) exports REPRO_ROUTING for the cells' own
     topology builds and restores the environment afterwards."""
     import os
 
     monkeypatch.delenv("REPRO_ROUTING", raising=False)
     # fig14 cells build their networks internally; pinning the policy
     # through the env must not change single-bottleneck results.
-    reference = run_cells(QUICK_SPECS, jobs=1, root_seed=7)
-    pinned = run_cells(QUICK_SPECS, jobs=1, root_seed=7, routing="ecmp")
+    reference = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
+    pinned = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7, routing="ecmp"))
     assert pinned == reference
     assert "REPRO_ROUTING" not in os.environ
 
 
 def test_unknown_routing_rejected():
     with pytest.raises(ValueError, match="unknown routing"):
-        run_cells(QUICK_SPECS[:1], jobs=1, root_seed=7, routing="bogus")
+        run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7, routing="bogus"))
 
 
 def test_profile_dir_writes_one_stats_file_per_cell(tmp_path):
@@ -111,9 +112,9 @@ def test_profile_dir_writes_one_stats_file_per_cell(tmp_path):
     import pstats
 
     profiled = run_cells(
-        QUICK_SPECS, jobs=1, root_seed=7, profile_dir=str(tmp_path)
+        QUICK_SPECS, jobs=1, config=SimConfig(seed=7), profile_dir=str(tmp_path)
     )
-    reference = run_cells(QUICK_SPECS, jobs=1, root_seed=7)
+    reference = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
     assert profiled == reference
     files = sorted(tmp_path.glob("cell_*.prof"))
     assert len(files) == len(QUICK_SPECS)
@@ -127,9 +128,9 @@ def test_profile_dir_composes_with_process_pool(tmp_path):
     import pstats
 
     profiled = run_cells(
-        QUICK_SPECS, jobs=2, root_seed=7, profile_dir=str(tmp_path)
+        QUICK_SPECS, jobs=2, config=SimConfig(seed=7), profile_dir=str(tmp_path)
     )
-    reference = run_cells(QUICK_SPECS, jobs=1, root_seed=7)
+    reference = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
     assert profiled == reference
     files = sorted(tmp_path.glob("cell_*.prof"))
     assert len(files) == len(QUICK_SPECS)
@@ -143,7 +144,7 @@ def test_profile_dir_composes_with_process_pool(tmp_path):
 
 
 def test_results_in_submission_order():
-    results = run_cells(QUICK_SPECS, jobs=1, root_seed=7)
+    results = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
     assert [r.scalars["rho0"] for r in results] == [0.94, 1.00]
 
 
@@ -185,15 +186,17 @@ def test_worker_crash_surfaces_with_cell_label():
 
 
 def test_telemetry_dir_exports_per_cell_files(tmp_path, monkeypatch):
-    """--telemetry DIR writes one metrics/slots/flight trio per cell and
+    """A telemetry directory writes one metrics/slots/flight trio per cell and
     leaves the results bit-identical to a telemetry-off run."""
     import os
 
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
-    reference = run_cells(QUICK_SPECS, jobs=1, root_seed=7)
+    reference = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
     with_telemetry = run_cells(
-        QUICK_SPECS, jobs=1, root_seed=7, telemetry_dir=str(tmp_path)
+        QUICK_SPECS,
+        jobs=1,
+        config=SimConfig(seed=7, telemetry="full", telemetry_dir=str(tmp_path)),
     )
     assert with_telemetry == reference
     metrics = sorted(tmp_path.glob("*.metrics.jsonl"))
@@ -208,9 +211,9 @@ def test_telemetry_dir_exports_per_cell_files(tmp_path, monkeypatch):
 def test_telemetry_mode_without_dir_records_quietly(tmp_path):
     """telemetry="counters" without a directory attaches sessions but
     writes nothing (and must not change results)."""
-    reference = run_cells(QUICK_SPECS[:1], jobs=1, root_seed=7)
+    reference = run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7))
     recorded = run_cells(
-        QUICK_SPECS[:1], jobs=1, root_seed=7, telemetry="counters"
+        QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7, telemetry="counters")
     )
     assert recorded == reference
     assert list(tmp_path.iterdir()) == []
@@ -220,25 +223,35 @@ def test_telemetry_parallel_workers_export_too(tmp_path):
     """Pool workers inherit REPRO_TELEMETRY* and export from inside the
     worker process."""
     results = run_cells(
-        QUICK_SPECS, jobs=2, root_seed=7, telemetry_dir=str(tmp_path)
+        QUICK_SPECS,
+        jobs=2,
+        config=SimConfig(seed=7, telemetry="full", telemetry_dir=str(tmp_path)),
     )
-    assert results == run_cells(QUICK_SPECS, jobs=1, root_seed=7)
+    assert results == run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
     assert len(list(tmp_path.glob("*.metrics.jsonl"))) == len(QUICK_SPECS)
 
 
 def test_unknown_telemetry_rejected():
     with pytest.raises(ValueError, match="unknown telemetry"):
-        run_cells(QUICK_SPECS[:1], jobs=1, root_seed=7, telemetry="bogus")
+        run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7, telemetry="bogus"))
+
+
+@pytest.mark.parametrize(
+    "keyword", ("root_seed", "routing", "telemetry", "telemetry_dir")
+)
+def test_run_cells_takes_one_configuration_argument(keyword):
+    """``config`` is the one way to configure a batch; the retired
+    per-knob keywords are refused before anything runs."""
+    with pytest.raises(TypeError, match=keyword):
+        run_cells(QUICK_SPECS[:1], jobs=1, **{keyword: None})
 
 
 def test_run_cells_accepts_simconfig(tmp_path):
     """A prebuilt SimConfig is honoured verbatim (seed included)."""
-    from repro.config import SimConfig
-
     cfg = SimConfig(seed=7, lossless="off", telemetry="full",
                     telemetry_dir=str(tmp_path))
     results = run_cells(QUICK_SPECS, jobs=1, config=cfg)
-    assert results == run_cells(QUICK_SPECS, jobs=1, root_seed=7)
+    assert results == run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
     assert len(list(tmp_path.glob("*.metrics.jsonl"))) == len(QUICK_SPECS)
 
 
@@ -249,11 +262,13 @@ def test_run_cells_accepts_simconfig(tmp_path):
 def test_cell_timeout_under_budget_matches_untimed_run():
     """Cells that finish inside the budget are bit-identical to a plain
     run — the process round-trip must not perturb results."""
-    reference = run_cells(QUICK_SPECS, jobs=1, root_seed=7)
-    guarded = run_cells(QUICK_SPECS, jobs=1, root_seed=7, cell_timeout=120.0)
+    reference = run_cells(QUICK_SPECS, jobs=1, config=SimConfig(seed=7))
+    guarded = run_cells(
+        QUICK_SPECS, jobs=1, config=SimConfig(seed=7), cell_timeout=120.0
+    )
     assert guarded == reference
     guarded_parallel = run_cells(
-        QUICK_SPECS, jobs=2, root_seed=7, cell_timeout=120.0
+        QUICK_SPECS, jobs=2, config=SimConfig(seed=7), cell_timeout=120.0
     )
     assert guarded_parallel == reference
 
@@ -268,8 +283,8 @@ def test_cell_timeout_kills_hung_cell_deterministically():
         # finishes in well under a second even on a loaded machine.
         CellSpec("fig06", {"duration_s": 30.0}),
     ]
-    results = run_cells(specs, jobs=2, root_seed=7, cell_timeout=4.0)
-    reference = run_cells(QUICK_SPECS[:1], jobs=1, root_seed=7)
+    results = run_cells(specs, jobs=2, config=SimConfig(seed=7), cell_timeout=4.0)
+    reference = run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7))
     assert results[0] == reference[0]
     assert results[1].name == "fig06"
     assert results[1].scalars == {"timed_out": 1.0, "cell_timeout_s": 4.0}

@@ -5,14 +5,11 @@ import json
 
 import pytest
 
+from repro.config import SimConfig
 from repro.experiments.common import build_topology
+from repro.net.network import Network
 from repro.net.topology import dumbbell
-from repro.obs import (
-    Telemetry,
-    drain_pending,
-    install,
-    maybe_install,
-)
+from repro.obs import Telemetry, drain_pending, install
 from repro.sim.units import seconds
 from repro.transport.registry import open_flow
 
@@ -114,23 +111,19 @@ def test_install_sets_network_handle_and_pending_queue():
     assert drain_pending() == []
 
 
-def test_maybe_install_reads_environment(monkeypatch):
+def test_environment_telemetry_reaches_every_network(monkeypatch):
+    """``$REPRO_TELEMETRY`` is resolved by ``Network`` itself, so a
+    network built straight from a topology builder carries the session."""
     monkeypatch.setenv("REPRO_TELEMETRY", "slots")
-    topo = build_topology(
-        dumbbell, "tfc", buffer_bytes=256_000, n_senders=2, seed=1
-    )
-    session = topo.network.telemetry
-    assert session is not None and session.mode == "slots"
-    # already-installed networks are left alone
-    assert maybe_install(topo.network) is session
+    network = dumbbell(n_senders=2, seed=1).network
+    assert network.telemetry is not None and network.telemetry.mode == "slots"
+    assert drain_pending() == [network.telemetry]
 
 
-def test_maybe_install_off_is_noop(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    topo = build_topology(
-        dumbbell, "tfc", buffer_bytes=256_000, n_senders=2, seed=1
-    )
-    assert topo.network.telemetry is None
+def test_config_off_beats_environment_telemetry(monkeypatch):
+    monkeypatch.setenv("REPRO_TELEMETRY", "full")
+    network = Network(config=SimConfig(telemetry="off"))
+    assert network.telemetry is None
     assert drain_pending() == []
 
 

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.config import ROUTING_ENV_VAR
+from repro.net.network import Network
 from repro.net.topology import dumbbell
 from repro.routing import (
     ROUTING_NAMES,
     ROUTING_POLICIES,
-    EcmpPolicy,
     FlowletPolicy,
     RoutingPolicy,
     make_routing,
@@ -34,20 +34,10 @@ def test_make_routing_rejects_unknown():
 
 def test_resolve_routing_defaults_to_single(monkeypatch):
     monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    assert resolve_routing(None).name == "single"
-
-
-def test_resolve_routing_reads_env(monkeypatch):
-    monkeypatch.setenv(ROUTING_ENV_VAR, "ecmp")
-    assert isinstance(resolve_routing(None), EcmpPolicy)
-    # An explicit argument beats the environment.
-    assert resolve_routing("spray").name == "spray"
-
-
-def test_resolve_routing_rejects_bad_env(monkeypatch):
-    monkeypatch.setenv(ROUTING_ENV_VAR, "bogus")
-    with pytest.raises(ValueError, match="REPRO_ROUTING"):
-        resolve_routing(None)
+    network = Network()
+    assert network.config.routing == "single"
+    assert resolve_routing(network.config.routing).name == "single"
+    assert network.routing.name == "single"
 
 
 def test_resolve_routing_passes_instances_through():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.config import env
+from repro.config import SimConfig, env
 from repro.experiments.runner import CellSpec, run_cells, scenario_specs
 from repro.obs import drain_pending
 from repro.scenario import get_scenario, list_scenarios, run_scenario
@@ -124,8 +124,8 @@ def test_jobs_1_vs_4_bit_identical():
     specs = scenario_specs(
         ["multi-tenant-mix", "incast-burst", "storage-chain"], quick=True
     )
-    serial = run_cells(specs, jobs=1, root_seed=5)
-    parallel = run_cells(specs, jobs=4, root_seed=5)
+    serial = run_cells(specs, jobs=1, config=SimConfig(seed=5))
+    parallel = run_cells(specs, jobs=4, config=SimConfig(seed=5))
     assert serial == parallel
 
 
@@ -161,7 +161,7 @@ def test_per_tenant_metrics_in_registry_and_jsonl(tmp_path):
     # the runner with an export directory and check the JSONL rows.
     specs = scenario_specs(["multi-tenant-mix"], quick=True)
     results = run_cells(
-        specs, jobs=1, root_seed=0, telemetry_dir=str(tmp_path)
+        specs, jobs=1, config=SimConfig(telemetry="full", telemetry_dir=str(tmp_path))
     )
     assert results[0]["jain_tenants"] > 0.0
     files = list(tmp_path.glob("*.metrics.jsonl"))

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.analysis import (
-    Comparison,
     ComparisonReport,
     ascii_table,
     at_least_factor,

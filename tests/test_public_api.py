@@ -62,20 +62,15 @@ def test_config_namespace_is_the_selection_surface():
         ROUTING_NAMES,
         TELEMETRY_MODES,
         SimConfig,
+        current,
         env,
-        lossless_mode,
-        routing_name,
-        telemetry_dir,
-        telemetry_mode,
     )
 
     assert set(ROUTING_NAMES) >= {"single", "ecmp", "flowlet", "spray"}
     assert TELEMETRY_MODES == ("off", "counters", "slots", "full")
     assert LOSSLESS_MODES == ("off", "pfc")
     assert set(KNOBS) == {"routing", "telemetry", "telemetry_dir", "lossless"}
-    assert callable(env)
-    assert callable(routing_name) and callable(telemetry_mode)
-    assert callable(telemetry_dir) and callable(lossless_mode)
+    assert callable(env) and callable(current)
     assert SimConfig().seed == 0
 
 
@@ -107,6 +102,11 @@ def test_the_shard_knob_helpers_are_gone():
         ("repro.transport.registry", "configure_network"),
         ("repro.transport.registry", "queue_factory_for"),
         ("repro.transport.registry", "resolve_legacy_params"),
+        ("repro.config", "routing_name"),
+        ("repro.config", "telemetry_mode"),
+        ("repro.config", "telemetry_dir"),
+        ("repro.config", "lossless_mode"),
+        ("repro.obs", "maybe_install"),
     ),
 )
 def test_retired_configuration_shims_are_gone(module, name):
@@ -143,7 +143,6 @@ def test_obs_namespace_surface():
         Timeline,
         drain_pending,
         install,
-        maybe_install,
         write_metrics_jsonl,
         write_slots_csv,
     )
@@ -154,7 +153,7 @@ def test_obs_namespace_surface():
     assert registry.counter("c") is registry.counter("c")
     assert Counter and Gauge and Histogram and Timeline
     assert Telemetry and SlotTimelineRecorder and FlightRecorder
-    assert callable(install) and callable(maybe_install)
+    assert callable(install)
     assert callable(drain_pending)
     assert callable(write_metrics_jsonl) and callable(write_slots_csv)
 
