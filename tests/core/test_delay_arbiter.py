@@ -1,6 +1,6 @@
 """Unit tests for the sub-MSS ACK delay function (Delay Arbiter)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core.delay import PER_PACKET_OVERHEAD, DelayArbiter
 from repro.net.packet import MSS, Packet
@@ -133,6 +133,7 @@ def test_sub_mss_waits_behind_debt():
     assert sim.now > (MSS + PER_PACKET_OVERHEAD) * 8
 
 
+@seed(30)
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.integers(min_value=1, max_value=MSS - 1), min_size=1, max_size=30))
 def test_property_paced_grants_never_exceed_fill_rate(windows):

@@ -1,5 +1,8 @@
 """Cross-cutting TFC invariants observed through the tracer."""
 
+import pytest
+
+from repro.core.params import TfcParams
 from repro.net.packet import MSS
 from repro.net.topology import dumbbell
 from repro.sim.trace import (
@@ -106,3 +109,28 @@ def test_total_grants_per_slot_bounded_by_tokens():
     topo.network.tracer.subscribe(TFC_WINDOW_UPDATE, check)
     topo.network.run_for(seconds(0.3))
     assert not violations
+
+
+@pytest.mark.parametrize("subscribed", [False, True], ids=["counted", "subscribed"])
+def test_ack_delayed_trace_counts_every_parked_and_dropped_ack(subscribed):
+    """``TFC_ACK_DELAYED`` fires once per ACK the arbiter parks or drops,
+    whether it is only counted (nobody listens) or dispatched; a listener
+    is told which ACK and whether it was dropped."""
+    topo = tfc_topo(40, TfcParams(delay_queue_limit=8))
+    receiver = topo.hosts[-1]
+    for host in topo.hosts[:40]:
+        open_flow(host, receiver, "tfc", size_bytes=100_000)
+    seen = []
+    if subscribed:
+        topo.network.tracer.subscribe(
+            TFC_ACK_DELAYED, lambda packet, dropped: seen.append((packet.rma, dropped))
+        )
+    topo.network.run_for(seconds(0.03))
+    arbiters = [port.agent.delay_arbiter for sw in topo.switches for port in sw.ports]
+    delayed = sum(arbiter.delayed_acks for arbiter in arbiters)
+    dropped = sum(arbiter.dropped_acks for arbiter in arbiters)
+    assert delayed > 0 and dropped > 0
+    assert topo.network.tracer.count(TFC_ACK_DELAYED) == delayed + dropped
+    if subscribed:
+        assert sorted(set(seen)) == [(True, False), (True, True)]
+        assert seen.count((True, True)) == dropped

@@ -3,11 +3,14 @@
 The agent stamps non-RM packets from a cached ``min(W, live bound)`` and
 evaluates the delimiter-silence count on RM packets only.  The reference
 below does neither: it re-derives the live bound (§5a item 4) and advances
-the silence count (item 8) on every packet, and debits RM stamps against
-the slot budget (item 3).  Slot closes and elections are the agent's own
-(``_on_round_mark``/``_elect``); what is compared is everything the cache
-and the lazy count could get wrong: every stamped window, and the whole
-agent state after each RM packet.
+the silence count (item 8) on every packet, debits RM stamps against
+the slot budget (item 3), and takes its own round-mark step: elect on
+the first RM packet, close the slot on the delimiter's, and count any
+other flow's RM packet as its weight.  Slot closes and elections
+themselves are the agent's (``_close_slot``/``_elect``); what is compared
+is everything the cache and the lazy count could get wrong: every
+stamped window, and the whole agent state, the stamp cached for the next
+non-RM packet included, after each RM packet.
 
 It also holds the agent to its contract with the path: a switch only
 ever *lowers* a packet's window field (min-reduction), so no stamp may
@@ -27,8 +30,14 @@ _STATE = (
     "_slots_since_election", "effective_flows", "arrived_bytes", "e_smooth",
     "granted_bytes", "tokens", "window", "slot_index", "last_rho",
     "published_e", "rttb_ns", "rttm_ns", "rtt_last_ns",
-    "_slots_until_rttb_refresh",
+    "_slots_until_rttb_refresh", "stamp",
 )
+
+
+def _live_stamp(agent: TfcPortAgent) -> float:
+    """Item 4: min(W, T / max(E_so_far, e_smooth / 2)), never below MSS / 8."""
+    share = max(agent.effective_flows, agent.e_smooth / 2.0, 1.0)
+    return min(agent.window, _quantize_window(max(agent.tokens / share, MSS / 8.0)))
 
 
 def reference_on_transit(agent: TfcPortAgent, packet: Packet) -> None:
@@ -54,10 +63,7 @@ def reference_on_transit(agent: TfcPortAgent, packet: Packet) -> None:
             and packet.flow_key != agent.delimiter_key
         ):
             agent._elect(packet, now)
-    # Item 4: min(W, T / max(E_so_far, e_smooth / 2)), never below MSS / 8.
-    share = max(agent.effective_flows, agent.e_smooth / 2.0, 1.0)
-    bound = _quantize_window(max(agent.tokens / share, MSS / 8.0))
-    stamp = min(agent.window, bound)
+    stamp = _live_stamp(agent)
     if packet.weight > 1:
         stamp = _quantize_window(stamp * packet.weight)
     if packet.rm:
@@ -66,7 +72,15 @@ def reference_on_transit(agent: TfcPortAgent, packet: Packet) -> None:
         agent.granted_bytes += stamp
     packet.window = min(packet.window, stamp)
     if packet.rm:
-        agent._on_round_mark(packet, now)
+        # The round mark: the first RM packet elects its flow, the
+        # delimiter's closes the slot, any other counts w for weight w.
+        if agent.delimiter_key is None:
+            agent._elect(packet, now)
+        elif packet.flow_key == agent.delimiter_key:
+            agent._close_slot(packet, now)
+        else:
+            agent.effective_flows += max(packet.weight, 1)
+        agent.stamp = _live_stamp(agent)
 
 
 # One step: advance the clock by a gap, then transit a packet or reset.
