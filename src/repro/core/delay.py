@@ -26,6 +26,7 @@ from ..sim.trace import TFC_ACK_DELAYED, Tracer
 from ..sim.units import SECOND
 
 PER_PACKET_OVERHEAD = HEADER_BYTES + ETHERNET_OVERHEAD
+_BIT_NS = 8 * SECOND  # credit bytes = rate_bps x elapsed ns / _BIT_NS
 
 
 class DelayArbiter:
@@ -53,6 +54,9 @@ class DelayArbiter:
         self.queue_limit = queue_limit
         self.mss = mss
         self.per_packet_overhead = per_packet_overhead
+        # A sub-MSS grant is released as one MSS and paid as one frame.
+        self._mss_window = float(mss)
+        self._mss_wire = float(mss) + per_packet_overhead
         self.credit: float = float(mss)  # one packet of head-room at boot
         self.cap: float = float(2 * mss)
         self._last_update_ns = sim.now
@@ -86,18 +90,6 @@ class DelayArbiter:
         """Track the port's current token value (cap >= 2 MSS always)."""
         self.cap = max(cap_bytes, 2.0 * self.mss)
 
-    def _refresh_credit(self) -> None:
-        now = self._sim.now
-        elapsed = now - self._last_update_ns
-        if elapsed > 0:
-            self.credit = min(
-                self.credit + self.rate_bps * elapsed / (8 * SECOND), self.cap
-            )
-            self._last_update_ns = now
-
-    def _debit(self, amount: float) -> None:
-        self.credit = max(self.credit - amount, -self.cap)
-
     # ------------------------------------------------------------------
     def offer(self, ack: Packet) -> bool:
         """Process an arriving RMA ACK.
@@ -112,34 +104,60 @@ class DelayArbiter:
         the bucket would break it exactly when it matters (a flash crowd of
         acquisition probes returning stale windows).  Sub-MSS windows are
         rounded up to one MSS at release, as in the paper.
+
+        Grants are charged in wire bytes, not payload bytes: a grant of w
+        payload bytes puts ceil(w / MSS) frames of header+framing overhead
+        on the link as well, and ignoring that makes the paced inflow
+        exceed the line rate by the overhead ratio (the queue then
+        integrates up).  The charge is clamped to the bucket capacity,
+        min(wire, cap), so a grant larger than the cap can always
+        eventually be paid for (it would deadlock otherwise); the debt it
+        leaves is floored at -cap.
         """
-        self._refresh_credit()
-        wire = self._wire_cost(ack)
-        cost = min(wire, self.cap)
-        if ack.window >= self.mss:
+        cap = self.cap
+        credit = self.credit
+        now = self._sim.now
+        elapsed = now - self._last_update_ns
+        if elapsed > 0:  # accrue since the last update, up to the cap
+            credit += self.rate_bps * elapsed / _BIT_NS
+            if credit > cap:
+                credit = cap
+            self._last_update_ns = now
+        window = ack.window
+        if window >= self.mss:
             # Paper rule: an ACK already carrying at least one MSS passes
             # immediately and debits the counter (possibly into debt, down
             # to -cap).  The debt then delays the sub-MSS grants behind it,
             # which is exactly the compensation the token-bucket analogy
             # intends; adding latency to large grants themselves would
             # throttle the link below the token allocation (rho0 would be
-            # applied twice).
-            self._debit(cost)
+            # applied twice).  A sender fills whole bytes: int(window).
+            wire = window + -(-int(window) // self.mss) * self.per_packet_overhead
+            credit -= wire if wire < cap else cap
+            self.credit = credit if credit > -cap else -cap
             return False
-        if not self._queue and self.credit >= cost - self._EPSILON:
-            ack.window = float(self.mss)
-            self._debit(cost)
+        wire = self._mss_wire
+        cost = wire if wire < cap else cap
+        if not self._queue and credit >= cost - self._EPSILON:
+            ack.window = self._mss_window
+            credit -= cost
+            self.credit = credit if credit > -cap else -cap
             return False
-        if len(self._queue) >= self.queue_limit:
+        self.credit = credit
+        dropped = len(self._queue) >= self.queue_limit
+        if dropped:  # consumed; the sender's RTO will recover
             self.dropped_acks += 1
-            if self._tracer is not None:
-                self._tracer.emit(TFC_ACK_DELAYED, packet=ack, dropped=True)
-            return True  # consumed (dropped); sender's RTO will recover
-        self._queue.append((ack, wire))
-        self.delayed_acks += 1
-        if self._tracer is not None:
-            self._tracer.emit(TFC_ACK_DELAYED, packet=ack, dropped=False)
-        self._schedule_release()
+        else:
+            self._queue.append((ack, wire))
+            self.delayed_acks += 1
+        tracer = self._tracer
+        if tracer is not None:
+            if tracer.active(TFC_ACK_DELAYED):
+                tracer.emit(TFC_ACK_DELAYED, packet=ack, dropped=dropped)
+            else:
+                tracer.bump(TFC_ACK_DELAYED)
+        if self._pending is None:
+            self._schedule_release()
         return True
 
     # ------------------------------------------------------------------
@@ -147,18 +165,6 @@ class DelayArbiter:
     def queued(self) -> int:
         """Number of ACKs currently parked."""
         return len(self._queue)
-
-    def _wire_cost(self, ack: Packet) -> float:
-        # Charge wire bytes, not payload bytes: a grant of w payload bytes
-        # puts ceil(w / MSS) frames of header+framing overhead on the link
-        # as well, and ignoring that makes the paced inflow exceed the line
-        # rate by the overhead ratio (the queue then integrates up).
-        # Callers clamp it to the bucket capacity, min(wire, cap), so a
-        # grant larger than the cap can always eventually be paid for (it
-        # would deadlock otherwise).
-        payload = max(ack.window, float(self.mss))
-        frames = -(-int(payload) // self.mss)
-        return payload + frames * self.per_packet_overhead
 
     # Float headroom for credit comparisons: without it a deficit of a few
     # ULPs truncates to a zero-delay reschedule and the release loop spins
@@ -179,17 +185,28 @@ class DelayArbiter:
 
     def _release_head(self) -> None:
         self._pending = None
-        self._refresh_credit()
-        if not self._queue:
+        cap = self.cap
+        credit = self.credit
+        now = self._sim.now
+        elapsed = now - self._last_update_ns
+        if elapsed > 0:
+            credit += self.rate_bps * elapsed / _BIT_NS
+            if credit > cap:
+                credit = cap
+            self.credit = credit
+            self._last_update_ns = now
+        queue = self._queue
+        if not queue:
             return
-        ack, wire = self._queue[0]
-        cost = min(wire, self.cap)
-        if self.credit < cost - self._EPSILON:
+        ack, wire = queue[0]
+        cost = wire if wire < cap else cap
+        if credit < cost - self._EPSILON:
             self._schedule_release()
             return
-        self._queue.popleft()
-        ack.window = float(self.mss)
-        self._debit(cost)
+        queue.popleft()
+        ack.window = self._mss_window
+        credit -= cost
+        self.credit = credit if credit > -cap else -cap
         self._release(ack)
-        if self._queue:
+        if queue:
             self._schedule_release()

@@ -45,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..net.port import Port
 
 
+#: The live stamp bound's floor, one eighth of an MSS.
+_MIN_STAMP = float(MSS) / 8.0
+
+
 def _quantize_window(window: float) -> float:
     """Grant whole packets above one MSS; keep sub-MSS grants fractional.
 
@@ -108,7 +112,7 @@ class TfcPortAgent:
         self.delay_arbiter = DelayArbiter(
             self.sim,
             self.rate_bps,
-            release=self.switch.inject,
+            release=self.switch.forward,
             tracer=self.tracer,
             queue_limit=params.delay_queue_limit,
             fill_fraction=params.rho0,
@@ -207,13 +211,43 @@ class TfcPortAgent:
         # flash crowd of probes inside one slot is granted the harmonic
         # ladder T/1 + T/2 + T/3 + ...
         remaining = self.tokens - self.granted_bytes
-        stamp = min(stamp, max(remaining, 64.0))
+        if remaining < 64.0:
+            remaining = 64.0
+        if stamp > remaining:
+            stamp = remaining
         self.granted_bytes += stamp
         if packet.window > stamp:
             packet.window = stamp
 
-        self._on_round_mark(packet, now)
-        self._refresh_stamp()
+        # Round mark: the first RM packet elects its flow as delimiter,
+        # the delimiter's own closes the slot, and any other flow's counts
+        # as effective flows.  Weighted allocation policy (paper section
+        # 4.1: "we could allocate the total tokens to flows according to
+        # any allocation policies"): a flow of weight w counts as w
+        # effective flows and is granted w shares.
+        delimiter_key = self.delimiter_key
+        if delimiter_key is None:
+            self._elect(packet, now)
+        elif packet.flow_key == delimiter_key:
+            self._close_slot(packet, now)
+        else:
+            self.effective_flows += weight if weight > 1 else 1
+
+        # _refresh_stamp, inlined: min(W, live bound) for the packets that
+        # follow, from the counts this packet just moved.
+        e_half = self.e_smooth / 2.0
+        denominator = self.effective_flows
+        if denominator < e_half:
+            denominator = e_half
+        if denominator < 1.0:
+            denominator = 1.0
+        bound = self.tokens / denominator
+        if bound < _MIN_STAMP:
+            bound = _MIN_STAMP
+        elif bound >= MSS:
+            bound = float(int(bound // MSS) * MSS)
+        window = self.window
+        self.stamp = window if window <= bound else bound
 
     def _refresh_stamp(self) -> None:
         """Recompute the cached stamp from T, E, e_smooth and W.
@@ -229,22 +263,8 @@ class TfcPortAgent:
         jumping to the whole token value the instant the count reads 1.
         """
         denominator = max(self.effective_flows, self.e_smooth / 2.0, 1.0)
-        live_bound = _quantize_window(
-            max(self.tokens / denominator, float(MSS) / 8.0)
-        )
+        live_bound = _quantize_window(max(self.tokens / denominator, _MIN_STAMP))
         self.stamp = min(self.window, live_bound)
-
-    def _on_round_mark(self, packet: Packet, now: int) -> None:
-        if self.delimiter_key is None:
-            self._elect(packet, now)
-        elif packet.flow_key == self.delimiter_key:
-            self._close_slot(packet, now)
-        else:
-            # Weighted allocation policy (paper section 4.1: "we could
-            # allocate the total tokens to flows according to any
-            # allocation policies"): a flow of weight w counts as w
-            # effective flows and is granted w shares.
-            self.effective_flows += max(packet.weight, 1)
 
     def _elect(self, packet: Packet, now: int) -> None:
         self.delimiter_key = packet.flow_key
@@ -361,7 +381,7 @@ class TfcPortAgent:
         """Handle a packet arriving *from* this port's link.
 
         Returns True when the delay arbiter kept the packet (it will be
-        re-injected into the switch pipeline later).
+        forwarded when the arbiter releases it).
         """
         if packet.is_ack and packet.rma:
             return self.delay_arbiter.offer(packet)

@@ -88,7 +88,8 @@ class Switch(Node):
       then ``agent.on_reverse_arrival``.  Either returns True when it
       consumed the packet — a pause frame, which the first role to see
       it hands to the fabric that sent it (``frame.backpressure``), or an
-      ACK the delay arbiter holds and will re-inject via :meth:`inject`.
+      ACK the delay arbiter holds and will release later through
+      :meth:`forward`.
     * **transit** (a packet about to be queued on the port):
       ``agent.on_transit(packet)``, which may rewrite header fields
       (window stamping) and updates the token/E/rho counters.  An agent
@@ -145,10 +146,6 @@ class Switch(Node):
         if agent is not None:
             agent.on_transit(packet)
         out_port.send(packet)
-
-    def inject(self, packet: Packet) -> None:
-        """Re-inject a packet previously held by a port agent."""
-        self.forward(packet)
 
 
 class Endpoint(Node):

@@ -55,7 +55,7 @@ class ReferenceArbiter:
 
     def arm(self, now):  # due at the first ns whose accrued credit covers the head
         wire, credit = self.parked[0][1], self.credit
-        def ready(ns):  # noqa: E306
+        def ready(ns):
             return self.covered(min(credit + self.fill * ns / _BYTE_NS, self.cap), wire)
         wait = max(math.ceil((min(wire, self.cap) - credit) * _BYTE_NS / self.fill), 0)
         while wait > 0 and ready(wait - 1):

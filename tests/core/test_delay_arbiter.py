@@ -102,10 +102,12 @@ def test_credit_capped():
     arbiter, _ = make_arbiter(sim)
     arbiter.set_cap(5 * MSS)
     arbiter.credit = 5 * MSS
-    sim.schedule(SECOND // 100, lambda: None)
+    sim.post(SECOND // 100, lambda: None)
     sim.run()
-    arbiter._refresh_credit()
-    assert arbiter.credit <= 5 * MSS
+    # The offer accrues 10 ms of credit, which stops at the cap, then
+    # pays one full frame.
+    arbiter.offer(rma_ack(MSS))
+    assert arbiter.credit == 5 * MSS - (MSS + PER_PACKET_OVERHEAD)
 
 
 def test_debt_floor_bounded():
