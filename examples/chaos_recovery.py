@@ -22,7 +22,7 @@ With no argument the whole catalogue runs (a few seconds per fault).
 
 import sys
 
-from repro.experiments.chaos import FAULT_KINDS, main, run_chaos
+from repro.experiments.chaos import FAULT_KINDS, run_chaos
 
 
 def run_one(fault: str) -> None:
@@ -39,9 +39,7 @@ def run_one(fault: str) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        if sys.argv[1] not in FAULT_KINDS:
-            sys.exit(f"unknown fault {sys.argv[1]!r}; pick from {FAULT_KINDS}")
-        run_one(sys.argv[1])
-    else:
-        main()
+    if len(sys.argv) > 1 and sys.argv[1] not in FAULT_KINDS:
+        sys.exit(f"unknown fault {sys.argv[1]!r}; pick from {FAULT_KINDS}")
+    for fault in sys.argv[1:2] or FAULT_KINDS:
+        run_one(fault)

@@ -8,7 +8,7 @@ per network; every other layer reads the resolved ``network.config``.
 
 Environment variables exist for code paths that build their
 :class:`~repro.net.network.Network` internally (topology builders,
-figure cells, pool workers) and therefore cannot take a constructor
+figure cells, cell processes) and therefore cannot take a constructor
 argument; everything else should prefer :class:`~repro.config.SimConfig`.
 """
 

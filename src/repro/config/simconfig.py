@@ -91,7 +91,7 @@ class SimConfig:
         """A context manager exporting this config's non-None knobs.
 
         The runner wraps every batch of cells in this, so internally
-        built networks and pool workers see the config without any
+        built networks and cell processes see the config without any
         argument threading.
         """
         return _env(**{knob: getattr(self, knob) for knob in KNOBS})

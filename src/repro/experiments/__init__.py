@@ -1,6 +1,6 @@
 """Experiment drivers — one module per paper figure (see DESIGN.md §4)."""
 
-from .chaos import FAULT_KINDS, ChaosResult, run_all, run_chaos
+from .chaos import FAULT_KINDS, ChaosResult, run_chaos
 from .common import (
     ALL_PROTOCOLS,
     PROTOCOL_LABELS,
@@ -28,7 +28,6 @@ __all__ = [
     "format_table",
     "FAULT_KINDS",
     "ChaosResult",
-    "run_all",
     "run_chaos",
     "RttbResult",
     "run_fig06",

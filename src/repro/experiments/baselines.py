@@ -24,14 +24,14 @@ same way the built-ins do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from ..metrics.samplers import QueueSampler
 from ..metrics.stats import jain_fairness, mean, percentile
 from ..net.topology import dumbbell
 from ..sim.units import GBPS, MILLISECOND, microseconds, seconds
 from ..transport.registry import open_flow
-from .common import BASELINE_PROTOCOLS, ExperimentResult, build_topology
+from .common import ExperimentResult, build_topology
 
 
 @dataclass
@@ -134,26 +134,6 @@ def run_baseline_point(
         pause_frames=getattr(fabric, "pause_frames", 0),
         resume_frames=getattr(fabric, "resume_frames", 0),
     )
-
-
-def run_baseline_sweep(
-    protocols: Sequence[str] = BASELINE_PROTOCOLS,
-    n_senders: int = 8,
-    flow_bytes: int = 2_000_000,
-    seed: int = 0,
-    **kwargs,
-) -> List[BaselinePoint]:
-    """The full grid: every baseline under the same contention pattern."""
-    return [
-        run_baseline_point(
-            protocol,
-            n_senders=n_senders,
-            flow_bytes=flow_bytes,
-            seed=seed,
-            **kwargs,
-        )
-        for protocol in protocols
-    ]
 
 
 def run_baselines_cell(

@@ -4,10 +4,12 @@ The robustness claim behind the paper's recovery machinery (delimiter
 re-election, window re-acquisition, token re-learning) is testable: under
 any single fault, a TFC dumbbell should reconverge to at least 90% of its
 pre-fault aggregate goodput without ever breaking a control-loop
-invariant.  This driver runs that experiment for one fault or the whole
-catalogue, with the :class:`~repro.faults.InvariantMonitor` attached
-throughout, and reports time-to-reconverge, goodput dip depth, and
-post-fault timeouts per fault.
+invariant.  This driver runs that experiment for one fault, with the
+:class:`~repro.faults.InvariantMonitor` attached throughout, and reports
+time-to-reconverge, goodput dip depth, and post-fault timeouts.  The
+runner's ``chaos`` figure runs the whole catalogue, one cell per fault::
+
+    python -m repro.experiments.runner --figures chaos
 
 Every run is deterministic: topology, workload and fault schedule all
 derive from the single scenario seed.
@@ -16,7 +18,7 @@ derive from the single scenario seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..faults import (
     FaultInjector,
@@ -28,13 +30,12 @@ from ..faults import (
 )
 from ..metrics.samplers import RateSampler, Series
 from ..net.topology import dumbbell
-from ..obs import drain_pending as _drain_telemetry
-from ..obs import install as _install_telemetry
 from ..sim.units import microseconds, milliseconds
 from ..transport.registry import open_flow
-from .common import build_topology, format_table
+from .common import ExperimentResult, build_topology
 
-# The complete fault catalogue exercised by run_all / the acceptance test.
+# The complete fault catalogue: the runner's ``chaos`` plan and the
+# acceptance test run one scenario per entry.
 FAULT_KINDS = (
     "link_flap",
     "degrade",
@@ -57,12 +58,6 @@ class ChaosResult:
     records: List[FaultRecord] = field(default_factory=list)
     goodput_series: Series = field(default_factory=list)
     invariant_checks: int = 0
-    telemetry_paths: List[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        """Recovered to threshold with zero invariant violations."""
-        return self.report.recovered and not self.violations
 
 
 def _inject(
@@ -119,7 +114,6 @@ def run_chaos(
     sample_interval_ns: int = microseconds(500),
     buffer_bytes: int = 256_000,
     raise_on_violation: bool = False,
-    telemetry_dir: Optional[str] = None,
 ) -> ChaosResult:
     """Run one fault scenario on a TFC dumbbell and measure recovery.
 
@@ -127,11 +121,10 @@ def run_chaos(
     fires, and the run continues for ``tail_ns`` past the fault window.
     Aggregate goodput across all receivers is the recovery signal.
 
-    ``telemetry_dir`` records full telemetry (metrics + slot timelines +
-    flight recorder, with invariant counters, the goodput timeline and
-    the recovery report folded into the registry) and exports it there
-    labelled ``chaos_{fault}_{seed}``; ``$REPRO_TELEMETRY`` attaches the
-    same machinery through the network's resolved config.
+    When the network's resolved config records telemetry, the invariant
+    counters, the goodput timeline (``chaos.goodput_bps``) and the
+    recovery report (``recovery.*``) are folded into its registry; the
+    runner exports the session after the cell like any other.
     """
     topo = build_topology(
         dumbbell,
@@ -141,10 +134,7 @@ def run_chaos(
         seed=seed,
     )
     net = topo.network
-    if telemetry_dir is not None and net.telemetry is None:
-        _install_telemetry(net, "full", dump_dir=telemetry_dir)
-    session = net.telemetry
-    registry = session.registry if session is not None else None
+    registry = net.telemetry.registry if net.telemetry is not None else None
     receiver_host = topo.host(n_flows)  # first (only) receiver
     senders = [
         open_flow(topo.host(i), receiver_host, "tfc") for i in range(n_flows)
@@ -185,17 +175,9 @@ def run_chaos(
         settle_ns=settle_ns,
         post_fault_timeouts=post_fault_timeouts,
     )
-    telemetry_paths: List[str] = []
-    if session is not None:
+    if registry is not None:
         sampler.register(registry, "chaos.goodput_bps")
         report.register(registry)
-        session.detach()
-        _drain_telemetry()  # this run's session is exported right here
-        export_dir = telemetry_dir or net.config.telemetry_dir
-        if export_dir:
-            telemetry_paths = session.export(
-                export_dir, f"chaos_{fault}_{seed}"
-            )
     return ChaosResult(
         fault=fault,
         seed=seed,
@@ -204,63 +186,28 @@ def run_chaos(
         records=list(injector.records),
         goodput_series=sampler.series,
         invariant_checks=monitor.checks_run,
-        telemetry_paths=telemetry_paths,
     )
 
 
-def run_all(seed: int = 1, **kwargs) -> List[ChaosResult]:
-    """Run the full fault catalogue (one isolated run per fault)."""
-    return [run_chaos(fault, seed=seed, **kwargs) for fault in FAULT_KINDS]
+def run_chaos_cell(fault: str, seed: int = 1, **kwargs) -> ExperimentResult:
+    """Runner entry point: one fault scenario, plain scalars.
 
-
-def main(argv=None) -> None:
-    """CLI entry: run every fault and print the recovery table."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.chaos",
-        description="Run the chaos fault catalogue on a TFC dumbbell.",
+    ``reconverge_ns`` is the absolute recovery time, -1 when the run
+    never reconverged (as in the registry's ``recovery.reconverge_ns``).
+    """
+    result = run_chaos(fault, seed=seed, **kwargs)
+    report = result.report
+    reconverge_ns = report.reconverge_ns
+    return ExperimentResult(
+        name=f"chaos_{fault}",
+        protocol="tfc",
+        scalars={
+            "baseline_bps": report.baseline,
+            "dip_depth": report.dip_depth,
+            "reconverge_ns": -1.0 if reconverge_ns is None else float(reconverge_ns),
+            "violations": float(len(result.violations)),
+            "post_fault_timeouts": float(report.post_fault_timeouts),
+            "invariant_checks": float(result.invariant_checks),
+        },
+        series={"goodput_bps": list(result.goodput_series)},
     )
-    parser.add_argument("--seed", type=int, default=1, help="scenario seed")
-    parser.add_argument(
-        "--telemetry",
-        metavar="DIR",
-        default=None,
-        help="export full telemetry (metrics/slots/flight) per fault into DIR",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_all(seed=args.seed, telemetry_dir=args.telemetry)
-    rows = []
-    for result in results:
-        report = result.report
-        ttr = report.time_to_reconverge_ns
-        rows.append(
-            [
-                result.fault,
-                f"{report.baseline / 1e9:.3f}",
-                f"{report.dip_depth * 100:.0f}%",
-                "never" if ttr is None else f"{ttr / 1e6:.2f}",
-                str(report.post_fault_timeouts),
-                str(len(result.violations)),
-            ]
-        )
-    print(
-        format_table(
-            [
-                "fault",
-                "baseline Gbps",
-                "dip",
-                "reconverge ms",
-                "timeouts",
-                "violations",
-            ],
-            rows,
-        )
-    )
-    clean = sum(1 for r in results if r.clean)
-    print(f"\n{clean}/{len(results)} faults recovered cleanly")
-
-
-if __name__ == "__main__":
-    main()

@@ -112,13 +112,6 @@ def build_topology(
     return topo
 
 
-def format_rate(bps: float) -> str:
-    """Human-readable rate for report tables."""
-    if bps >= 1e9:
-        return f"{bps / 1e9:.2f} Gbps"
-    return f"{bps / 1e6:.0f} Mbps"
-
-
 def format_table(headers: List[str], rows: List[List[str]]) -> str:
     """Minimal fixed-width ASCII table used by the bench reports."""
     widths = [

@@ -28,7 +28,7 @@ all-on-one-path baseline, ``ecmp`` the collision case under study,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List
 
 from ..net.topology import Topology, fat_tree
 from ..sim.units import seconds
@@ -172,18 +172,3 @@ def run_collision_cell(
             "uplink_bytes": res.uplink_bytes,
         },
     )
-
-
-def run_sweep(
-    protocols: Sequence[str] = ("tfc", "dctcp", "tcp"),
-    routings: Sequence[str] = ("single", "ecmp", "flowlet", "spray"),
-    **kwargs,
-) -> Dict[str, CollisionResult]:
-    """The full protocol x policy grid (keys ``<protocol>/<routing>``)."""
-    return {
-        f"{protocol}/{routing}": run_collision(
-            protocol=protocol, routing=routing, **kwargs
-        )
-        for protocol in protocols
-        for routing in routings
-    }

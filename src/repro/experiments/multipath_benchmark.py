@@ -19,7 +19,7 @@ two are directly comparable, plus the fabric-level drop count.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from ..metrics.fct import FctCollector
 from ..net.topology import fat_tree
@@ -122,18 +122,3 @@ def run_multipath_cell(
         scalars=scalars,
         series={"fct_records": records},
     )
-
-
-def run_grid(
-    protocols: Sequence[str] = ("tfc", "dctcp"),
-    routings: Sequence[str] = ("single", "ecmp", "flowlet", "spray"),
-    **kwargs,
-) -> Dict[str, BenchmarkResult]:
-    """TFC vs DCTCP across every policy (keys ``<protocol>/<routing>``)."""
-    return {
-        f"{protocol}/{routing}": run_multipath_benchmark(
-            protocol, routing=routing, **kwargs
-        )
-        for protocol in protocols
-        for routing in routings
-    }

@@ -16,6 +16,9 @@ RoCE-style baseline) and once with TFC over the *same armed fabric*
 thresholds, so "zero pause frames" is measured, not assumed).  The
 :class:`~repro.faults.PathologySuite` and
 :class:`~repro.faults.InvariantMonitor` are attached throughout.
+The runner's ``pfc`` figure runs every scenario under both fabrics::
+
+    python -m repro.experiments.runner --figures pfc
 
 Scenarios
 =========
@@ -57,11 +60,9 @@ from ..faults import FaultInjector, InvariantMonitor, Pathology, PathologySuite,
 from ..metrics.samplers import RateSampler, Series
 from ..net.pfc import PfcParams
 from ..net.topology import fat_tree, testbed
-from ..obs import drain_pending as _drain_telemetry
-from ..obs import install as _install_telemetry
 from ..sim.units import GBPS, microseconds, milliseconds
 from ..transport.registry import open_flow
-from .common import ExperimentResult, build_topology, format_table
+from .common import ExperimentResult, build_topology
 
 SCENARIOS = ("pause_storm", "hol", "cbd")
 FABRICS = ("pfc", "tfc")
@@ -87,7 +88,6 @@ class PathologyResult:
     pathologies: List[Pathology] = field(default_factory=list)
     violations: List[Violation] = field(default_factory=list)
     goodput_series: Series = field(default_factory=list)
-    telemetry_paths: List[str] = field(default_factory=list)
 
     def __getitem__(self, key: str) -> float:
         return self.scalars[key]
@@ -191,7 +191,6 @@ def run_pathology(
     buffer_bytes: int = 256_000,
     sample_interval_ns: int = microseconds(500),
     pfc_params: Optional[PfcParams] = None,
-    telemetry_dir: Optional[str] = None,
 ) -> PathologyResult:
     """Run one pathology scenario under one fabric and measure it.
 
@@ -232,10 +231,7 @@ def run_pathology(
         )
     net = topo.network
     fab = net.lossless
-    if telemetry_dir is not None and net.telemetry is None:
-        _install_telemetry(net, "full", dump_dir=telemetry_dir)
-    session = net.telemetry
-    registry = session.registry if session is not None else None
+    registry = net.telemetry.registry if net.telemetry is not None else None
 
     hosts = {h.name: h for h in topo.hosts}
     injector = FaultInjector(net)
@@ -341,16 +337,8 @@ def run_pathology(
             (victim.receiver.bytes_received - at_mark["victim"]) * 8 / window_s
         )
 
-    telemetry_paths: List[str] = []
-    if session is not None:
+    if registry is not None:
         sampler.register(registry, "pathology.goodput_bps")
-        session.detach()
-        _drain_telemetry()
-        export_dir = telemetry_dir or net.config.telemetry_dir
-        if export_dir:
-            telemetry_paths = session.export(
-                export_dir, f"pfc_{scenario}_{fabric}_{seed}"
-            )
     return PathologyResult(
         scenario=scenario,
         fabric=fabric,
@@ -359,7 +347,6 @@ def run_pathology(
         pathologies=pathologies,
         violations=list(monitor.violations),
         goodput_series=sampler.series,
-        telemetry_paths=telemetry_paths,
     )
 
 
@@ -385,85 +372,3 @@ def run_pathology_cell(
         series={"goodput_bps": list(result.goodput_series)},
     )
 
-
-def run_head_to_head(
-    scenario: str, seed: int = 1, **kwargs
-) -> Dict[str, PathologyResult]:
-    """Run one scenario under both fabrics (same seed, same workload)."""
-    return {
-        fabric: run_pathology(scenario, fabric, seed=seed, **kwargs)
-        for fabric in FABRICS
-    }
-
-
-def main(argv=None) -> None:
-    """CLI entry: run the head-to-head table for one or all scenarios."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.pfc_pathology",
-        description="TFC vs PFC under pause-storm / HoL / CBD chaos.",
-    )
-    parser.add_argument(
-        "--scenario",
-        choices=SCENARIOS,
-        default=None,
-        help="one scenario (default: all three)",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="scenario seed")
-    parser.add_argument(
-        "--duration-ms", type=int, default=60, help="sim duration per run"
-    )
-    parser.add_argument(
-        "--telemetry",
-        metavar="DIR",
-        default=None,
-        help="export full telemetry (metrics + flight recorder) into DIR",
-    )
-    args = parser.parse_args(argv)
-
-    scenarios = [args.scenario] if args.scenario else list(SCENARIOS)
-    rows = []
-    for scenario in scenarios:
-        results = run_head_to_head(
-            scenario,
-            seed=args.seed,
-            duration_ns=milliseconds(args.duration_ms),
-            telemetry_dir=args.telemetry,
-        )
-        for fabric in FABRICS:
-            r = results[fabric]
-            s = r.scalars
-            rows.append(
-                [
-                    scenario,
-                    fabric,
-                    f"{int(s['pause_frames'])}",
-                    f"{int(s['det_pause_storm'])}/"
-                    f"{int(s['det_hol_blocking'])}/"
-                    f"{int(s['det_cbd_deadlock'])}",
-                    f"{s['goodput_bps'] / 1e9:.3f}",
-                    f"{s['goodput_ratio'] * 100:.0f}%",
-                    f"{int(s['drops'])}",
-                    f"{int(s['violations'])}",
-                ]
-            )
-    print(
-        format_table(
-            [
-                "scenario",
-                "fabric",
-                "pauses",
-                "storm/hol/cbd",
-                "goodput Gbps",
-                "ratio",
-                "drops",
-                "violations",
-            ],
-            rows,
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -2,28 +2,37 @@
 
 Every paper figure decomposes into independent *cells* — one
 ``(figure, protocol, seed, load-point)`` simulation that shares nothing
-with its neighbours.  This module fans those cells out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (simulations are pure
-CPU, so threads would serialise on the GIL) and reassembles the results
+with its neighbours.  This module runs those cells either in-process,
+one after another, or each in its own process (simulations are pure
+CPU, so threads would serialise on the GIL), at most ``jobs`` at once
+and each killable at a wall-clock deadline, and reassembles the results
 in submission order.
 
 Determinism is preserved across worker counts: each cell's child seed is
 :func:`~repro.experiments.common.derive_cell_seed` of the root seed and
 the cell's identity labels, so ``--jobs 8`` returns bit-identical
 :class:`~repro.experiments.common.ExperimentResult` objects to a serial
-run — only wall-clock changes.  ``jobs <= 1`` never touches
-multiprocessing at all (the serial fallback tests rely on), and a pool
-that cannot start (sandboxes without /dev/shm, missing semaphores) falls
-back to the same serial path with a warning instead of dying.
+run — only wall-clock changes.  ``jobs <= 1`` without a cell timeout
+never touches multiprocessing at all (the serial path tests rely on),
+and processes that cannot start (sandboxes without /dev/shm, missing
+semaphores) fall back to the same serial path with a warning instead of
+dying.
+
+This is the one experiment entry point: every paper figure, the chaos
+fault catalogue, the TFC-vs-PFC head-to-head and the declarative
+scenarios run through it, and ``--telemetry DIR`` exports every cell's
+telemetry session.
 
 CLI::
 
     python -m repro.experiments.runner --figures fig13 fig14 --jobs 4
+    python -m repro.experiments.runner --figures chaos pfc --telemetry DIR
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import pickle
 import sys
@@ -35,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..config import ROUTING_NAMES, SimConfig
 from ..obs import drain_pending as _drain_telemetry
 from .baselines import run_baselines_cell
+from .chaos import FAULT_KINDS, run_chaos_cell
 from .common import (
     ALL_PROTOCOLS,
     BASELINE_PROTOCOLS,
@@ -73,6 +83,7 @@ FIGURE_CELLS: Dict[str, CellFn] = {
     "ecmp": run_collision_cell,
     "mpath": run_multipath_cell,
     "pfc": run_pathology_cell,
+    "chaos": run_chaos_cell,
     "scenario": run_scenario_cell,
 }
 
@@ -112,13 +123,17 @@ class CellSpec:
         return CellSpec(self.figure, {**self.kwargs, "seed": seed})
 
 
-def _execute_cell(spec: CellSpec) -> ExperimentResult:
-    """Worker entry point: run one cell to completion.
+def _execute_cell(
+    spec: CellSpec, index: int = 0, profile_dir: Optional[str] = None
+) -> ExperimentResult:
+    """Run one cell to completion, in whichever process runs it.
 
     Exceptions are re-raised as :class:`RunnerError` *here*, inside the
-    worker, so the parent receives a picklable error that names the cell —
-    arbitrary exception types (with simulation objects attached) may not
-    survive the return trip.
+    cell's process, so the parent receives a picklable error that names
+    the cell — arbitrary exception types (with simulation objects
+    attached) may not survive the return trip.  With ``profile_dir`` the
+    cell entry point alone runs under cProfile and the stats file is
+    dumped here too, so process plumbing never pollutes the numbers.
     """
     fn = FIGURE_CELLS.get(spec.figure)
     if fn is None:
@@ -126,6 +141,12 @@ def _execute_cell(spec: CellSpec) -> ExperimentResult:
             f"unknown figure {spec.figure!r}; "
             f"known: {', '.join(sorted(FIGURE_CELLS))}"
         )
+    profiler = None
+    if profile_dir is not None:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
     try:
         result = fn(**spec.kwargs)
     except RunnerError:
@@ -134,6 +155,15 @@ def _execute_cell(spec: CellSpec) -> ExperimentResult:
         raise RunnerError(
             f"cell {spec.label} failed: {exc!r}\n{traceback.format_exc()}"
         ) from None
+    finally:
+        if profiler is not None:
+            profiler.disable()
+    if profiler is not None:
+        path = os.path.join(
+            profile_dir, f"cell_{index:03d}_{_safe_label(spec)}.prof"
+        )
+        profiler.dump_stats(path)
+        print(f"profile written to {path}", file=sys.stderr)
     _export_cell_telemetry(spec)
     return result
 
@@ -141,10 +171,10 @@ def _execute_cell(spec: CellSpec) -> ExperimentResult:
 def _export_cell_telemetry(spec: CellSpec) -> None:
     """Export any telemetry sessions the cell installed.
 
-    Runs *after* the cell completes (in the worker, for pool runs), so
-    exporting can never perturb the simulation.  Sessions are drained
-    unconditionally — even with no export directory configured — so
-    finished networks are not kept pinned between cells.
+    Runs *after* the cell completes (in the cell's own process, when it
+    has one), so exporting can never perturb the simulation.  Sessions
+    are drained unconditionally — even with no export directory
+    configured — so finished networks are not kept pinned between cells.
     """
     sessions = _drain_telemetry()
     base = _safe_label(spec)
@@ -166,107 +196,50 @@ def run_cells(
 ) -> List[ExperimentResult]:
     """Run every cell and return results in the order specs were given.
 
-    ``jobs <= 1`` runs everything in-process (no multiprocessing import
-    side effects — the path tests use).  ``jobs > 1`` fans out over a
-    process pool; a pool that cannot even start degrades to the serial
-    path, but a cell that *fails* always surfaces as :class:`RunnerError`.
+    ``jobs <= 1`` without a ``cell_timeout`` runs everything in-process
+    (no multiprocessing import side effects — the path tests use).
+    Otherwise each cell runs in its own process, at most ``jobs`` in
+    flight; processes that cannot even start degrade to the serial path,
+    but a cell that *fails* always surfaces as :class:`RunnerError`.
 
     Selection: one :class:`~repro.config.SimConfig` as ``config`` (its
     ``seed`` is the root seed).  The config is pinned process-wide for
-    the batch (exported as the ``REPRO_*`` variables, which pool workers
-    and every network a cell builds resolve; a cell that takes an
-    explicit ``routing`` kwarg — the multi-path figures — wins over the
-    env default).  A ``telemetry_dir`` makes every cell export its
+    the batch (exported as the ``REPRO_*`` variables, which cell
+    processes and every network a cell builds resolve; a cell that takes
+    an explicit ``routing`` kwarg — the multi-path figures — wins over
+    the env default).  A ``telemetry_dir`` makes every cell export its
     telemetry sessions' files there; ``profile_dir`` writes one cProfile
-    stats file per cell.  Profiling composes with ``jobs > 1``: each
-    pool worker profiles *its own cell* (profiler enabled around the
-    cell entry point only, inside the worker) and dumps the stats file
-    itself, so the parent's pool plumbing never pollutes the numbers.
+    stats file per finished cell, on either path.
 
-    ``cell_timeout`` (seconds of wall-clock, per cell) runs each cell in
-    its own killable process; a cell that exceeds the budget is
-    terminated and reported as a deterministic ``timed_out`` result
-    instead of hanging the whole batch.  Like the pool, it degrades to
-    plain serial execution (without timeouts) where multiprocessing is
-    unavailable.
+    ``cell_timeout`` (seconds of wall-clock, per cell) kills a cell that
+    exceeds the budget and reports it as a deterministic ``timed_out``
+    result instead of hanging the whole batch.  Where processes are
+    unavailable it degrades to serial execution without timeouts.
     """
     config = config or SimConfig()
     resolved = [spec.resolved(config.seed) for spec in specs]
+    if profile_dir is not None:
+        os.makedirs(profile_dir, exist_ok=True)
+    # Sessions left pending before the batch belong to no cell: exporting
+    # them would relabel the first cell's files (and every forked cell's).
+    _drain_telemetry()
     with config.env():
-        if profile_dir is not None:
-            os.makedirs(profile_dir, exist_ok=True)
-            if jobs > 1 and len(resolved) > 1:
-                try:
-                    return _run_pool(resolved, jobs, profile_dir)
-                except RunnerError:
-                    raise
-                except (OSError, ImportError, PermissionError) as exc:
-                    print(
-                        f"runner: process pool unavailable ({exc!r}); "
-                        "profiling on the serial path instead",
-                        file=sys.stderr,
-                    )
-            return _run_profiled(resolved, profile_dir)
-        if cell_timeout is not None:
+        if cell_timeout is not None or (jobs > 1 and len(resolved) > 1):
             try:
-                return _run_with_timeout(resolved, jobs, cell_timeout)
+                return _run_processes(resolved, jobs, cell_timeout, profile_dir)
             except RunnerError:
                 raise
             except (OSError, ImportError, PermissionError) as exc:
                 print(
-                    f"runner: cell-timeout processes unavailable ({exc!r}); "
-                    "falling back to serial execution without timeouts",
+                    f"runner: cell processes unavailable ({exc!r}); "
+                    "falling back to serial execution"
+                    + (" without timeouts" if cell_timeout is not None else ""),
                     file=sys.stderr,
                 )
-            return [_execute_cell(spec) for spec in resolved]
-        if jobs > 1 and len(resolved) > 1:
-            try:
-                return _run_pool(resolved, jobs)
-            except RunnerError:
-                raise
-            except (OSError, ImportError, PermissionError) as exc:
-                print(
-                    f"runner: process pool unavailable ({exc!r}); "
-                    "falling back to serial execution",
-                    file=sys.stderr,
-                )
-        return [_execute_cell(spec) for spec in resolved]
-
-
-def _execute_cell_profiled(
-    spec: CellSpec, index: int, profile_dir: str
-) -> ExperimentResult:
-    """Run one cell under cProfile and dump its stats file.
-
-    Top-level (hence picklable) so the pool path can submit it directly:
-    the profiler starts and stops *inside the worker*, around the cell
-    entry point only, and the worker dumps its own stats — the parent
-    never touches profile state.
-    """
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = _execute_cell(spec)
-    finally:
-        profiler.disable()
-    path = os.path.join(
-        profile_dir, f"cell_{index:03d}_{_safe_label(spec)}.prof"
-    )
-    profiler.dump_stats(path)
-    print(f"profile written to {path}", file=sys.stderr)
-    return result
-
-
-def _run_profiled(
-    specs: List[CellSpec], profile_dir: str
-) -> List[ExperimentResult]:
-    """Serial execution with one cProfile stats dump per cell."""
-    return [
-        _execute_cell_profiled(spec, index, profile_dir)
-        for index, spec in enumerate(specs)
-    ]
+        return [
+            _execute_cell(spec, index, profile_dir)
+            for index, spec in enumerate(resolved)
+        ]
 
 
 def _safe_label(spec: CellSpec) -> str:
@@ -296,10 +269,12 @@ def timed_out_result(spec: CellSpec, timeout_s: float) -> ExperimentResult:
     )
 
 
-def _timeout_worker(conn, spec: CellSpec) -> None:
-    """Child process entry point for timeout-guarded cells."""
+def _cell_worker(
+    conn, spec: CellSpec, index: int, profile_dir: Optional[str]
+) -> None:
+    """Child process entry point: run one cell, send back its result."""
     try:
-        result = _execute_cell(spec)
+        result = _execute_cell(spec, index, profile_dir)
         conn.send(("ok", result))
     except RunnerError as exc:
         conn.send(("err", str(exc)))
@@ -309,15 +284,18 @@ def _timeout_worker(conn, spec: CellSpec) -> None:
         conn.close()
 
 
-def _run_with_timeout(
-    specs: List[CellSpec], jobs: int, timeout_s: float
+def _run_processes(
+    specs: List[CellSpec],
+    jobs: int,
+    timeout_s: Optional[float],
+    profile_dir: Optional[str],
 ) -> List[ExperimentResult]:
     """One killable process per cell, at most ``jobs`` in flight.
 
-    A pool cannot do this: :class:`~concurrent.futures.ProcessPoolExecutor`
-    has no per-task kill (cancelling a running future is a no-op), and
-    terminating a worker poisons the whole pool.  Plain processes keep a
-    hung cell's blast radius to itself.
+    A process pool cannot do this: it has no per-task kill (cancelling a
+    running future is a no-op), and terminating a worker poisons the
+    whole pool.  Plain processes keep a hung cell's blast radius to
+    itself; ``timeout_s=None`` gives every cell an unbounded budget.
     """
     import multiprocessing as mp
     from multiprocessing.connection import wait as connection_wait
@@ -348,21 +326,22 @@ def _run_with_timeout(
                 index, spec = pending.pop(0)
                 parent_conn, child_conn = mp.Pipe(duplex=False)
                 proc = mp.Process(
-                    target=_timeout_worker, args=(child_conn, spec)
+                    target=_cell_worker,
+                    args=(child_conn, spec, index, profile_dir),
                 )
                 proc.start()
                 child_conn.close()
-                running[parent_conn] = (
-                    index,
-                    proc,
-                    time.monotonic() + timeout_s,
+                deadline = (
+                    math.inf
+                    if timeout_s is None
+                    else time.monotonic() + timeout_s
                 )
+                running[parent_conn] = (index, proc, deadline)
             next_deadline = min(d for (_, _, d) in running.values())
-            ready = connection_wait(
-                list(running),
-                timeout=max(0.0, next_deadline - time.monotonic()),
-            )
-            for conn in ready:
+            wait_s = None  # no budget: block until a cell reports back
+            if next_deadline != math.inf:
+                wait_s = max(0.0, next_deadline - time.monotonic())
+            for conn in connection_wait(list(running), timeout=wait_s):
                 reap(conn)
             now = time.monotonic()
             expired = [
@@ -387,35 +366,6 @@ def _run_with_timeout(
             proc.join()
             conn.close()
     return results  # type: ignore[return-value]
-
-
-def _run_pool(
-    specs: List[CellSpec], jobs: int, profile_dir: Optional[str] = None
-) -> List[ExperimentResult]:
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    workers = min(jobs, len(specs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        if profile_dir is not None:
-            futures = [
-                pool.submit(_execute_cell_profiled, spec, index, profile_dir)
-                for index, spec in enumerate(specs)
-            ]
-        else:
-            futures = [pool.submit(_execute_cell, spec) for spec in specs]
-        results: List[ExperimentResult] = []
-        for spec, future in zip(specs, futures):
-            try:
-                results.append(future.result())
-            except RunnerError:
-                raise
-            except BrokenProcessPool as exc:
-                raise RunnerError(
-                    f"worker process died while running {spec.label} "
-                    f"(or an earlier cell): {exc!r}"
-                ) from None
-        return results
 
 
 # ----------------------------------------------------------------------
@@ -590,6 +540,10 @@ def default_plan(
                             },
                         )
                     )
+        elif figure == "chaos":
+            # The fault catalogue: one TFC dumbbell run per primitive.
+            for fault in FAULT_KINDS:
+                specs.append(CellSpec("chaos", {"fault": fault}))
         elif figure == "scenario":
             # The committed smoke trio (an ML collective, a storage
             # fan-out and the multi-tenant mix); scenario_specs() builds
@@ -702,8 +656,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="DIR",
         default=None,
         help="write per-cell cProfile stats into DIR (pstats-compatible "
-        "files, one per cell; with --jobs > 1 each worker profiles and "
-        "dumps its own cell)",
+        "files, one per finished cell, each dumped by the process that "
+        "ran the cell)",
     )
     parser.add_argument(
         "--telemetry",
@@ -719,7 +673,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="kill any cell exceeding this wall-clock budget and report "
         "it as a deterministic timed_out result instead of hanging the "
-        "batch (runs each cell in its own process)",
+        "batch (runs each cell in its own process); the exit status is 1 "
+        "when any cell timed out",
     )
     args = parser.parse_args(argv)
     if args.cell_timeout is not None and args.cell_timeout <= 0:
@@ -830,7 +785,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.pickle, "wb") as fh:
             pickle.dump(results, fh)
         print(f"results pickled to {args.pickle}")
-    return 0
+    return 1 if timed_out else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

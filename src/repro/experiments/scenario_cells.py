@@ -3,11 +3,11 @@
 One cell = one ``(scenario, seed, transport)`` run of
 :func:`repro.scenario.run.run_scenario`.  The entry point is top-level
 and takes only picklable primitives (the scenario travels as its *name
-or path*, resolved inside the worker), so scenario sweeps fan out over
-the runner's process pool exactly like the paper figures — and inherit
-the same determinism contract: the cell seed is derived from the root
-seed and the cell's identity labels, so ``--jobs N`` is bit-identical to
-a serial run.
+or path*, resolved inside the cell's process), so scenario sweeps fan
+out over the runner's cell processes exactly like the paper figures —
+and inherit the same determinism contract: the cell seed is derived
+from the root seed and the cell's identity labels, so ``--jobs N`` is
+bit-identical to a serial run.
 """
 
 from __future__ import annotations

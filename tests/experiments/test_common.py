@@ -11,7 +11,6 @@ from repro.experiments.common import (
     BASELINE_PROTOCOLS,
     PROTOCOL_LABELS,
     build_topology,
-    format_rate,
     format_table,
 )
 from repro.net.pfc import PfcParams
@@ -90,11 +89,6 @@ def test_format_table_rows():
     lines = table.splitlines()
     assert len(lines) == 4
     assert "tfc" in lines[2]
-
-
-def test_format_rate():
-    assert format_rate(1.5e9) == "1.50 Gbps"
-    assert format_rate(250e6) == "250 Mbps"
 
 
 def test_network_helpers():

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.config import SimConfig
+from repro.experiments.chaos import FAULT_KINDS
 from repro.experiments.common import derive_cell_seed
 from repro.experiments.runner import (
     FIGURE_CELLS,
@@ -14,6 +15,7 @@ from repro.experiments.runner import (
     default_plan,
     run_cells,
 )
+from repro.sim.units import milliseconds
 
 # Two small, distinct fig14 cells: cheap enough for a pool round-trip on a
 # single-CPU machine, rich enough that a determinism break would show.
@@ -123,8 +125,9 @@ def test_profile_dir_writes_one_stats_file_per_cell(tmp_path):
 
 
 def test_profile_dir_composes_with_process_pool(tmp_path):
-    """--profile with --jobs > 1: each worker dumps its own cell's stats
-    (simulation frames, not pool plumbing) and results stay identical."""
+    """--profile with --jobs > 1: each cell process dumps its own cell's
+    stats (simulation frames, not process plumbing) and results stay
+    identical."""
     import pstats
 
     profiled = run_cells(
@@ -137,7 +140,7 @@ def test_profile_dir_composes_with_process_pool(tmp_path):
     for path in files:
         stats = pstats.Stats(str(path))
         assert stats.total_calls > 0
-        # The profile saw the simulation itself, not just pool plumbing.
+        # The profile saw the simulation itself, not just process plumbing.
         assert any(
             "engine" in str(func) for func in stats.stats  # type: ignore[attr-defined]
         )
@@ -231,6 +234,34 @@ def test_telemetry_parallel_workers_export_too(tmp_path):
     assert len(list(tmp_path.glob("*.metrics.jsonl"))) == len(QUICK_SPECS)
 
 
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_cells_export_only_their_own_sessions(tmp_path, jobs):
+    """A session left pending before the batch belongs to no cell: no
+    cell exports it or relabels its own files around it, in-process or
+    in a forked cell process."""
+    from repro.experiments.runner import _safe_label
+    from repro.net.network import Network
+    from repro.obs import drain_pending
+
+    drain_pending()
+    stale = tmp_path / "stale"
+    Network(config=SimConfig(telemetry="counters", telemetry_dir=str(stale)))
+    try:
+        run_cells(
+            QUICK_SPECS,
+            jobs=jobs,
+            config=SimConfig(
+                seed=7, telemetry="counters", telemetry_dir=str(tmp_path / "cells")
+            ),
+        )
+    finally:
+        drain_pending()
+    assert not stale.exists()
+    assert sorted(p.name for p in (tmp_path / "cells").iterdir()) == sorted(
+        f"{_safe_label(spec.resolved(7))}.metrics.jsonl" for spec in QUICK_SPECS
+    )
+
+
 def test_unknown_telemetry_rejected():
     with pytest.raises(ValueError, match="unknown telemetry"):
         run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7, telemetry="bogus"))
@@ -291,6 +322,44 @@ def test_cell_timeout_kills_hung_cell_deterministically():
     assert results[1].series == {}
 
 
+def test_profile_dir_composes_with_cell_timeout(tmp_path):
+    """--profile with --cell-timeout: the hung cell is still killed, and
+    the cell that finished still dumps its stats file."""
+    import pstats
+
+    specs = [QUICK_SPECS[0], CellSpec("fig06", {"duration_s": 30.0})]
+    results = run_cells(
+        specs,
+        jobs=2,
+        config=SimConfig(seed=7),
+        profile_dir=str(tmp_path),
+        cell_timeout=3.0,
+    )
+    reference = run_cells(QUICK_SPECS[:1], jobs=1, config=SimConfig(seed=7))
+    assert results[0] == reference[0]
+    assert results[1].scalars == {"timed_out": 1.0, "cell_timeout_s": 3.0}
+    files = sorted(tmp_path.glob("cell_*.prof"))
+    assert [path.name[:9] for path in files] == ["cell_000_"]
+    assert pstats.Stats(str(files[0])).total_calls > 0
+
+
+def test_cli_exit_status_reports_timed_out_cells(monkeypatch):
+    """The CLI exits 1 when any cell timed out, so a deadlocked cell
+    fails a CI step instead of passing it; a clean batch exits 0."""
+    from repro.experiments import runner
+
+    monkeypatch.setattr(
+        runner,
+        "default_plan",
+        lambda figures, quick=False: [CellSpec("fig06", {"duration_s": 30.0})],
+    )
+    assert runner.main(["--figures", "fig06", "--cell-timeout", "0.5"]) == 1
+    monkeypatch.setattr(
+        runner, "default_plan", lambda figures, quick=False: QUICK_SPECS[:1]
+    )
+    assert runner.main(["--figures", "fig14", "--cell-timeout", "60"]) == 0
+
+
 def test_cell_timeout_result_is_pure_function_of_spec():
     """The placeholder depends only on (spec, budget) — two kills of the
     same cell compare equal, which is what keeps timed-out batches
@@ -317,10 +386,90 @@ def test_cell_timeout_cli_rejects_non_positive():
         main(["--figures", "fig14", "--cell-timeout", "0"])
 
 
+# ----------------------------------------------------------------------
+# chaos: the fault catalogue as runner cells
+# ----------------------------------------------------------------------
+def _short_chaos(fault):
+    return CellSpec(
+        "chaos",
+        {
+            "fault": fault,
+            "warmup_ns": milliseconds(10),
+            "fault_ns": milliseconds(5),
+            "tail_ns": milliseconds(15),
+        },
+    )
+
+
+CHAOS_SPECS = [_short_chaos("burst_loss"), _short_chaos("switch_reset")]
+
+
+def test_chaos_cells_match_across_jobs_and_the_driver():
+    """Chaos cells are bit-identical at jobs=1 and jobs=2, and each
+    carries exactly run_chaos's report at the cell's derived seed."""
+    from repro.experiments.chaos import run_chaos
+
+    serial = run_cells(CHAOS_SPECS, jobs=1, config=SimConfig(seed=7))
+    assert run_cells(CHAOS_SPECS, jobs=2, config=SimConfig(seed=7)) == serial
+    for spec, cell in zip(CHAOS_SPECS, serial):
+        kwargs = spec.resolved(7).kwargs
+        direct = run_chaos(**kwargs)
+        report = direct.report
+        assert cell.name == f"chaos_{kwargs['fault']}"
+        assert cell.scalars == {
+            "baseline_bps": report.baseline,
+            "dip_depth": report.dip_depth,
+            "reconverge_ns": float(report.reconverge_ns),
+            "violations": float(len(direct.violations)),
+            "post_fault_timeouts": float(report.post_fault_timeouts),
+            "invariant_checks": float(direct.invariant_checks),
+        }
+        assert cell.series == {"goodput_bps": direct.goodput_series}
+
+
+def test_chaos_cell_telemetry_export(tmp_path):
+    """A chaos cell under full telemetry exports the labelled file trio,
+    with the recovery report, invariant counters and goodput timeline
+    folded into the metrics — without changing the cell's outcome."""
+    import json
+
+    from repro.experiments.runner import _safe_label
+
+    spec = _short_chaos("switch_reset")
+    config = SimConfig(seed=7, telemetry="full", telemetry_dir=str(tmp_path))
+    (cell,) = run_cells([spec], jobs=1, config=config)
+    assert [cell] == run_cells([spec], jobs=1, config=SimConfig(seed=7))
+    label = _safe_label(spec.resolved(7))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"{label}.flight.jsonl",
+        f"{label}.metrics.jsonl",
+        f"{label}.slots.csv",
+    ]
+    rows = {
+        row["name"]: row
+        for row in map(
+            json.loads,
+            (tmp_path / f"{label}.metrics.jsonl").read_text().splitlines(),
+        )
+    }
+    assert rows["recovery.baseline_bps"]["value"] == cell.scalars["baseline_bps"]
+    assert rows["invariant.checks"]["value"] == cell.scalars["invariant_checks"]
+    assert rows["chaos.goodput_bps"]["points"] == len(cell.series["goodput_bps"])
+    # the fault itself is in the flight ring
+    flight = map(
+        json.loads,
+        (tmp_path / f"{label}.flight.jsonl").read_text().splitlines(),
+    )
+    assert any(record["topic"] == "fault.injected" for record in flight)
+
+
 def test_default_plan_covers_every_figure():
     figures = sorted(FIGURE_CELLS)
     specs = default_plan(figures, quick=True)
     assert {s.figure for s in specs} == set(figures)
+    assert [s.kwargs["fault"] for s in specs if s.figure == "chaos"] == list(
+        FAULT_KINDS
+    )
     # Every planned cell names a registered entry point.
     for spec in specs:
         assert spec.figure in FIGURE_CELLS

@@ -269,10 +269,12 @@ def test_head_to_head_pfc_pathological_tfc_clean(scenario):
     runs the identical workload with zero pause frames, zero detections,
     zero invariant violations, and reconverges to >= 90% of its own peak
     goodput."""
-    from repro.experiments.pfc_pathology import run_head_to_head
+    from repro.experiments.pfc_pathology import run_pathology
 
-    results = run_head_to_head(scenario, duration_ns=milliseconds(60))
-    pfc, tfc = results["pfc"], results["tfc"]
+    pfc, tfc = (
+        run_pathology(scenario, fabric, duration_ns=milliseconds(60))
+        for fabric in ("pfc", "tfc")
+    )
 
     # PFC side: lossless (no drops) but pathological.
     assert pfc["drops"] == 0

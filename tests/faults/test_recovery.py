@@ -124,47 +124,6 @@ def test_recovery_report_registers_metrics():
     assert registry.get("bad.reconverge_ns").value == -1.0
 
 
-def test_chaos_telemetry_export(tmp_path):
-    """run_chaos(telemetry_dir=...) exports the labelled file trio with
-    the recovery report, invariant counters and goodput timeline folded
-    into the metrics — without changing the scenario's outcome."""
-    import json
-
-    from repro.obs import drain_pending
-
-    drain_pending()
-    reference = run_chaos("switch_reset")
-    result = run_chaos("switch_reset", telemetry_dir=str(tmp_path))
-    assert result.report == reference.report
-    assert result.goodput_series == reference.goodput_series
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == [
-        "chaos_switch_reset_1.flight.jsonl",
-        "chaos_switch_reset_1.metrics.jsonl",
-        "chaos_switch_reset_1.slots.csv",
-    ]
-    rows = {
-        row["name"]: row
-        for row in map(
-            json.loads,
-            (tmp_path / "chaos_switch_reset_1.metrics.jsonl")
-            .read_text()
-            .splitlines(),
-        )
-    }
-    assert rows["recovery.baseline_bps"]["value"] == result.report.baseline
-    assert rows["invariant.checks"]["value"] == result.invariant_checks
-    assert rows["chaos.goodput_bps"]["points"] == len(result.goodput_series)
-    # the fault itself is in the flight ring
-    flight = [
-        json.loads(line)
-        for line in (tmp_path / "chaos_switch_reset_1.flight.jsonl")
-        .read_text()
-        .splitlines()
-    ]
-    assert any(r["topic"] == "fault.injected" for r in flight)
-
-
 # ----------------------------------------------------------------------
 # link_down rerouting on a multi-path fabric
 # ----------------------------------------------------------------------
