@@ -10,12 +10,12 @@ shows the difference under a synchronised incast.
 from conftest import run_once
 
 from repro.core.sender import TfcSender
-from repro.experiments import run_incast_point
+from repro.experiments import run_incast_cell
 
 
 def run_with_and_without_reacquisition():
     results = {}
-    results["with re-acquisition"] = run_incast_point(
+    results["with re-acquisition"] = run_incast_cell(
         "tfc", 50, block_bytes=256_000, rounds=3,
         rate_bps=10_000_000_000, buffer_bytes=512_000,
     )
@@ -23,7 +23,7 @@ def run_with_and_without_reacquisition():
     try:
         TfcSender.idle_reacquire_ns = 1 << 60   # never re-acquire
         TfcSender.resume_burst_limit = 1 << 60  # never clamp
-        results["without re-acquisition"] = run_incast_point(
+        results["without re-acquisition"] = run_incast_cell(
             "tfc", 50, block_bytes=256_000, rounds=3,
             rate_bps=10_000_000_000, buffer_bytes=512_000,
         )
@@ -41,10 +41,10 @@ def test_ablation_window_reacquisition(benchmark, report):
         [
             [
                 name,
-                f"{r.goodput_bps / 1e9:.2f}",
-                r.drops,
-                f"{r.queue_max_bytes / 1000:.0f}",
-                f"{r.max_timeouts_per_block:.2f}",
+                f"{r['goodput_bps'] / 1e9:.2f}",
+                f"{r['drops']:.0f}",
+                f"{r['queue_max_bytes'] / 1000:.0f}",
+                f"{r['max_timeouts_per_block']:.2f}",
             ]
             for name, r in results.items()
         ],
@@ -52,7 +52,7 @@ def test_ablation_window_reacquisition(benchmark, report):
 
     protected = results["with re-acquisition"]
     unprotected = results["without re-acquisition"]
-    assert protected.drops == 0
-    assert protected.max_timeouts_per_block == 0
+    assert protected["drops"] == 0
+    assert protected["max_timeouts_per_block"] == 0
     # Without it, resumed rounds burst held windows into the buffer.
-    assert unprotected.queue_max_bytes >= protected.queue_max_bytes
+    assert unprotected["queue_max_bytes"] >= protected["queue_max_bytes"]

@@ -8,24 +8,30 @@ then degrades.
 
 from conftest import run_once
 
-from repro.experiments import run_fig12
+from repro.experiments.runner import CellSpec, run_cells
 
-
+PROTOCOLS = ("tfc", "dctcp", "tcp")
 SENDERS = (5, 10, 20, 40, 70, 100)
 
 
 def test_fig12_incast_sweep(benchmark, report):
-    results = run_once(
-        benchmark, run_fig12, sender_counts=SENDERS, rounds=3
-    )
+    specs = [
+        CellSpec(
+            "fig12", {"protocol": proto, "n_senders": n, "rounds": 3, "seed": 0}
+        )
+        for proto in PROTOCOLS
+        for n in SENDERS
+    ]
+    cells = iter(run_once(benchmark, run_cells, specs))
+    results = {proto: [next(cells) for _ in SENDERS] for proto in PROTOCOLS}
 
     rows = []
     for n in range(len(SENDERS)):
         row = [SENDERS[n]]
-        for proto in ("tfc", "dctcp", "tcp"):
+        for proto in PROTOCOLS:
             point = results[proto][n]
-            row.append(f"{point.goodput_bps / 1e6:.0f}")
-            row.append(f"{point.queue_max_bytes / 1000:.0f}")
+            row.append(f"{point['goodput_bps'] / 1e6:.0f}")
+            row.append(f"{point['queue_max_bytes'] / 1000:.0f}")
         rows.append(row)
     report(
         "Fig. 12: incast goodput (Mbps) and max queue (KB) vs senders",
@@ -37,11 +43,11 @@ def test_fig12_incast_sweep(benchmark, report):
     tcp = results["tcp"]
     # TFC: high goodput at every fan-in, no drops, near-zero queue.
     for point in tfc:
-        assert point.goodput_bps > 0.8e9
-        assert point.drops == 0
-        assert point.queue_max_bytes < 64_000
+        assert point["goodput_bps"] > 0.8e9
+        assert point["drops"] == 0
+        assert point["queue_max_bytes"] < 64_000
     # TCP: collapses at high fan-in — timeouts and buffer-filling queues.
     big_tcp = tcp[-1]
-    assert big_tcp.max_timeouts_per_block > 0
-    assert big_tcp.queue_max_bytes > 200_000
-    assert big_tcp.goodput_bps < min(p.goodput_bps for p in tfc)
+    assert big_tcp["max_timeouts_per_block"] > 0
+    assert big_tcp["queue_max_bytes"] > 200_000
+    assert big_tcp["goodput_bps"] < min(p["goodput_bps"] for p in tfc)

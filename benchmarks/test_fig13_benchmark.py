@@ -8,33 +8,38 @@ small price because query flows keep their bandwidth.
 
 from conftest import run_once
 
-from repro.experiments import run_fig13
+from repro.experiments.runner import CellSpec, run_cells
 from repro.metrics.fct import SIZE_BUCKETS
+
+PROTOCOLS = ("tfc", "dctcp", "tcp")
 
 
 def test_fig13_benchmark_fct(benchmark, report):
-    results = run_once(
-        benchmark,
-        run_fig13,
-        duration_s=1.5,
-        drain_s=1.5,
-        query_rate_per_s=400,
-        query_fanin=8,
-        short_rate_per_s=30,
-        background_rate_per_s=30,
-    )
+    specs = [
+        CellSpec(
+            "fig13",
+            {
+                "protocol": proto,
+                "duration_s": 1.5,
+                "drain_s": 1.5,
+                "query_rate_per_s": 400,
+                "query_fanin": 8,
+                "short_rate_per_s": 30,
+                "background_rate_per_s": 30,
+                "seed": 0,
+            },
+        )
+        for proto in PROTOCOLS
+    ]
+    results = dict(zip(PROTOCOLS, run_once(benchmark, run_cells, specs)))
 
     rows = []
     for proto, result in results.items():
-        q = result.query_summary_us()
         rows.append(
-            [
-                proto.upper(),
-                f"{q['mean']:.0f}",
-                f"{q['p95']:.0f}",
-                f"{q['p99']:.0f}",
-                f"{q['p99.9']:.0f}",
-                f"{q['p99.99']:.0f}",
+            [proto.upper()]
+            + [
+                f"{result[f'query_fct_us:{key}']:.0f}"
+                for key in ("mean", "p95", "p99", "p99.9", "p99.99")
             ]
         )
     report(
@@ -46,9 +51,12 @@ def test_fig13_benchmark_fct(benchmark, report):
     bucket_rows = []
     names = [name for name, _, _ in SIZE_BUCKETS]
     for proto, result in results.items():
-        buckets = result.background_p999_us()
         bucket_rows.append(
-            [proto.upper()] + [f"{buckets.get(name, float('nan')):.0f}" for name in names]
+            [proto.upper()]
+            + [
+                f"{result.scalars.get(f'bg_p999_us:{name}', float('nan')):.0f}"
+                for name in names
+            ]
         )
     report(
         "Fig. 13b: background flow 99.9th FCT (us) by size",
@@ -56,12 +64,10 @@ def test_fig13_benchmark_fct(benchmark, report):
         bucket_rows,
     )
 
-    tfc_q = results["tfc"].query_summary_us()
-    tcp_q = results["tcp"].query_summary_us()
-    dctcp_q = results["dctcp"].query_summary_us()
+    tfc, dctcp, tcp = (results[proto] for proto in PROTOCOLS)
     # The paper's ordering: TFC's query tail is far below the baselines'.
-    assert tfc_q["p99.9"] < dctcp_q["p99.9"]
-    assert tfc_q["p99.9"] < tcp_q["p99.9"]
-    assert tfc_q["p99.99"] < tcp_q["p99.99"] / 2
-    assert results["tfc"].drops == 0
-    assert results["tfc"].completion_fraction() == 1.0
+    assert tfc["query_fct_us:p99.9"] < dctcp["query_fct_us:p99.9"]
+    assert tfc["query_fct_us:p99.9"] < tcp["query_fct_us:p99.9"]
+    assert tfc["query_fct_us:p99.99"] < tcp["query_fct_us:p99.99"] / 2
+    assert tfc["drops"] == 0
+    assert tfc["completion_fraction"] == 1.0

@@ -16,33 +16,40 @@ no protocol drops anything.
 
 from conftest import run_once
 
-from repro.experiments import run_fig16
+from repro.experiments.runner import CellSpec, run_cells
+
+PROTOCOLS = ("tfc", "dctcp", "tcp")
 
 
 def test_fig16_large_benchmark(benchmark, report):
-    results = run_once(
-        benchmark,
-        run_fig16,
-        duration_s=0.3,
-        drain_s=1.5,
-        query_rate_per_s=60,
-        query_fanin=300,
-        short_rate_per_s=20,
-        background_rate_per_s=20,
-    )
+    specs = [
+        CellSpec(
+            "fig16",
+            {
+                "protocol": proto,
+                "scale": "large",
+                "duration_s": 0.3,
+                "drain_s": 1.5,
+                "query_rate_per_s": 60,
+                "query_fanin": 300,
+                "short_rate_per_s": 20,
+                "background_rate_per_s": 20,
+                "seed": 0,
+            },
+        )
+        for proto in PROTOCOLS
+    ]
+    results = dict(zip(PROTOCOLS, run_once(benchmark, run_cells, specs)))
 
     rows = []
     for proto, result in results.items():
-        q = result.query_summary_us()
         rows.append(
-            [
-                proto.upper(),
-                f"{q['mean'] / 1000:.2f}",
-                f"{q['p99'] / 1000:.2f}",
-                f"{q['p99.9'] / 1000:.2f}",
-                f"{q['p99.99'] / 1000:.2f}",
-                f"{result.completion_fraction():.3f}",
+            [proto.upper()]
+            + [
+                f"{result[f'query_fct_us:{key}'] / 1000:.2f}"
+                for key in ("mean", "p99", "p99.9", "p99.99")
             ]
+            + [f"{result['completion_fraction']:.3f}"]
         )
     report(
         "Fig. 16a: query flow FCT (ms) on the 360-server leaf-spine",
@@ -50,15 +57,13 @@ def test_fig16_large_benchmark(benchmark, report):
         rows,
     )
 
-    tfc_q = results["tfc"].query_summary_us()
-    dctcp_q = results["dctcp"].query_summary_us()
-    tcp_q = results["tcp"].query_summary_us()
+    tfc, dctcp, tcp = (results[proto] for proto in PROTOCOLS)
     # Ordering: TFC mean and tail below both baselines; large factor at
     # the tail (the paper reports ~30x on the mean at full fan-in).
-    assert tfc_q["mean"] < dctcp_q["mean"]
-    assert tfc_q["mean"] < tcp_q["mean"]
+    assert tfc["query_fct_us:mean"] < dctcp["query_fct_us:mean"]
+    assert tfc["query_fct_us:mean"] < tcp["query_fct_us:mean"]
     # The tail gap is dramatic: the baselines pay 200 ms RTO stalls.
-    assert tfc_q["p99.9"] < dctcp_q["p99.9"] / 5
-    assert tfc_q["p99.9"] < tcp_q["p99.9"] / 5
-    assert results["tfc"].drops == 0
-    assert results["tfc"].completion_fraction() == 1.0
+    assert tfc["query_fct_us:p99.9"] < dctcp["query_fct_us:p99.9"] / 5
+    assert tfc["query_fct_us:p99.9"] < tcp["query_fct_us:p99.9"] / 5
+    assert tfc["drops"] == 0
+    assert tfc["completion_fraction"] == 1.0

@@ -14,7 +14,7 @@ Run::
 
 import sys
 
-from repro.experiments import run_incast_point
+from repro.experiments import run_incast_cell
 from repro.experiments.common import format_table
 
 
@@ -23,18 +23,18 @@ def main() -> None:
 
     rows = []
     for protocol in ("tcp", "dctcp", "tfc"):
-        point = run_incast_point(
+        point = run_incast_cell(
             protocol, n_senders, block_bytes=256_000, rounds=5
         )
         rows.append(
             [
                 protocol.upper(),
-                f"{point.goodput_bps / 1e6:.0f}",
-                point.rounds_completed,
-                point.total_timeouts,
-                f"{point.max_timeouts_per_block:.2f}",
-                f"{point.queue_max_bytes / 1000:.0f}",
-                point.drops,
+                f"{point['goodput_bps'] / 1e6:.0f}",
+                f"{point['rounds_completed']:.0f}",
+                f"{point['total_timeouts']:.0f}",
+                f"{point['max_timeouts_per_block']:.2f}",
+                f"{point['queue_max_bytes'] / 1000:.0f}",
+                f"{point['drops']:.0f}",
             ]
         )
 

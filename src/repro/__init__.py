@@ -6,8 +6,8 @@ The package bundles a packet-level discrete-event network simulator
 (:mod:`repro.transport`), the TFC protocol itself (:mod:`repro.core`),
 workload generators (:mod:`repro.workloads`), measurement utilities
 (:mod:`repro.metrics`), deterministic fault injection with runtime
-invariant monitoring (:mod:`repro.faults`), one driver per paper
-figure plus chaos scenarios (:mod:`repro.experiments`), a unified
+invariant monitoring (:mod:`repro.faults`), every paper figure and
+chaos scenario as runner cells (:mod:`repro.experiments`), a unified
 run configuration (:mod:`repro.config`) and the telemetry subsystem
 (:mod:`repro.obs` — metric registry, per-slot timelines, flight
 recorder).

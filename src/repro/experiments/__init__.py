@@ -14,9 +14,9 @@ from .fig06_rttb import RttbResult, run_fig06
 from .fig07_ne import NeResult, run_fig07
 from .fig08_queue import StaggeredFlowsResult, run_staggered_flows
 from .fig11_work_conserving import WorkConservingResult, run_fig11
-from .fig12_incast import IncastPoint, run_fig12, run_fig15, run_incast_point
-from .fig13_benchmark import BenchmarkResult, run_benchmark, run_fig13, run_fig16
-from .fig14_rho import RhoPoint, run_fig14, run_rho_point
+from .fig12_incast import run_incast_cell
+from .fig13_benchmark import BenchmarkResult, run_benchmark
+from .fig14_rho import run_rho_cell
 from .multipath_benchmark import run_multipath_benchmark
 
 __all__ = [
@@ -37,17 +37,10 @@ __all__ = [
     "run_staggered_flows",
     "WorkConservingResult",
     "run_fig11",
-    "IncastPoint",
-    "run_fig12",
-    "run_fig15",
-    "run_incast_point",
+    "run_incast_cell",
     "BenchmarkResult",
     "run_benchmark",
-    "run_fig13",
-    "run_fig16",
-    "RhoPoint",
-    "run_fig14",
-    "run_rho_point",
+    "run_rho_cell",
     "CollisionResult",
     "run_collision",
     "run_multipath_benchmark",

@@ -23,7 +23,6 @@ same way the built-ins do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from ..metrics.samplers import QueueSampler
@@ -34,37 +33,14 @@ from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology
 
 
-@dataclass
-class BaselinePoint:
-    """One (protocol, fan-in) contention measurement."""
-
-    protocol: str
-    n_senders: int
-    flow_bytes: int
-    completed: int
-    jain_index: float
-    fct_min_us: float
-    fct_mean_us: float
-    fct_p99_us: float
-    fct_max_us: float
-    goodput_bps: float
-    queue_mean_bytes: float
-    queue_max_bytes: float
-    drops: int
-    pause_frames: int
-    resume_frames: int
-
-
-def run_baseline_point(
+def run_baselines_cell(
     protocol: str,
     n_senders: int = 8,
     flow_bytes: int = 2_000_000,
     rate_bps: int = GBPS,
     buffer_bytes: int = 256_000,
-    min_rto_ns: int = 10 * MILLISECOND,
-    max_duration_s: float = 20.0,
     seed: int = 0,
-) -> BaselinePoint:
+) -> ExperimentResult:
     """One protocol's row: n concurrent equal flows through one bottleneck."""
     topo = build_topology(
         dumbbell,
@@ -90,7 +66,7 @@ def run_baseline_point(
                 receiver,
                 protocol,
                 size_bytes=flow_bytes,
-                min_rto_ns=min_rto_ns,
+                min_rto_ns=10 * MILLISECOND,
                 on_complete=(lambda s, i=i: _on_complete(s, i)),
             )
         )
@@ -98,7 +74,7 @@ def run_baseline_point(
         net.sim, topo.bottleneck("main"), microseconds(100)
     )
 
-    horizon = seconds(max_duration_s)
+    horizon = seconds(20.0)
     chunk = seconds(0.05)
     while len(fcts_ns) < n_senders and net.sim.now < horizon:
         net.run_for(chunk)
@@ -117,59 +93,25 @@ def run_baseline_point(
     # Whichever backpressure fabric is installed (BFC per-flow, PFC
     # per-port) exposes the same pause/resume counters.
     fabric = net.bfc or net.lossless
-    return BaselinePoint(
-        protocol=protocol,
-        n_senders=n_senders,
-        flow_bytes=flow_bytes,
-        completed=len(fct_list_ns),
-        jain_index=jain_fairness(rates) if rates else 0.0,
-        fct_min_us=min(fct_us) if fct_us else 0.0,
-        fct_mean_us=mean(fct_us) if fct_us else 0.0,
-        fct_p99_us=percentile(fct_us, 99) if fct_us else 0.0,
-        fct_max_us=max(fct_us) if fct_us else 0.0,
-        goodput_bps=goodput,
-        queue_mean_bytes=queue_sampler.mean(),
-        queue_max_bytes=queue_sampler.max(),
-        drops=net.total_drops(),
-        pause_frames=getattr(fabric, "pause_frames", 0),
-        resume_frames=getattr(fabric, "resume_frames", 0),
-    )
-
-
-def run_baselines_cell(
-    protocol: str,
-    n_senders: int = 8,
-    flow_bytes: int = 2_000_000,
-    rate_bps: int = GBPS,
-    buffer_bytes: int = 256_000,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner."""
-    point = run_baseline_point(
-        protocol,
-        n_senders=n_senders,
-        flow_bytes=flow_bytes,
-        rate_bps=rate_bps,
-        buffer_bytes=buffer_bytes,
-        seed=seed,
-    )
     scalars = {
-        "n_senders": float(point.n_senders),
-        "flow_bytes": float(point.flow_bytes),
-        "completed": float(point.completed),
-        "jain_index": point.jain_index,
-        "fct_min_us": point.fct_min_us,
-        "fct_mean_us": point.fct_mean_us,
-        "fct_p99_us": point.fct_p99_us,
-        "fct_max_us": point.fct_max_us,
-        "goodput_bps": point.goodput_bps,
-        "queue_mean_bytes": point.queue_mean_bytes,
-        "queue_max_bytes": point.queue_max_bytes,
-        "drops": float(point.drops),
+        "n_senders": float(n_senders),
+        "flow_bytes": float(flow_bytes),
+        "completed": float(len(fct_list_ns)),
+        "jain_index": jain_fairness(rates) if rates else 0.0,
+        "fct_min_us": min(fct_us) if fct_us else 0.0,
+        "fct_mean_us": mean(fct_us) if fct_us else 0.0,
+        "fct_p99_us": percentile(fct_us, 99) if fct_us else 0.0,
+        "fct_max_us": max(fct_us) if fct_us else 0.0,
+        "goodput_bps": goodput,
+        "queue_mean_bytes": queue_sampler.mean(),
+        "queue_max_bytes": queue_sampler.max(),
+        "drops": float(net.total_drops()),
     }
-    if point.pause_frames or point.resume_frames:
-        scalars["pause_frames"] = float(point.pause_frames)
-        scalars["resume_frames"] = float(point.resume_frames)
+    pause_frames = getattr(fabric, "pause_frames", 0)
+    resume_frames = getattr(fabric, "resume_frames", 0)
+    if pause_frames or resume_frames:
+        scalars["pause_frames"] = float(pause_frames)
+        scalars["resume_frames"] = float(resume_frames)
     return ExperimentResult(
         name=f"baselines:{protocol}:n{n_senders}:seed{seed}",
         protocol=protocol,

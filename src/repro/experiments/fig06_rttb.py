@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from ..metrics.stats import cdf_points, mean
+from ..metrics.stats import mean
 from ..net.topology import testbed
 from ..sim.units import seconds, to_microseconds
 from ..transport.base import RtoEstimator
@@ -27,7 +27,7 @@ from .common import ExperimentResult, build_topology
 
 @dataclass
 class RttbResult:
-    """CDF samples of measured rtt_b and of the referenced RTT, in us."""
+    """Samples of measured rtt_b and of the referenced RTT, in us."""
 
     rttb_samples_us: List[float] = field(default_factory=list)
     reference_samples_us: List[float] = field(default_factory=list)
@@ -44,12 +44,6 @@ class RttbResult:
     def gap_us(self) -> float:
         """How far rtt_b sits below the referenced RTT (paper: ~6 us)."""
         return self.reference_mean_us - self.rttb_mean_us
-
-    def cdfs(self):
-        """(rttb_cdf, reference_cdf) step functions for plotting."""
-        return cdf_points(self.rttb_samples_us), cdf_points(
-            self.reference_samples_us
-        )
 
 
 class _RecordingRto(RtoEstimator):
@@ -81,6 +75,12 @@ def run_fig06(
     seed: int = 0,
 ) -> RttbResult:
     """Run the Fig. 6 scenario and collect both RTT estimates."""
+    if not 0 < sample_interval_s <= duration_s:
+        raise ValueError(
+            "Fig. 6 samples rtt_b every sample_interval_s, so it needs "
+            "0 < sample_interval_s <= duration_s; got "
+            f"sample_interval_s={sample_interval_s}, duration_s={duration_s}"
+        )
     topo = build_topology(testbed, "tfc", buffer_bytes=256_000, seed=seed)
     net = topo.network
     h1, h2, h3 = topo.host(0), topo.host(1), topo.host(2)

@@ -10,14 +10,11 @@ Large-scale variant (Fig. 15): 10 Gbps links, 512 KB buffers, block sizes
 64/128/256 KB, up to 400 senders; the metric is averaged throughput and
 the *maximum timeouts one flow suffers per block*.
 
-Both share :func:`run_incast_point`; the sweep helpers assemble the paper's
-x-axis.
+Both figures are grids of :func:`run_incast_cell`; the runner's
+``default_plan`` assembles the paper's x-axis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
 from ..metrics.samplers import QueueSampler
 from ..net.topology import dumbbell
@@ -26,23 +23,7 @@ from ..workloads.incast import IncastCoordinator
 from .common import ExperimentResult, build_topology
 
 
-@dataclass
-class IncastPoint:
-    """One (protocol, n_senders, block size) measurement."""
-
-    protocol: str
-    n_senders: int
-    block_bytes: int
-    goodput_bps: float
-    rounds_completed: int
-    max_timeouts_per_block: float
-    total_timeouts: int
-    queue_mean_bytes: float
-    queue_max_bytes: float
-    drops: int
-
-
-def run_incast_point(
+def run_incast_cell(
     protocol: str,
     n_senders: int,
     block_bytes: int = 256_000,
@@ -52,7 +33,7 @@ def run_incast_point(
     min_rto_ns: int = 10 * MILLISECOND,
     max_duration_s: float = 20.0,
     seed: int = 0,
-) -> IncastPoint:
+) -> ExperimentResult:
     """One incast configuration, run to round completion (or a time cap)."""
     topo = build_topology(
         dumbbell,
@@ -83,103 +64,18 @@ def run_incast_point(
     while not coordinator.finished and net.sim.now < horizon:
         net.run_for(chunk)
 
-    return IncastPoint(
-        protocol=protocol,
-        n_senders=n_senders,
-        block_bytes=block_bytes,
-        goodput_bps=coordinator.goodput_bps,
-        rounds_completed=coordinator.rounds_completed,
-        max_timeouts_per_block=coordinator.max_timeouts_per_block,
-        total_timeouts=coordinator.total_timeouts,
-        queue_mean_bytes=queue_sampler.mean(),
-        queue_max_bytes=queue_sampler.max(),
-        drops=net.total_drops(),
-    )
-
-
-def run_fig12(
-    protocols: Sequence[str] = ("tfc", "dctcp", "tcp"),
-    sender_counts: Sequence[int] = (5, 10, 20, 40, 60, 80, 100),
-    block_bytes: int = 256_000,
-    rounds: int = 5,
-    seed: int = 0,
-) -> Dict[str, List[IncastPoint]]:
-    """The Fig. 12 sweep: goodput and queue vs number of senders (1 Gbps)."""
-    return {
-        protocol: [
-            run_incast_point(
-                protocol,
-                n,
-                block_bytes=block_bytes,
-                rounds=rounds,
-                seed=seed,
-            )
-            for n in sender_counts
-        ]
-        for protocol in protocols
-    }
-
-
-def run_fig15(
-    protocols: Sequence[str] = ("tfc", "tcp"),
-    sender_counts: Sequence[int] = (50, 100, 200, 400),
-    block_sizes: Sequence[int] = (64_000, 128_000, 256_000),
-    rounds: int = 3,
-    seed: int = 0,
-) -> Dict[str, Dict[int, List[IncastPoint]]]:
-    """The Fig. 15 sweep: 10 Gbps / 512 KB buffers / three block sizes."""
-    results: Dict[str, Dict[int, List[IncastPoint]]] = {}
-    for protocol in protocols:
-        results[protocol] = {}
-        for block in block_sizes:
-            results[protocol][block] = [
-                run_incast_point(
-                    protocol,
-                    n,
-                    block_bytes=block,
-                    rounds=rounds,
-                    rate_bps=10 * GBPS,
-                    buffer_bytes=512_000,
-                    seed=seed,
-                )
-                for n in sender_counts
-            ]
-    return results
-
-
-def run_incast_cell(
-    protocol: str,
-    n_senders: int,
-    block_bytes: int = 256_000,
-    rounds: int = 10,
-    rate_bps: int = GBPS,
-    buffer_bytes: int = 256_000,
-    min_rto_ns: int = 10 * MILLISECOND,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner."""
-    point = run_incast_point(
-        protocol,
-        n_senders,
-        block_bytes=block_bytes,
-        rounds=rounds,
-        rate_bps=rate_bps,
-        buffer_bytes=buffer_bytes,
-        min_rto_ns=min_rto_ns,
-        seed=seed,
-    )
     return ExperimentResult(
         name=f"fig12:{protocol}:n{n_senders}:blk{block_bytes}:seed{seed}",
         protocol=protocol,
         scalars={
-            "n_senders": float(point.n_senders),
-            "block_bytes": float(point.block_bytes),
-            "goodput_bps": point.goodput_bps,
-            "rounds_completed": float(point.rounds_completed),
-            "max_timeouts_per_block": point.max_timeouts_per_block,
-            "total_timeouts": float(point.total_timeouts),
-            "queue_mean_bytes": point.queue_mean_bytes,
-            "queue_max_bytes": point.queue_max_bytes,
-            "drops": float(point.drops),
+            "n_senders": float(n_senders),
+            "block_bytes": float(block_bytes),
+            "goodput_bps": coordinator.goodput_bps,
+            "rounds_completed": float(coordinator.rounds_completed),
+            "max_timeouts_per_block": coordinator.max_timeouts_per_block,
+            "total_timeouts": float(coordinator.total_timeouts),
+            "queue_mean_bytes": queue_sampler.mean(),
+            "queue_max_bytes": queue_sampler.max(),
+            "drops": float(net.total_drops()),
         },
     )

@@ -16,7 +16,7 @@ The reported rows are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..metrics.fct import FctCollector
 from ..net.topology import leaf_spine, testbed
@@ -102,45 +102,14 @@ def run_benchmark(
     )
 
 
-def run_fig13(
-    protocols: Sequence[str] = ("tfc", "dctcp", "tcp"),
-    **kwargs,
-) -> Dict[str, BenchmarkResult]:
-    """Fig. 13: the benchmark on the small testbed, per protocol."""
-    return {p: run_benchmark(p, scale="testbed", **kwargs) for p in protocols}
-
-
-def run_fig16(
-    protocols: Sequence[str] = ("tfc", "dctcp", "tcp"),
-    **kwargs,
-) -> Dict[str, BenchmarkResult]:
-    """Fig. 16: the benchmark on the 360-server leaf-spine, per protocol."""
-    return {p: run_benchmark(p, scale="large", **kwargs) for p in protocols}
-
-
 def run_benchmark_cell(
-    protocol: str,
-    scale: str = "testbed",
-    duration_s: float = 2.0,
-    drain_s: float = 1.0,
-    query_rate_per_s: float = 200.0,
-    min_rto_ns: int = 200 * MILLISECOND,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner.
-
-    Flattens the FCT collector into plain scalars/series so the result
-    crosses a process boundary without dragging simulation objects along.
+    protocol: str, scale: str = "testbed", seed: int = 0, **kwargs
+) -> ExperimentResult:
+    """Runner entry point: :func:`run_benchmark` with every keyword
+    forwarded, flattened into plain scalars/series so the result crosses
+    a process boundary without dragging simulation objects along.
     """
-    res = run_benchmark(
-        protocol,
-        scale=scale,
-        duration_s=duration_s,
-        drain_s=drain_s,
-        query_rate_per_s=query_rate_per_s,
-        min_rto_ns=min_rto_ns,
-        seed=seed,
-    )
+    res = run_benchmark(protocol, scale=scale, seed=seed, **kwargs)
     scalars = {
         "flows_launched": float(res.flows_launched),
         "completed": float(res.collector.completed()),

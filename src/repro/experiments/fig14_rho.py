@@ -9,9 +9,6 @@ which variance in the instantaneous RTT lets packets accumulate (about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
-
 from ..core.params import TfcParams
 from ..metrics.samplers import QueueSampler, RateSampler
 from ..net.topology import testbed
@@ -20,24 +17,13 @@ from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology
 
 
-@dataclass
-class RhoPoint:
-    """One rho0 setting's steady-state goodput and queue."""
-
-    rho0: float
-    goodput_bps: float
-    queue_mean_bytes: float
-    queue_max_bytes: float
-    drops: int
-
-
-def run_rho_point(
+def run_rho_cell(
     rho0: float,
     n_flows: int = 5,
     duration_s: float = 1.0,
     seed: int = 0,
-) -> RhoPoint:
-    """Measure goodput and queue for a single rho0 value."""
+) -> ExperimentResult:
+    """Steady-state goodput and queue for a single rho0 value."""
     params = TfcParams(rho0=rho0)
     topo = build_topology(
         testbed, "tfc", buffer_bytes=256_000, protocol_params=params, seed=seed
@@ -61,44 +47,14 @@ def run_rho_point(
     rates = [v for _, v in rate_sampler.series[skip:]]
     queue_skip = int(len(queue_sampler.series) * 0.3)
     queues = [v for _, v in queue_sampler.series[queue_skip:]]
-    return RhoPoint(
-        rho0=rho0,
-        goodput_bps=sum(rates) / len(rates) if rates else 0.0,
-        queue_mean_bytes=sum(queues) / len(queues) if queues else 0.0,
-        queue_max_bytes=max(queues, default=0.0),
-        drops=net.total_drops(),
-    )
-
-
-def run_fig14(
-    rho_values: Sequence[float] = (0.90, 0.92, 0.94, 0.96, 0.98, 1.00),
-    n_flows: int = 5,
-    duration_s: float = 1.0,
-    seed: int = 0,
-) -> List[RhoPoint]:
-    """The Fig. 14 sweep over rho0."""
-    return [
-        run_rho_point(rho0, n_flows=n_flows, duration_s=duration_s, seed=seed)
-        for rho0 in rho_values
-    ]
-
-
-def run_rho_cell(
-    rho0: float,
-    n_flows: int = 5,
-    duration_s: float = 1.0,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner."""
-    point = run_rho_point(rho0, n_flows=n_flows, duration_s=duration_s, seed=seed)
     return ExperimentResult(
         name=f"fig14:rho{rho0:.2f}:seed{seed}",
         protocol="tfc",
         scalars={
-            "rho0": point.rho0,
-            "goodput_bps": point.goodput_bps,
-            "queue_mean_bytes": point.queue_mean_bytes,
-            "queue_max_bytes": point.queue_max_bytes,
-            "drops": float(point.drops),
+            "rho0": rho0,
+            "goodput_bps": sum(rates) / len(rates) if rates else 0.0,
+            "queue_mean_bytes": sum(queues) / len(queues) if queues else 0.0,
+            "queue_max_bytes": max(queues, default=0.0),
+            "drops": float(net.total_drops()),
         },
     )

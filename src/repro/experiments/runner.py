@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import ROUTING_NAMES, SimConfig
 from ..obs import drain_pending as _drain_telemetry
+from ..sim.units import GBPS
 from .baselines import run_baselines_cell
 from .chaos import FAULT_KINDS, run_chaos_cell
 from .common import (
@@ -79,6 +80,8 @@ FIGURE_CELLS: Dict[str, CellFn] = {
     "fig12": run_incast_cell,
     "fig13": run_benchmark_cell,
     "fig14": run_rho_cell,
+    "fig15": run_incast_cell,
+    "fig16": run_benchmark_cell,
     "baselines": run_baselines_cell,
     "ecmp": run_collision_cell,
     "mpath": run_multipath_cell,
@@ -477,6 +480,35 @@ def default_plan(
                     CellSpec(
                         "fig14",
                         {"rho0": rho0, "duration_s": 0.2 if quick else 1.0},
+                    )
+                )
+        elif figure == "fig15":
+            # 10 Gb/s links and 512 KB buffers; the full grid is the paper's.
+            counts = (50,) if quick else (50, 100, 200, 400)
+            blocks = (64_000,) if quick else (64_000, 128_000, 256_000)
+            for protocol in ("tfc", "tcp"):
+                for block in blocks:
+                    for n in counts:
+                        specs.append(
+                            CellSpec(
+                                "fig15",
+                                {
+                                    "protocol": protocol,
+                                    "n_senders": n,
+                                    "block_bytes": block,
+                                    "rounds": 2 if quick else 3,
+                                    "rate_bps": 10 * GBPS,
+                                    "buffer_bytes": 512_000,
+                                },
+                            )
+                        )
+        elif figure == "fig16":
+            # The 360-server leaf-spine at run_benchmark's defaults.
+            window = {"duration_s": 0.05, "drain_s": 0.2} if quick else {}
+            for protocol in ALL_PROTOCOLS:
+                specs.append(
+                    CellSpec(
+                        "fig16", {"protocol": protocol, "scale": "large", **window}
                     )
                 )
         elif figure == "baselines":

@@ -7,14 +7,7 @@ from .samplers import (
     RateSampler,
     convergence_time_ns,
 )
-from .stats import (
-    cdf_points,
-    jain_fairness,
-    mean,
-    percentile,
-    summarize_tail,
-    time_average,
-)
+from .stats import jain_fairness, mean, percentile, summarize_tail
 
 __all__ = [
     "SIZE_BUCKETS",
@@ -25,10 +18,8 @@ __all__ = [
     "QueueSampler",
     "RateSampler",
     "convergence_time_ns",
-    "cdf_points",
     "jain_fairness",
     "mean",
     "percentile",
     "summarize_tail",
-    "time_average",
 ]

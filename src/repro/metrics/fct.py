@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.units import to_microseconds
 from ..transport.base import Sender
-from .stats import jain_fairness, percentile, summarize_tail
+from .stats import percentile, summarize_tail
 
 # The paper's Fig. 13b / 16b size buckets.
 SIZE_BUCKETS: Sequence[Tuple[str, int, int]] = (
@@ -117,43 +117,6 @@ class FctCollector:
             to_microseconds(record.fct_ns)
             for record in self._selected(category, tenant)
         ]
-
-    def tenants(self) -> List[str]:
-        """Tenant names seen on completed flows, sorted."""
-        return sorted({r.tenant for r in self.records if r.tenant is not None})
-
-    def tenant_bytes(self, tenant: str) -> int:
-        """Completed application bytes attributed to ``tenant``."""
-        return sum(r.size_bytes for r in self._selected(None, tenant))
-
-    def tenant_goodputs_bps(self, duration_ns: int) -> Dict[str, float]:
-        """Completed-bytes goodput per tenant over a window.
-
-        Counts only *completed* flows; for a window-accurate number that
-        includes long-lived flows, use
-        :func:`repro.workloads.mixer.tenant_goodputs_bps` (sender-side
-        acked bytes) instead.
-        """
-        if duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
-        return {
-            tenant: self.tenant_bytes(tenant) * 8 * 1e9 / duration_ns
-            for tenant in self.tenants()
-        }
-
-    def tenant_jain_index(self, duration_ns: int) -> float:
-        """Jain's fairness index over per-tenant completed goodput."""
-        goodputs = list(self.tenant_goodputs_bps(duration_ns).values())
-        if len(goodputs) < 2:
-            return 1.0
-        return jain_fairness(goodputs)
-
-    def tenant_tail_us(self, tenant: str) -> Dict[str, float]:
-        """Mean/95/99/99.9/99.99th FCT (us) for one tenant's flows."""
-        values = self.fcts_us(tenant=tenant)
-        if not values:
-            raise ValueError(f"no completed flows for tenant {tenant!r}")
-        return summarize_tail(values)
 
     def tail_summary_us(self, category: str) -> Dict[str, float]:
         """Mean/95/99/99.9/99.99th FCT (us) for one category (Fig. 13a)."""

@@ -1,7 +1,7 @@
-"""Statistics helpers: exact percentiles, CDFs, fairness.
+"""Statistics helpers: exact percentiles, means, fairness.
 
-The paper reports tail percentiles (95th/99th/99.9th/99.99th FCT), CDFs
-(measured rtt_b, Fig. 6) and small-timescale fairness (Fig. 9), so these
+The paper reports tail percentiles (95th/99th/99.9th/99.99th FCT) and
+small-timescale fairness (Fig. 9), so these
 are implemented once here and reused by every experiment.  Percentiles use
 the nearest-rank method on the sorted sample — exact, deterministic, and
 meaningful even for tails thinner than the sample supports (they clamp to
@@ -11,7 +11,7 @@ the maximum, the honest answer for "99.99th of 2 000 samples").
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -43,15 +43,6 @@ def summarize_tail(values: Sequence[float]) -> dict:
     }
 
 
-def cdf_points(values: Iterable[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, cumulative fraction) steps."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return []
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
-
-
 def jain_fairness(rates: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly fair, 1/n = one flow hogs."""
     if not rates:
@@ -61,16 +52,3 @@ def jain_fairness(rates: Sequence[float]) -> float:
     if squares == 0:
         return 1.0
     return (total * total) / (len(rates) * squares)
-
-
-def time_average(series: Sequence[Tuple[int, float]], horizon_ns: int) -> float:
-    """Time-weighted average of a piecewise-constant (time_ns, value) series."""
-    if not series:
-        return 0.0
-    total = 0.0
-    for i, (t, value) in enumerate(series):
-        t_next = series[i + 1][0] if i + 1 < len(series) else horizon_ns
-        if t_next > t:
-            total += value * (t_next - t)
-    span = horizon_ns - series[0][0]
-    return total / span if span > 0 else series[-1][1]

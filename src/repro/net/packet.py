@@ -13,7 +13,6 @@ lower-bounded by the 64-byte minimum Ethernet frame.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional, Tuple, Union
 
 HEADER_BYTES = 40        # TCP/IP header (no options)
@@ -26,8 +25,6 @@ MTU = MSS + HEADER_BYTES # 1500-byte IP MTU
 # packets; any real switch allocation is smaller. The paper uses 0xffff with
 # a window scale; we keep it in bytes.
 WINDOW_SENTINEL = float(0xFFFF * MSS)
-
-_packet_ids = itertools.count()
 
 FlowKey = Tuple[int, int, int, int]  # (src, dst, sport, dport)
 
@@ -56,7 +53,7 @@ class Packet:
     """
 
     __slots__ = (
-        "packet_id", "src", "dst", "sport", "dport",
+        "src", "dst", "sport", "dport",
         "seq", "ack", "_payload",
         "syn", "fin", "is_ack",
         "rm", "rma", "window", "weight",
@@ -96,7 +93,6 @@ class Packet:
         key = src if dst is None else (src, dst, sport, dport)
         self.flow_key = key
         self.src, self.dst, self.sport, self.dport = key
-        self.packet_id = next(_packet_ids)
         self.seq = seq
         self.ack = ack
         self._payload = payload
@@ -154,7 +150,7 @@ class Packet:
             if value
         )
         return (
-            f"<Pkt#{self.packet_id} {self.src}:{self.sport}->"
+            f"<Pkt {self.src}:{self.sport}->"
             f"{self.dst}:{self.dport} seq={self.seq} ack={self.ack} "
             f"len={self.payload} [{flags}]>"
         )

@@ -91,6 +91,18 @@ def test_format_table_rows():
     assert "tfc" in lines[2]
 
 
+def test_format_table_alignment():
+    lines = format_table(["a", "long"], [[1, 2], [333, 4]]).splitlines()
+    assert len(lines) == 4
+    assert all(len(line) == len(lines[0]) for line in lines)
+    assert lines[3].split() == ["333", "4"]
+
+
+def test_format_table_empty_rows():
+    out = format_table(["x", "y"], [])
+    assert out.splitlines()[0].split() == ["x", "y"]
+
+
 def test_network_helpers():
     topo = build_topology(dumbbell, "tcp", buffer_bytes=64_000, n_senders=2)
     net = topo.network

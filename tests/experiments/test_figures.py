@@ -12,11 +12,12 @@ from repro.experiments import (
     run_fig06,
     run_fig07,
     run_fig11,
-    run_incast_point,
+    run_incast_cell,
     run_multipath_benchmark,
-    run_rho_point,
+    run_rho_cell,
     run_staggered_flows,
 )
+from repro.experiments.fig06_rttb import run_fig06_cell
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +35,17 @@ def test_fig06_rttb_below_reference():
     assert len(result.reference_samples_us) > 100
     # rtt_b excludes host processing jitter: strictly below the reference.
     assert 0 < result.gap_us < 60
-    rttb_cdf, ref_cdf = result.cdfs()
-    assert rttb_cdf and ref_cdf
+
+
+@pytest.mark.parametrize("duration_s", (0.2, 0.0))
+def test_fig06_rejects_a_run_shorter_than_one_sample(duration_s):
+    """A run that ends before the first rtt_b sample is refused up front,
+    naming both values, instead of failing on an empty sample later."""
+    for run in (run_fig06, run_fig06_cell):
+        with pytest.raises(ValueError) as exc:
+            run(duration_s=duration_s, sample_interval_s=0.25)
+        assert "sample_interval_s=0.25" in str(exc.value)
+        assert f"duration_s={duration_s}" in str(exc.value)
 
 
 def test_fig07_effective_flow_tracking():
@@ -84,12 +94,12 @@ def test_fig11_work_conserving():
 
 
 def test_fig12_incast_point_tfc_vs_tcp():
-    tfc = run_incast_point("tfc", 30, rounds=2)
-    tcp = run_incast_point("tcp", 30, rounds=2)
-    assert tfc.drops == 0
-    assert tfc.max_timeouts_per_block == 0
-    assert tcp.drops > 0
-    assert tfc.queue_max_bytes < tcp.queue_max_bytes
+    tfc = run_incast_cell("tfc", 30, rounds=2)
+    tcp = run_incast_cell("tcp", 30, rounds=2)
+    assert tfc["drops"] == 0
+    assert tfc["max_timeouts_per_block"] == 0
+    assert tcp["drops"] > 0
+    assert tfc["queue_max_bytes"] < tcp["queue_max_bytes"]
 
 
 def test_fig13_benchmark_fct_ordering():
@@ -111,21 +121,21 @@ def test_fig13_benchmark_fct_ordering():
 
 
 def test_fig14_rho_point():
-    low = run_rho_point(0.90, duration_s=0.3)
-    high = run_rho_point(1.00, duration_s=0.3)
-    assert low.drops == high.drops == 0
-    assert high.goodput_bps >= low.goodput_bps
-    assert high.queue_mean_bytes >= low.queue_mean_bytes
+    low = run_rho_cell(0.90, duration_s=0.3)
+    high = run_rho_cell(1.00, duration_s=0.3)
+    assert low["drops"] == high["drops"] == 0
+    assert high["goodput_bps"] >= low["goodput_bps"]
+    assert high["queue_mean_bytes"] >= low["queue_mean_bytes"]
 
 
 def test_fig15_large_scale_point():
-    point = run_incast_point(
+    point = run_incast_cell(
         "tfc", 60, block_bytes=64_000, rounds=2,
         rate_bps=10_000_000_000, buffer_bytes=512_000,
     )
-    assert point.rounds_completed == 2
-    assert point.drops == 0
-    assert point.max_timeouts_per_block == 0
+    assert point["rounds_completed"] == 2
+    assert point["drops"] == 0
+    assert point["max_timeouts_per_block"] == 0
 
 
 def test_ecmp_collision_tfc_fair_where_tcp_is_not():

@@ -463,6 +463,20 @@ def test_chaos_cell_telemetry_export(tmp_path):
     assert any(record["topic"] == "fault.injected" for record in flight)
 
 
+def test_chaos_telemetry_files_do_not_depend_on_process_history(tmp_path):
+    """One chaos cell run twice in one process exports byte-identical
+    files: no record carries state left over from an earlier run."""
+    spec = _short_chaos("burst_loss")
+    exported = []
+    for run in ("first", "second"):
+        directory = tmp_path / run
+        config = SimConfig(seed=1, telemetry="full", telemetry_dir=str(directory))
+        run_cells([spec], jobs=1, config=config)
+        exported.append({p.name: p.read_bytes() for p in directory.iterdir()})
+    assert len(exported[0]) == 3
+    assert exported[0] == exported[1]
+
+
 def test_default_plan_covers_every_figure():
     figures = sorted(FIGURE_CELLS)
     specs = default_plan(figures, quick=True)
@@ -473,6 +487,30 @@ def test_default_plan_covers_every_figure():
     # Every planned cell names a registered entry point.
     for spec in specs:
         assert spec.figure in FIGURE_CELLS
+
+
+def test_fig15_and_fig16_full_plans_are_paper_scale():
+    """Fig. 15: tfc and tcp x 50-400 senders x 64/128/256 KB blocks at
+    10 Gb/s with 512 KB buffers; Fig. 16: the leaf-spine at
+    run_benchmark's defaults."""
+    fig15 = default_plan(["fig15"])
+    assert [
+        (s.kwargs["protocol"], s.kwargs["block_bytes"], s.kwargs["n_senders"])
+        for s in fig15
+    ] == [
+        (protocol, block, n)
+        for protocol in ("tfc", "tcp")
+        for block in (64_000, 128_000, 256_000)
+        for n in (50, 100, 200, 400)
+    ]
+    assert {
+        (s.kwargs["rounds"], s.kwargs["rate_bps"], s.kwargs["buffer_bytes"])
+        for s in fig15
+    } == {(3, 10_000_000_000, 512_000)}
+    assert [s.kwargs for s in default_plan(["fig16"])] == [
+        {"protocol": protocol, "scale": "large"}
+        for protocol in ("tfc", "dctcp", "tcp")
+    ]
 
 
 def test_default_plan_rejects_unknown_figure():

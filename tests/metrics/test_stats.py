@@ -3,14 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.stats import (
-    cdf_points,
-    jain_fairness,
-    mean,
-    percentile,
-    summarize_tail,
-    time_average,
-)
+from repro.metrics.stats import jain_fairness, mean, percentile, summarize_tail
 
 
 def test_percentile_nearest_rank():
@@ -51,24 +44,12 @@ def test_summarize_tail_keys():
     assert summary["p95"] <= summary["p99"] <= summary["p99.9"] <= summary["p99.99"]
 
 
-def test_cdf_points():
-    points = cdf_points([3.0, 1.0, 2.0])
-    assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-    assert cdf_points([]) == []
-
-
 def test_jain_fairness_bounds():
     assert jain_fairness([1, 1, 1, 1]) == pytest.approx(1.0)
     assert jain_fairness([1, 0, 0, 0]) == pytest.approx(0.25)
     assert jain_fairness([0, 0]) == 1.0  # degenerate all-zero case
     with pytest.raises(ValueError):
         jain_fairness([])
-
-
-def test_time_average_piecewise_constant():
-    series = [(0, 10.0), (50, 20.0)]
-    assert time_average(series, horizon_ns=100) == pytest.approx(15.0)
-    assert time_average([], horizon_ns=100) == 0.0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False), min_size=1, max_size=200))
@@ -86,14 +67,3 @@ def test_property_percentile_is_element_and_monotone(values):
 def test_property_jain_in_unit_interval(rates):
     index = jain_fairness(rates)
     assert 1.0 / len(rates) - 1e-9 <= index <= 1.0 + 1e-9
-
-
-@given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100))
-def test_property_cdf_is_monotone_and_complete(values):
-    points = cdf_points(values)
-    assert len(points) == len(values)
-    fractions = [f for _, f in points]
-    assert fractions == sorted(fractions)
-    assert fractions[-1] == pytest.approx(1.0)
-    sorted_values = [v for v, _ in points]
-    assert sorted_values == sorted(values)

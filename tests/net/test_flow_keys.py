@@ -56,7 +56,7 @@ def _frames(protocol, monkeypatch):
     arrivals = []
 
     def record(node, packet, in_port_index):
-        delivered[packet.packet_id] = packet
+        delivered[id(packet)] = packet
         arrivals.append(packet)
 
     # T-RACKs builds packets only for its tail-probe dupack trains.

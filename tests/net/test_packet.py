@@ -49,11 +49,6 @@ def test_window_defaults_to_sentinel():
     assert WINDOW_SENTINEL > 10 * 1024 * 1024  # effectively infinite
 
 
-def test_packet_ids_unique():
-    ids = {make().packet_id for _ in range(100)}
-    assert len(ids) == 100
-
-
 def test_fresh_packet_flags_clear():
     pkt = make()
     assert not pkt.ecn_ce

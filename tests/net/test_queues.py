@@ -1,10 +1,13 @@
-"""Unit and property tests for drop-tail and ECN-marking queues."""
+"""Unit and property tests for drop-tail, ECN-marking and random-drop
+queues."""
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue, EcnQueue
+from repro.net.packet import MSS, Packet
+from repro.net.queues import DropTailQueue, EcnQueue, RandomDropQueue
 
 
 def data_packet(payload=1460, ecn=False):
@@ -98,3 +101,60 @@ def test_property_occupancy_never_exceeds_capacity(payloads):
         drained += 1
     assert drained == accepted
     assert queue.byte_length == 0
+
+
+def test_random_drop_queue_drops_fraction():
+    queue = RandomDropQueue(10**9, drop_probability=0.3, seed=1)
+    accepted = sum(
+        1 for _ in range(2000)
+        if queue.enqueue(Packet(1, 2, 3, 4, payload=MSS))
+    )
+    assert 1250 < accepted < 1550  # ~70% of 2000
+    assert queue.random_drops == 2000 - accepted
+
+
+def test_random_drop_queue_deterministic_from_seed():
+    def accepted(queue):
+        return [
+            queue.enqueue(Packet(1, 2, 3, 4, payload=MSS)) for _ in range(500)
+        ]
+
+    first = accepted(RandomDropQueue(10**9, drop_probability=0.3, seed=42))
+    second = accepted(RandomDropQueue(10**9, drop_probability=0.3, seed=42))
+    other = accepted(RandomDropQueue(10**9, drop_probability=0.3, seed=43))
+    assert first == second
+    assert first != other
+
+
+def test_random_drop_queue_validates():
+    with pytest.raises(ValueError):
+        RandomDropQueue(1000, drop_probability=1.0, seed=0)
+    with pytest.raises(ValueError):  # exactly one of rng/seed
+        RandomDropQueue(1000, drop_probability=0.5)
+    with pytest.raises(ValueError):
+        RandomDropQueue(1000, 0.5, rng=random.Random(0), seed=1)
+
+
+def test_protocols_survive_random_loss():
+    """End-to-end robustness: 1% random loss, all protocols complete."""
+    from repro.net.topology import dumbbell
+    from repro.sim.units import MILLISECOND, seconds
+    from repro.transport.base import FlowState
+    from repro.transport.registry import get_protocol, open_flow
+
+    for proto in ("tcp", "dctcp", "tfc"):
+        rng = random.Random(7)
+        topo = dumbbell(
+            n_senders=2,
+            queue_factory=lambda rate: RandomDropQueue(256_000, 0.01, rng=rng),
+        )
+        get_protocol(proto).install(topo.network)
+        receiver = topo.hosts[-1]
+        flows = [
+            open_flow(h, receiver, proto, size_bytes=300_000, min_rto_ns=MILLISECOND)
+            for h in topo.hosts[:2]
+        ]
+        topo.network.run_for(seconds(5))
+        for flow in flows:
+            assert flow.state is FlowState.DONE, proto
+            assert flow.receiver.bytes_received == 300_000

@@ -1,9 +1,10 @@
 """Every module in ``benchmarks/`` and ``examples/`` still imports.
 
-No CI job runs either directory, and lint does not resolve imported
-names, so a public name deleted from ``repro`` would break them unseen.
-Importing is enough to catch that: the benchmark modules only define
-tests, and every example runs behind a ``__main__`` guard.
+CI runs ``benchmarks/`` in a separate job that takes minutes, no job runs
+``examples/``, and lint does not resolve imported names, so a public name
+deleted from ``repro`` would otherwise break them outside tier-1 or
+unseen.  Importing is enough to catch that: the benchmark modules only
+define tests, and every example runs behind a ``__main__`` guard.
 """
 
 import importlib.util

@@ -1,10 +1,11 @@
 """Every command the run-books name still points at something that exists.
 
 A ``python -m repro.…`` module must be importable by spec and carry an
-``if __name__ == "__main__":`` block, and a ``python <path>.py`` script
-must exist relative to the repo root, so a deleted module or script — or
-a module that keeps its file but loses its CLI — cannot leave a dangling
-command in the docs.
+``if __name__ == "__main__":`` block, a ``python <path>.py`` script
+must exist relative to the repo root, and every name after ``--figures``
+(``a b`` or ``a|b``) must be a runner figure, so a deleted module, script
+or figure — or a module that keeps its file but loses its CLI — cannot
+leave a dangling command in the docs.
 """
 
 import importlib.util
@@ -13,11 +14,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.runner import FIGURE_CELLS
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DOCS = ("README.md", ".claude/skills/verify/SKILL.md", "bench/README.md")
+DOCS = (
+    "README.md",
+    ".claude/skills/verify/SKILL.md",
+    "bench/README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+)
 
 MODULE_RE = re.compile(r"\bpython3?\s+-m\s+(repro(?:\.\w+)*)")
 SCRIPT_RE = re.compile(r"\bpython3?\s+((?:[\w.-]+/)*[\w.-]+\.py)\b")
+FIGURES_RE = re.compile(r"--figures((?:[ \t]+[\w|]+)+)")
 MAIN_RE = re.compile(r"^if __name__ == [\"']__main__[\"']:", re.MULTILINE)
 
 
@@ -32,6 +42,15 @@ def _module_runs(name):
     return MAIN_RE.search(Path(spec.origin).read_text(encoding="utf-8")) is not None
 
 
+def _figures(text):
+    """Every figure name the text passes to ``--figures``."""
+    return {
+        name
+        for names in FIGURES_RE.findall(text)
+        for name in re.split(r"[\s|]+", names.strip())
+    }
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_documented_commands_resolve(doc):
     text = (REPO_ROOT / doc).read_text(encoding="utf-8")
@@ -41,6 +60,7 @@ def test_documented_commands_resolve(doc):
 
     missing = sorted(m for m in modules if not _module_runs(m))
     missing += sorted(s for s in scripts if not (REPO_ROOT / s).is_file())
+    missing += sorted(_figures(text) - set(FIGURE_CELLS))
     assert not missing, f"{doc} names commands that do not resolve: {missing}"
 
 
@@ -54,3 +74,7 @@ def test_a_dangling_command_is_caught():
     assert importlib.util.find_spec("repro.experiments.common") is not None
     assert not _module_runs("repro.experiments.common")
     assert _module_runs("repro.experiments.runner")
+    # So is a figure the runner does not know, in either spelling.
+    text = "`runner --figures fig12 chaos|fig99 --jobs 2`, then --figures fig15`"
+    assert _figures(text) == {"fig12", "chaos", "fig99", "fig15"}
+    assert _figures(text) - set(FIGURE_CELLS) == {"fig99"}

@@ -37,6 +37,7 @@ def test_top_level_namespaces():
         transport,
         workloads,
     )
+    from repro.experiments.runner import FIGURE_CELLS
 
     assert core.TfcParams
     assert net.Packet and net.dumbbell
@@ -47,7 +48,7 @@ def test_top_level_namespaces():
     assert callable(transport.registered_protocols)
     assert workloads.IncastCoordinator
     assert metrics.FctCollector
-    assert experiments.run_fig12
+    assert {f"fig{n}" for n in range(12, 17)} <= set(FIGURE_CELLS)
     assert experiments.run_chaos
     assert faults.FaultInjector and faults.InvariantMonitor
     assert config.SimConfig and config.env
@@ -75,11 +76,12 @@ def test_config_namespace_is_the_selection_surface():
 
 
 @pytest.mark.parametrize(
-    "module", ("repro.sim.shard", "repro.experiments.shard_scale", "repro.perf")
+    "module",
+    ("repro.sim.shard", "repro.experiments.shard_scale", "repro.perf", "repro.analysis"),
 )
 def test_retired_modules_are_gone(module):
-    """Every simulation runs on one serial ``Simulator``, and ``bench/`` is
-    the only benchmark harness."""
+    """Every simulation runs on one serial ``Simulator``, ``bench/`` is
+    the only benchmark harness, and the runner prints every report."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
 
