@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..net.packet import MSS, FlowKey, Packet
-from ..net.port import install_agent
+from ..net.port import RMA_ACKS, install_agent
 from ..sim.trace import TFC_DELIMITER_ELECTED, TFC_WINDOW_UPDATE
 from ..sim.units import bandwidth_delay_product
 from .delay import DelayArbiter
@@ -66,6 +66,10 @@ def _quantize_window(window: float) -> float:
 
 class TfcPortAgent:
     """Token flow control state for one switch output port."""
+
+    # Hooks Switch enters: transit for all, reverse for RMA ACKs only.
+    transit_hook = True
+    reverse_hook = RMA_ACKS
 
     def __init__(
         self,
@@ -378,14 +382,12 @@ class TfcPortAgent:
     # Reverse direction: the delay function for RMA ACKs
     # ------------------------------------------------------------------
     def on_reverse_arrival(self, packet: Packet) -> bool:
-        """Handle a packet arriving *from* this port's link.
+        """Offer an RMA ACK arriving *from* this port's link to the arbiter.
 
         Returns True when the delay arbiter kept the packet (it will be
         forwarded when the arbiter releases it).
         """
-        if packet.is_ack and packet.rma:
-            return self.delay_arbiter.offer(packet)
-        return False
+        return self.delay_arbiter.offer(packet)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

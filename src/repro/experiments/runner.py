@@ -168,6 +168,10 @@ def _execute_cell(
         profiler.dump_stats(path)
         print(f"profile written to {path}", file=sys.stderr)
     _export_cell_telemetry(spec)
+    # fig15/fig16 reuse fig12's/fig13's cell: name it after the figure run.
+    head, sep, tail = result.name.partition(":")
+    if sep and head != spec.figure and FIGURE_CELLS.get(head) is fn:
+        result.name = f"{spec.figure}:{tail}"
     return result
 
 

@@ -133,6 +133,8 @@ class InvariantMonitor:
             for port in switch.ports
             if port.agent is not None
         ]
+        # Membership test per slot close; the list keeps the sweep's order.
+        self._agent_set = set(self.agents)
         self.tracer.subscribe(TFC_WINDOW_UPDATE, self._on_window_update)
         self.sim.post(self.sweep_interval_ns, self._sweep)
 
@@ -203,7 +205,7 @@ class InvariantMonitor:
             self._checks_counter.inc()
 
     def _on_window_update(self, agent: "TfcPortAgent" = None, **_kw) -> None:
-        if agent is None or agent not in self.agents:
+        if agent is None or agent not in self._agent_set:
             return
         self._count_check()
         self._check_agent(agent)

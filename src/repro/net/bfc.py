@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 from ..sim.trace import BFC_PAUSE, BFC_RESUME
 from .packet import MTU, FlowKey, Packet
 from .pfc import Backpressure, check_watermarks
-from .port import install_agent
+from .port import EVERY_PACKET, install_agent
 from .queues import DropTailQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,7 +103,7 @@ class BfcQueue(DropTailQueue):
             self.drops += 1
             self.dropped_bytes += size
             return False
-        new_bytes = self._bytes + size
+        new_bytes = self.byte_length + size
         if new_bytes > self.capacity_bytes:
             self.drops += 1
             self.dropped_bytes += size
@@ -118,7 +118,7 @@ class BfcQueue(DropTailQueue):
         fifo.append(packet)
         occupancy = self._flow_bytes[key] + size
         self._flow_bytes[key] = occupancy
-        self._bytes = new_bytes
+        self.byte_length = new_bytes
         self.enqueues += 1
         if new_bytes > self.max_bytes_seen:
             self.max_bytes_seen = new_bytes
@@ -139,7 +139,7 @@ class BfcQueue(DropTailQueue):
             fifo = self._flows[key]
             packet = fifo.popleft()
             size = packet.size
-            self._bytes -= size
+            self.byte_length -= size
             remaining = self._flow_bytes[key] - size
             if fifo:
                 self._flow_bytes[key] = remaining
@@ -169,19 +169,18 @@ class BfcPortAgent:
 
     On the reverse path (packets arriving *from* this port's cable) it
     hands pause frames to the fabric that sent them and records the
-    flow -> ingress-port map the fabric aims its own frames by.
-    ``on_transit`` is a no-op: BFC never rewrites data packets.
+    flow -> ingress-port map the fabric aims its own frames by.  It has
+    no transit hook: BFC never rewrites data packets.
     """
 
     __slots__ = ("fabric", "port", "ingress")
+    transit_hook = False
+    reverse_hook = EVERY_PACKET
 
     def __init__(self, fabric: "BfcFabric", port: "Port"):
         self.fabric = fabric
         self.port = port
         self.ingress = fabric._ingress[port.node.node_id]
-
-    def on_transit(self, packet: Packet) -> None:
-        pass
 
     def on_reverse_arrival(self, packet: Packet) -> bool:
         backpressure = packet.backpressure

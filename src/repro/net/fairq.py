@@ -93,6 +93,10 @@ def make_fairq_queue(
 class FairqPortAgent:
     """Per-egress-port fair-share measurement and selective CE marking."""
 
+    # Hooks Switch enters: transit for all; FairQ sends nothing upstream.
+    transit_hook = True
+    reverse_hook = None
+
     def __init__(
         self,
         switch: "Switch",
@@ -157,12 +161,6 @@ class FairqPortAgent:
         if sent > self.fair_share_bytes and packet.ecn_capable:
             packet.ecn_ce = True
             self.marked_packets += 1
-
-    # ------------------------------------------------------------------
-    # Reverse direction: FairQ sends nothing upstream itself
-    # ------------------------------------------------------------------
-    def on_reverse_arrival(self, packet: Packet) -> bool:
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -51,6 +51,8 @@ class Host(Endpoint):
         self._getrandbits = self._rng.getrandbits  # bound once; per-packet call
         self.processing_delay_ns = processing_delay_ns
         self.processing_jitter_ns = processing_jitter_ns
+        # Bit width of one randrange(jitter + 1) draw, fixed with the jitter.
+        self._jitter_bits = (processing_jitter_ns + 1).bit_length()
         self._connections: Dict[FlowKey, PacketSink] = {}
         #: Compact records of this host's completed senders (see
         #: :meth:`retire_connection`); ``_connections`` only keeps live ones.
@@ -154,7 +156,7 @@ class Host(Endpoint):
         delay = self.processing_delay_ns
         jitter = self.processing_jitter_ns
         if jitter > 0:
-            bits = (jitter + 1).bit_length()
+            bits = self._jitter_bits
             draw = self._getrandbits(bits)
             while draw > jitter:
                 draw = self._getrandbits(bits)

@@ -18,7 +18,7 @@ from typing import List, Mapping, Optional, Tuple
 from ..sim.engine import Simulator
 from ..sim.trace import Tracer
 from .packet import Packet
-from .port import Port
+from .port import EVERY_PACKET, RMA_ACKS, Port
 
 
 class Node:
@@ -98,6 +98,11 @@ class Switch(Node):
     * **reset** (switch reboot, :mod:`repro.faults.engine`): ``fabric``,
       then ``agent``.
 
+    An agent's class fixes the packets its hooks see: ``transit_hook``
+    (TFC, FairQ: all; BFC: none) and ``reverse_hook`` (BFC:
+    ``EVERY_PACKET``; TFC: ``RMA_ACKS``, all its arbiter parks; FairQ:
+    None).  A fabric's reverse hook sees every packet.
+
     ``routing`` is the multi-path hook: the network's routing policy
     attaches itself here (see :meth:`repro.routing.RoutingPolicy.install`)
     and :meth:`forward` delegates the equal-cost pick to it.  The default
@@ -111,21 +116,27 @@ class Switch(Node):
         self.rx_packets += 1
         self.rx_bytes += packet.frame_size
         ports = self.ports
-        if 0 <= in_port_index < len(ports):
-            port = ports[in_port_index]
-            fabric = port.fabric
-            if fabric is not None and fabric.on_reverse_arrival(packet):
-                return  # pause frame, consumed
-            agent = port.agent
-            if agent is not None and agent.on_reverse_arrival(packet):
-                return  # held by the delay arbiter; re-injected later
-        # forward() inlined for the fixed next hop (multi-path, no route: forward)
-        out_index = self.forwarding_table.get(packet.dst) if self.routing is None else None
-        if out_index is None:
-            return self.forward(packet)
-        out_port = ports[out_index]
-        agent = out_port.agent
+        port = ports[in_port_index]  # every cabled link ends on a real port
+        fabric = port.fabric
+        if fabric is not None and fabric.on_reverse_arrival(packet):
+            return  # pause frame, consumed
+        agent = port.agent
         if agent is not None:
+            hook = agent.reverse_hook
+            if (
+                hook is EVERY_PACKET
+                or (hook is RMA_ACKS and packet.rma and packet.is_ack)
+            ) and agent.on_reverse_arrival(packet):
+                return  # consumed, or held by the delay arbiter
+        # forward() inlined for the fixed next hop (multi-path, no route: forward)
+        if self.routing is not None:
+            return self.forward(packet)
+        try:
+            out_port = ports[self.forwarding_table[packet.dst]]
+        except KeyError:
+            return self.forward(packet)  # raises, naming the switch
+        agent = out_port.agent
+        if agent is not None and agent.transit_hook:
             agent.on_transit(packet)
         out_port.send(packet)
 
@@ -143,7 +154,7 @@ class Switch(Node):
             ) from None
         out_port = self.ports[out_index]
         agent = out_port.agent
-        if agent is not None:
+        if agent is not None and agent.transit_hook:
             agent.on_transit(packet)
         out_port.send(packet)
 

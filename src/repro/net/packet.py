@@ -8,7 +8,9 @@ so sharing the structure is faithful, not a shortcut.
 
 Sizes: ``payload`` is the number of application bytes carried; the wire size
 adds a fixed 40-byte TCP/IP header plus 18 bytes of Ethernet framing, and is
-lower-bounded by the 64-byte minimum Ethernet frame.
+lower-bounded by the 64-byte minimum Ethernet frame.  All three are plain
+slots set once at construction: a segment never changes length in flight,
+so ``size`` and ``frame_size`` are never recomputed.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class Packet:
 
     __slots__ = (
         "src", "dst", "sport", "dport",
-        "seq", "ack", "_payload",
+        "seq", "ack", "payload",
         "syn", "fin", "is_ack",
         "rm", "rma", "window", "weight",
         "ecn_capable", "ecn_ce", "ecn_echo",
@@ -95,10 +97,10 @@ class Packet:
         self.src, self.dst, self.sport, self.dport = key
         self.seq = seq
         self.ack = ack
-        self._payload = payload
+        self.payload = payload
         # Sizes are read on every enqueue/serialise/stat bump but written
-        # only here (and via the payload setter), so they are attributes,
-        # shared per payload length, rather than recomputed properties.
+        # only here, so they are attributes, shared per payload length,
+        # rather than recomputed properties.
         self.size, self.frame_size = _sizes.get(payload) or _sizes_of(payload)
         self.syn = syn
         self.fin = fin
@@ -117,19 +119,6 @@ class Packet:
         # packet occupies a switch buffer (repro.net.pfc); None otherwise.
         self.pfc_ingress = None
 
-    # ------------------------------------------------------------------
-    # Sizes
-    # ------------------------------------------------------------------
-    @property
-    def payload(self) -> int:
-        """Application bytes carried; assignment recomputes the sizes."""
-        return self._payload
-
-    @payload.setter
-    def payload(self, value: int) -> None:
-        self._payload = value
-        self.size, self.frame_size = _sizes.get(value) or _sizes_of(value)
-
     @property
     def reverse_flow_key(self) -> FlowKey:
         """The key of the opposite direction (built on each read)."""
@@ -138,7 +127,7 @@ class Packet:
     @property
     def end_seq(self) -> int:
         """Sequence number immediately after this segment's payload."""
-        return self.seq + self._payload
+        return self.seq + self.payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(

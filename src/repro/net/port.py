@@ -266,7 +266,9 @@ class Port:
             )
         else:
             link.faulted_frames += 1
-        packet = None if self.paused else self.queue.dequeue()  # _start_next
+        # _start_next, asking the queue only when it holds bytes.
+        queue = self.queue
+        packet = queue.dequeue() if queue.byte_length and not self.paused else None
         if packet is None:
             self._busy = False
             return
@@ -277,6 +279,11 @@ class Port:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.index}] q={self.queue.byte_length}B>"
+
+
+#: An agent class's ``reverse_hook`` (see :class:`~repro.net.node.Switch`).
+EVERY_PACKET = "every packet"
+RMA_ACKS = "RMA ACKs"
 
 
 def install_agent(port: Port, agent) -> None:

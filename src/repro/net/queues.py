@@ -144,12 +144,15 @@ class DropTailQueue:
     ``faulted_drops``) when the model says so.  The fault engine toggles it
     at scheduled times; it is None — one attribute test per enqueue — in
     normal runs.
+
+    ``byte_length`` (occupancy in IP packet bytes) is a plain attribute
+    only ``enqueue``/``dequeue`` write; at zero a port skips ``dequeue``.
     """
 
     __slots__ = (
         "capacity_bytes",
         "_queue",
-        "_bytes",
+        "byte_length",
         "drops",
         "dropped_bytes",
         "enqueues",
@@ -163,7 +166,7 @@ class DropTailQueue:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._queue: Deque[Packet] = deque()
-        self._bytes = 0
+        self.byte_length = 0
         self.drops = 0
         self.dropped_bytes = 0
         self.enqueues = 0
@@ -173,18 +176,9 @@ class DropTailQueue:
 
     # ------------------------------------------------------------------
     @property
-    def byte_length(self) -> int:
-        """Current occupancy in bytes (buffered IP packet bytes)."""
-        return self._bytes
-
-    @property
     def packet_length(self) -> int:
         """Current occupancy in packets."""
         return len(self)
-
-    def admit(self, packet: Packet) -> bool:
-        """Whether ``packet`` fits right now (without enqueueing it)."""
-        return self._bytes + packet.size <= self.capacity_bytes
 
     def enqueue(self, packet: Packet) -> bool:
         """Append ``packet``; returns False (and counts a drop) on overflow."""
@@ -194,13 +188,13 @@ class DropTailQueue:
             self.drops += 1
             self.dropped_bytes += size
             return False
-        new_bytes = self._bytes + size
+        new_bytes = self.byte_length + size
         if new_bytes > self.capacity_bytes:
             self.drops += 1
             self.dropped_bytes += size
             return False
         self._queue.append(packet)
-        self._bytes = new_bytes
+        self.byte_length = new_bytes
         self.enqueues += 1
         if new_bytes > self.max_bytes_seen:
             self.max_bytes_seen = new_bytes
@@ -211,7 +205,7 @@ class DropTailQueue:
         if not self._queue:
             return None
         packet = self._queue.popleft()
-        self._bytes -= packet.size
+        self.byte_length -= packet.size
         return packet
 
     def __len__(self) -> int:
@@ -219,7 +213,7 @@ class DropTailQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<{type(self).__name__} {self._bytes}/{self.capacity_bytes}B"
+            f"<{type(self).__name__} {self.byte_length}/{self.capacity_bytes}B"
             f" pkts={len(self)} drops={self.drops}>"
         )
 
@@ -296,7 +290,7 @@ class EcnQueue(DropTailQueue):
     def enqueue(self, packet: Packet) -> bool:
         if not DropTailQueue.enqueue(self, packet):
             return False
-        if packet.ecn_capable and self._bytes > self.mark_threshold_bytes:
+        if packet.ecn_capable and self.byte_length > self.mark_threshold_bytes:
             packet.ecn_ce = True
             self.marks += 1
         return True

@@ -9,7 +9,9 @@ model-based fuzz (``tests/sim/test_kernel_model.py``) checks the kernel
 op by op against a sorted-list oracle that shares no code with it.
 
 The kernel is deliberately tiny: components interact only through
-``post`` / ``schedule`` / ``cancel`` and the read-only ``now`` property.
+``post`` / ``schedule`` / ``cancel`` and the clock ``now``: a plain
+attribute every layer reads and only the run loop writes
+(``tests/sim/test_post_discipline.py`` holds the rest to reading it).
 Everything network-specific lives in :mod:`repro.net` and above.
 
 Fast-path design (DESIGN.md §6d):
@@ -25,10 +27,10 @@ Fast-path design (DESIGN.md §6d):
   callers: do not retain an :class:`Event` handle across its own firing
   and cancel it later — use :class:`repro.sim.timers.Timer`, which clears
   its handle before the callback runs, for restartable semantics.
-* Live (non-cancelled) events are counted incrementally, so
-  :attr:`pending_events` is O(1) and exact at every instant, including
-  inside a callback (the running event is not counted; same-time events
-  not yet run are).
+* Nothing is counted per event: :attr:`pending_events` is the heap
+  length less its dead entries, O(1) and exact at every instant,
+  including inside a callback (the running event is already popped;
+  same-time events not yet run are counted).
 * Cancellation is lazy: a dead entry is discarded when it surfaces at
   the heap head, and a heap more than half dead (timer churn) is
   compacted in place.  A restart is not a cancel:
@@ -101,9 +103,8 @@ class Event:
         self.args = ()
         sim = self.sim
         if sim is not None:
-            # The simulator's counters are updated inline: timer-churn
+            # The simulator's dead count is updated inline: timer-churn
             # transports cancel several times per executed event.
-            sim._live -= 1
             dead = sim._dead + 1
             sim._dead = dead
             if dead >= COMPACT_MIN_ENTRIES and dead * 2 > len(sim._heap):
@@ -125,22 +126,21 @@ class Simulator:
     # Slots measurably speed up schedule()/run(): every per-event
     # attribute touch skips the instance dict (see DESIGN.md §6d).
     __slots__ = (
-        "_now",
+        "now",
         "_seq",
         "_heap",
         "_free",
-        "_live",
         "_dead",
         "_running",
         "_events_processed",
     )
 
     def __init__(self) -> None:
-        self._now: int = 0
+        #: Current simulation time in integer nanoseconds; only run() writes it.
+        self.now: int = 0
         self._seq: int = 0
         self._heap: List[HeapEntry] = []
         self._free: List[Event] = []
-        self._live: int = 0  # queued events not cancelled
         self._dead: int = 0  # heap entries whose event is cancelled
         self._running = False
         self._events_processed = 0
@@ -149,14 +149,9 @@ class Simulator:
     # Clock
     # ------------------------------------------------------------------
     @property
-    def now(self) -> int:
-        """Current simulation time in integer nanoseconds."""
-        return self._now
-
-    @property
     def now_seconds(self) -> float:
         """Current simulation time in float seconds (reporting only)."""
-        return to_seconds(self._now)
+        return to_seconds(self.now)
 
     @property
     def events_processed(self) -> int:
@@ -166,7 +161,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._live
+        return len(self._heap) - self._dead
 
     @property
     def active_backend(self) -> str:
@@ -205,18 +200,16 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        _heappush(self._heap, (self._now + delay_ns, seq, callback, args))
+        _heappush(self._heap, (self.now + delay_ns, seq, callback, args))
 
     def schedule(self, delay_ns: int, callback: Callback, *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay_ns`` from now and
         return its handle; a caller that drops the handle should :meth:`post`."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        time_ns = self._now + delay_ns
+        time_ns = self.now + delay_ns
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         free = self._free
         if free:
             event = free.pop()
@@ -233,7 +226,7 @@ class Simulator:
     def reschedule(self, event: Event, delay_ns: int, callback: Callback, *args: Any) -> Event:
         """Exactly ``event.cancel(); return self.schedule(delay_ns, ...)``,
         but a pending event moved no earlier is re-keyed in place."""
-        time_ns = self._now + delay_ns
+        time_ns = self.now + delay_ns
         if event.cancelled or time_ns < event.time:
             event.cancel()
             return self.schedule(delay_ns, callback, *args)
@@ -246,11 +239,11 @@ class Simulator:
 
     def schedule_at(self, time_ns: int, callback: Callback, *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
-        if time_ns < self._now:
+        if time_ns < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self._now}ns"
+                f"cannot schedule at {time_ns}ns, now is {self.now}ns"
             )
-        return self.schedule(time_ns - self._now, callback, *args)
+        return self.schedule(time_ns - self.now, callback, *args)
 
     def _compact(self) -> None:
         """Sweep dead entries out of the heap; live ones get their real keys.
@@ -307,8 +300,7 @@ class Simulator:
                     if entry[0] > horizon:
                         break
                     _heappop(heap)
-                    self._now = entry[0]
-                    self._live -= 1
+                    self.now = entry[0]
                     callback(*entry[3])
                     processed += 1
                     continue
@@ -324,7 +316,7 @@ class Simulator:
                 if entry[0] > horizon:
                     break
                 _heappop(heap)
-                self._now = entry[0]
+                self.now = entry[0]
                 callback = event.callback
                 args = event.args
                 # Retire the handle before the callback runs: a stale
@@ -332,7 +324,6 @@ class Simulator:
                 event.cancelled = True
                 event.callback = None
                 event.args = ()
-                self._live -= 1  # before dispatch: callbacks read pending_events
                 callback(*args)
                 free.append(event)
                 processed += 1
@@ -340,20 +331,20 @@ class Simulator:
             self._running = False
             # Batched counter update: nothing reads this one mid-run.
             self._events_processed += processed
-        if until_ns is not None and self._now < until_ns:
+        if until_ns is not None and self.now < until_ns:
             # Park the clock at the horizon unless a live event remains
             # inside it (only possible when max_events stopped us early).
             next_live = self.peek_time()
             if next_live is None or next_live > until_ns:
-                self._now = until_ns
+                self.now = until_ns
         return processed
 
     def run_for(self, duration_ns: int) -> int:
         """Run for ``duration_ns`` of simulated time from the current clock."""
-        return self.run(until_ns=self._now + duration_ns)
+        return self.run(until_ns=self.now + duration_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator t={self._now / SECOND:.6f}s"
-            f" pending={self._live} done={self._events_processed}>"
+            f"<Simulator t={self.now / SECOND:.6f}s"
+            f" pending={self.pending_events} done={self._events_processed}>"
         )

@@ -51,7 +51,7 @@ class Timer:
     def start_if_idle(self, delay_ns: int, *args: Any) -> None:
         """Arm the timer only when no deadline is currently pending."""
         if self._event is None or self._event.cancelled:
-            self.start(delay_ns, *args)
+            self._event = self._sim.schedule(delay_ns, self._fire, *args)
 
     def stop(self) -> None:
         """Disarm the timer; a no-op when it is not running."""

@@ -513,6 +513,25 @@ def test_fig15_and_fig16_full_plans_are_paper_scale():
     ]
 
 
+def test_cells_are_named_after_their_runner_figure():
+    """fig15 and fig16 reuse fig12's and fig13's cell functions; each
+    result still leads with the figure that ran it, in-process and back
+    from a worker process alike."""
+    incast = {"protocol": "tfc", "n_senders": 2, "block_bytes": 4_000, "rounds": 1}
+    benchmark = {"protocol": "tfc", "duration_s": 0.001, "drain_s": 0.001}
+    specs = [CellSpec(figure, incast) for figure in ("fig12", "fig15")] + [
+        CellSpec(figure, benchmark) for figure in ("fig13", "fig16")
+    ]
+    for jobs in (1, 2):
+        results = run_cells(specs, jobs=jobs, config=SimConfig(seed=1))
+        assert [r.name.rpartition(":seed")[0] for r in results] == [
+            "fig12:tfc:n2:blk4000",
+            "fig15:tfc:n2:blk4000",
+            "fig13:testbed:tfc",
+            "fig16:testbed:tfc",
+        ]
+
+
 def test_default_plan_rejects_unknown_figure():
     with pytest.raises(RunnerError, match="no default plan"):
         default_plan(["fig99"])

@@ -69,7 +69,7 @@ def test_queue_capacity_sweep():
     topo, _ = tfc_scenario()
     monitor = InvariantMonitor(topo.network, raise_on_violation=False)
     queue = topo.bottleneck().queue
-    queue._bytes = queue.capacity_bytes + 1  # simulate an accounting bug
+    queue.byte_length = queue.capacity_bytes + 1  # simulate an accounting bug
     monitor._sweep()
     assert any(v.invariant == "queue_capacity" for v in monitor.violations)
 
@@ -137,7 +137,7 @@ def test_locations_are_formatted_only_for_violations(monkeypatch):
     port = topo.bottleneck()
     port.agent.effective_flows = -1
     monitor._check_agent(port.agent)
-    port.queue._bytes = port.queue.capacity_bytes + 1
+    port.queue.byte_length = port.queue.capacity_bytes + 1
     monitor._sweep()
     locations = {v.invariant: v.location for v in monitor.violations}
     assert locations == {

@@ -168,7 +168,7 @@ def delivery_log(monkeypatch):
     log = []
 
     def record(node, packet, port_index):
-        log.append((node.sim._now, node.node_id, port_index, packet.size))
+        log.append((node.sim.now, node.node_id, port_index, packet.size))
 
     spy_arrivals(monkeypatch, record)
     return log

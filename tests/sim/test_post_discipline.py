@@ -5,7 +5,8 @@
 use is ``cancel``/``reschedule``.  Both draw from the same ``seq``
 counter, so the choice never changes event order — only the allocation.
 This walks every module of ``repro`` and fails on a statement that
-throws the handle away.
+throws the handle away, and on any module but the kernel writing the
+clock: ``Simulator.now`` is a plain attribute only the run loop sets.
 """
 
 import ast
@@ -48,3 +49,18 @@ def test_only_the_timer_and_the_delay_arbiter_keep_handles():
         if name != "sim/engine.py" and any(map(_is_schedule_call, ast.walk(tree)))
     }
     assert users == {"sim/timers.py", "core/delay.py"}
+
+
+def test_only_the_kernel_writes_the_clock():
+    """Every other module reads ``now``; none assigns it."""
+    writers = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name != "sim/engine.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for leaf in getattr(target, "elts", [target])
+        if isinstance(leaf, ast.Attribute) and leaf.attr == "now"
+    ]
+    assert writers == [], f"only sim/engine.py sets the clock: {writers}"
