@@ -507,12 +507,15 @@ def default_plan(
                             )
                         )
         elif figure == "fig16":
-            # The 360-server leaf-spine at run_benchmark's defaults.
+            # The 360-server leaf-spine, every query fanning in from all
+            # 359 other servers as in the paper; run_benchmark's defaults
+            # otherwise.
             window = {"duration_s": 0.05, "drain_s": 0.2} if quick else {}
             for protocol in ALL_PROTOCOLS:
                 specs.append(
                     CellSpec(
-                        "fig16", {"protocol": protocol, "scale": "large", **window}
+                        "fig16",
+                        {"protocol": protocol, "scale": "large", "query_fanin": 359, **window},
                     )
                 )
         elif figure == "baselines":

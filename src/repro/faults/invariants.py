@@ -32,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
+from ..core.switch_agent import TfcPortAgent
 from ..net.packet import MSS
 from ..sim.trace import INVARIANT_VIOLATION, TFC_WINDOW_UPDATE
 from ..sim.units import bandwidth_delay_product, microseconds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.switch_agent import TfcPortAgent
     from ..net.network import Network
 
 
@@ -127,11 +127,12 @@ class InvariantMonitor:
                 "invariant.violations", help="invariant violations observed"
             )
         self._stopped = False
-        self.agents: List["TfcPortAgent"] = [
+        # TFC agents only: a BFC or FairQ port agent has no TFC state.
+        self.agents: List[TfcPortAgent] = [
             port.agent
             for switch in network.switches
             for port in switch.ports
-            if port.agent is not None
+            if isinstance(port.agent, TfcPortAgent)
         ]
         # Membership test per slot close; the list keeps the sweep's order.
         self._agent_set = set(self.agents)
@@ -149,7 +150,7 @@ class InvariantMonitor:
     # Checks
     # ------------------------------------------------------------------
     @staticmethod
-    def _locate(agent: "TfcPortAgent") -> str:
+    def _locate(agent: TfcPortAgent) -> str:
         port = agent.port
         return f"{port.node.name}[{port.index}]->{port.peer_node.name}"
 
@@ -157,7 +158,7 @@ class InvariantMonitor:
         self,
         invariant: str,
         message: str,
-        agent: "TfcPortAgent" = None,
+        agent: TfcPortAgent = None,
         port=None,
         **context: float,
     ) -> None:
@@ -204,13 +205,13 @@ class InvariantMonitor:
         if self._checks_counter is not None:
             self._checks_counter.inc()
 
-    def _on_window_update(self, agent: "TfcPortAgent" = None, **_kw) -> None:
+    def _on_window_update(self, agent: TfcPortAgent = None, **_kw) -> None:
         if agent is None or agent not in self._agent_set:
             return
         self._count_check()
         self._check_agent(agent)
 
-    def _check_agent(self, agent: "TfcPortAgent") -> None:
+    def _check_agent(self, agent: TfcPortAgent) -> None:
         params = agent.params
         bdp = bandwidth_delay_product(agent.rate_bps, agent.rttb_ns)
         low = params.min_token_bdp_factor * bdp * (1.0 - self.tolerance) - MSS
@@ -251,7 +252,7 @@ class InvariantMonitor:
             )
         self._check_arbiter(agent)
 
-    def _check_arbiter(self, agent: "TfcPortAgent") -> None:
+    def _check_arbiter(self, agent: TfcPortAgent) -> None:
         arbiter = agent.delay_arbiter
         bound = arbiter.cap * (1.0 + self.tolerance) + MSS
         if not -bound <= arbiter.credit <= bound:

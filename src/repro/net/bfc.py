@@ -63,6 +63,10 @@ class BfcQueue(DropTailQueue):
     occupancy crossings call ``on_congested``/``on_drained``.
     """
 
+    #: A paused flow holds its frames even in an empty queue: an idle
+    #: port always enqueues, then dequeues.
+    cut_through = False
+
     __slots__ = (
         "params",
         "_flows",

@@ -190,24 +190,34 @@ class Port:
         return self.link.dst_node
 
     def send(self, packet: Packet) -> bool:
-        """Queue ``packet`` for transmission; False if drop-tail rejected it."""
-        if not self.queue.enqueue(packet):
-            tracer = self.tracer
-            if tracer is not None:
-                if tracer.active(PACKET_DROP):
-                    tracer.emit(PACKET_DROP, packet=packet, port=self)
-                else:
-                    tracer.bump(PACKET_DROP)
-            return False
-        if not self._busy and not self.paused:  # _start_next, inlined
-            packet = self.queue.dequeue()
-            if packet is not None:
-                self._busy = True
-                if self.on_dequeue is not None:
-                    self.on_dequeue(packet)
-                tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
-                self._sim.post(tx_ns, self._finish, packet)
-        return True
+        """Queue ``packet`` for transmission; False if drop-tail rejected it.
+
+        A frame that finds the port idle and its queue empty cuts
+        through: ``queue.admit`` books it exactly as enqueue-then-dequeue
+        would, and it goes straight to serialisation.  A discipline that
+        may hold an admitted frame (``cut_through = False``) always
+        queues.
+        """
+        queue = self.queue
+        if self._busy or self.paused or queue.byte_length or not queue.cut_through:
+            if queue.enqueue(packet):
+                if not self._busy and not self.paused:
+                    self._start_next()
+                return True
+        elif queue.admit(packet):
+            self._busy = True
+            if self.on_dequeue is not None:
+                self.on_dequeue(packet)
+            tx_ns = self._tx_cache.get(packet.frame_size) or self._tx_time(packet.frame_size)
+            self._sim.post(tx_ns, self._finish, packet)
+            return True
+        tracer = self.tracer
+        if tracer is not None:
+            if tracer.active(PACKET_DROP):
+                tracer.emit(PACKET_DROP, packet=packet, port=self)
+            else:
+                tracer.bump(PACKET_DROP)
+        return False
 
     def pause(self) -> None:
         """Stop starting new transmissions (host stall fault, PFC XOFF).

@@ -146,8 +146,14 @@ class DropTailQueue:
     normal runs.
 
     ``byte_length`` (occupancy in IP packet bytes) is a plain attribute
-    only ``enqueue``/``dequeue`` write; at zero a port skips ``dequeue``.
+    only ``enqueue``/``dequeue`` write; at zero a port skips ``dequeue``,
+    and an idle port hands an arrival to ``admit`` instead of queueing it
+    (``cut_through``).
     """
+
+    #: An admitted frame can always leave an empty queue at once, so an
+    #: idle port may call :meth:`admit` instead of enqueue + dequeue.
+    cut_through = True
 
     __slots__ = (
         "capacity_bytes",
@@ -198,6 +204,24 @@ class DropTailQueue:
         self.enqueues += 1
         if new_bytes > self.max_bytes_seen:
             self.max_bytes_seen = new_bytes
+        return True
+
+    def admit(self, packet: Packet) -> bool:
+        """``enqueue(packet)`` then ``dequeue()`` on an empty queue, as one
+        call: the same loss draw, drops and counters, no deque traffic."""
+        size = packet.size
+        if self.loss_model is not None and self.loss_model.should_drop(packet):
+            self.faulted_drops += 1
+            self.drops += 1
+            self.dropped_bytes += size
+            return False
+        if size > self.capacity_bytes:
+            self.drops += 1
+            self.dropped_bytes += size
+            return False
+        self.enqueues += 1
+        if size > self.max_bytes_seen:
+            self.max_bytes_seen = size
         return True
 
     def dequeue(self) -> Optional[Packet]:
@@ -291,6 +315,15 @@ class EcnQueue(DropTailQueue):
         if not DropTailQueue.enqueue(self, packet):
             return False
         if packet.ecn_capable and self.byte_length > self.mark_threshold_bytes:
+            packet.ecn_ce = True
+            self.marks += 1
+        return True
+
+    def admit(self, packet: Packet) -> bool:
+        if not DropTailQueue.admit(self, packet):
+            return False
+        # The occupancy at admission is the packet itself.
+        if packet.ecn_capable and packet.size > self.mark_threshold_bytes:
             packet.ecn_ce = True
             self.marks += 1
         return True

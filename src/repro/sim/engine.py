@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
-A :class:`Simulator` owns a monotonic integer-nanosecond clock and one
-binary heap of pending events.  Events scheduled for the same instant
+A :class:`Simulator` owns a monotonic integer-nanosecond clock and two
+binary heaps of pending events.  Events scheduled for the same instant
 fire in the order they were scheduled (FIFO tie-breaking via a
 monotonically increasing sequence number), which makes every run fully
 deterministic.  The golden-determinism tests pin whole runs; a
@@ -16,24 +16,27 @@ Everything network-specific lives in :mod:`repro.net` and above.
 
 Fast-path design (DESIGN.md §6d):
 
-* The heap stores tuples keyed by a unique ``(time, seq)``, one ``seq``
-  counter for both kinds.  Use :meth:`Simulator.post` unless you keep
-  the handle: it pushes ``(time, seq, callback, args)``, never dead nor
-  stale.  :meth:`Simulator.schedule` pushes ``(time, seq, None, event)``,
-  the :class:`Event` being the cancellation handle.
+* Entries are tuples keyed by a unique ``(time, seq)``, one ``seq``
+  counter for both kinds, in two heaps.  Use :meth:`Simulator.post`
+  unless you keep the handle: it pushes ``(time, seq, callback, args)``
+  onto the packet heap, never dead nor stale.  :meth:`Simulator.schedule`
+  pushes ``(time, seq, event)`` onto the timer heap, the :class:`Event`
+  being the cancellation handle.  The run loop dispatches whichever head
+  has the smaller key, so the merged order is one heap's; the split keeps
+  the many long timers (RTOs) out of every packet event's sift.
 * Handle events are recycled through a free list.  A retired event
   keeps ``cancelled = True`` until reuse, so a stale ``cancel()`` on an
   already-fired handle is a no-op.  The one contract this imposes on
   callers: do not retain an :class:`Event` handle across its own firing
   and cancel it later — use :class:`repro.sim.timers.Timer`, which clears
   its handle before the callback runs, for restartable semantics.
-* Nothing is counted per event: :attr:`pending_events` is the heap
-  length less its dead entries, O(1) and exact at every instant,
+* Nothing is counted per event: :attr:`pending_events` is the heaps'
+  length less the dead entries, O(1) and exact at every instant,
   including inside a callback (the running event is already popped;
   same-time events not yet run are counted).
 * Cancellation is lazy: a dead entry is discarded when it surfaces at
-  the heap head, and a heap more than half dead (timer churn) is
-  compacted in place.  A restart is not a cancel:
+  the timer-heap head, and a timer heap more than half dead (timer
+  churn) is compacted in place.  A restart is not a cancel:
   :meth:`Simulator.reschedule` gives a pending event moved no earlier a
   new ``(time, seq)`` and leaves its entry under the old key, re-keyed
   with one ``heapreplace`` when it surfaces — never dispatched.  A real
@@ -54,11 +57,12 @@ Callback = Callable[..., None]
 _NO_HORIZON = 1 << 62
 _NO_LIMIT = 1 << 62
 
-# Compaction fires when the heap holds more dead entries than live ones
-# and is big enough for the O(n) sweep to pay for itself.
+# Compaction fires when the timer heap holds more dead entries than live
+# ones and is big enough for the O(n) sweep to pay for itself.
 COMPACT_MIN_ENTRIES = 256
 
-HeapEntry = Tuple[int, int, Optional[Callback], Any]
+PostedEntry = Tuple[int, int, Callback, tuple]
+TimerEntry = Tuple[int, int, "Event"]
 
 
 class Event:
@@ -107,7 +111,7 @@ class Event:
             # transports cancel several times per executed event.
             dead = sim._dead + 1
             sim._dead = dead
-            if dead >= COMPACT_MIN_ENTRIES and dead * 2 > len(sim._heap):
+            if dead >= COMPACT_MIN_ENTRIES and dead * 2 > len(sim._timers):
                 sim._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -121,7 +125,7 @@ class SimulationError(RuntimeError):
 
 
 class Simulator:
-    """The event loop: a clock plus one heap of pending events."""
+    """The event loop: a clock plus a packet heap and a timer heap."""
 
     # Slots measurably speed up schedule()/run(): every per-event
     # attribute touch skips the instance dict (see DESIGN.md §6d).
@@ -129,6 +133,7 @@ class Simulator:
         "now",
         "_seq",
         "_heap",
+        "_timers",
         "_free",
         "_dead",
         "_running",
@@ -139,9 +144,10 @@ class Simulator:
         #: Current simulation time in integer nanoseconds; only run() writes it.
         self.now: int = 0
         self._seq: int = 0
-        self._heap: List[HeapEntry] = []
+        self._heap: List[PostedEntry] = []  # post(): the packet heap
+        self._timers: List[TimerEntry] = []  # schedule(): the timer heap
         self._free: List[Event] = []
-        self._dead: int = 0  # heap entries whose event is cancelled
+        self._dead: int = 0  # timer entries whose event is cancelled
         self._running = False
         self._events_processed = 0
 
@@ -161,7 +167,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
-        return len(self._heap) - self._dead
+        return len(self._heap) + len(self._timers) - self._dead
 
     @property
     def active_backend(self) -> str:
@@ -171,25 +177,26 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Time of the earliest pending live event, or None when drained.
 
-        Dead entries surfacing at the head are discarded and stale keys
-        re-keyed, as in :meth:`run`: peeks never change the pop order.
+        Dead entries surfacing at the timer head are discarded and stale
+        keys re-keyed, as in :meth:`run`: peeks never change the pop order.
         :meth:`run` uses it to park the clock at its horizon.
         """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2] is not None:
-                return entry[0]
-            event = entry[3]
+        timers = self._timers
+        while timers:
+            entry = timers[0]
+            event = entry[2]
             if event.cancelled:
-                _heappop(heap)
+                _heappop(timers)
                 self._dead -= 1
                 self._free.append(event)
             elif entry[1] != event.seq:
-                _heapreplace(heap, (event.time, event.seq, None, event))
+                _heapreplace(timers, (event.time, event.seq, event))
             else:
-                return entry[0]
-        return None
+                break
+        heap = self._heap
+        if heap and not (timers and timers[0] < heap[0]):
+            return heap[0][0]
+        return timers[0][0] if timers else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -220,7 +227,7 @@ class Simulator:
             event.cancelled = False
         else:
             event = Event(time_ns, seq, callback, args, self)
-        _heappush(self._heap, (time_ns, seq, None, event))
+        _heappush(self._timers, (time_ns, seq, event))
         return event
 
     def reschedule(self, event: Event, delay_ns: int, callback: Callback, *args: Any) -> Event:
@@ -246,25 +253,24 @@ class Simulator:
         return self.schedule(time_ns - self.now, callback, *args)
 
     def _compact(self) -> None:
-        """Sweep dead entries out of the heap; live ones get their real keys.
+        """Sweep dead entries out of the timer heap; live ones get their
+        real keys.
 
         In place (slice assignment): :meth:`run` holds an alias of the
         list while a callback's ``cancel()`` may trigger this.
         """
-        heap = self._heap
+        timers = self._timers
         free = self._free
         live_entries = []
-        for entry in heap:
-            if entry[2] is not None:  # posted: kept as is
-                live_entries.append(entry)
-            elif entry[3].cancelled:
-                free.append(entry[3])
+        for entry in timers:
+            event = entry[2]
+            if event.cancelled:
+                free.append(event)
             else:
-                event = entry[3]
-                live_entries.append((event.time, event.seq, None, event))
+                live_entries.append((event.time, event.seq, event))
         self._dead = 0
-        heap[:] = live_entries
-        heapify(heap)
+        timers[:] = live_entries
+        heapify(timers)
 
     # ------------------------------------------------------------------
     # Execution
@@ -286,36 +292,40 @@ class Simulator:
         self._running = True
         processed = 0
         heap = self._heap
+        timers = self._timers
         free = self._free
         horizon = _NO_HORIZON if until_ns is None else until_ns
         limit = _NO_LIMIT if max_events is None else max_events
         try:
-            # Inlined heap drain: no function call per event.
+            # Inlined two-heap drain: no function call per event.  Keys are
+            # unique, so a tuple compare of the heads is a (time, seq) one.
             while processed < limit:
-                if not heap:
+                if heap:
+                    entry = heap[0]
+                    if not timers or entry < timers[0]:
+                        # Posted: never dead, never stale.
+                        if entry[0] > horizon:
+                            break
+                        _heappop(heap)
+                        self.now = entry[0]
+                        entry[2](*entry[3])
+                        processed += 1
+                        continue
+                elif not timers:
                     break
-                entry = heap[0]
-                callback = entry[2]
-                if callback is not None:  # posted: never dead, never stale
-                    if entry[0] > horizon:
-                        break
-                    _heappop(heap)
-                    self.now = entry[0]
-                    callback(*entry[3])
-                    processed += 1
-                    continue
-                event = entry[3]
+                entry = timers[0]
+                event = entry[2]
                 if event.cancelled:
-                    _heappop(heap)
+                    _heappop(timers)
                     self._dead -= 1
                     free.append(event)
                     continue
                 if entry[1] != event.seq:  # re-keyed: not an event
-                    _heapreplace(heap, (event.time, event.seq, None, event))
+                    _heapreplace(timers, (event.time, event.seq, event))
                     continue
                 if entry[0] > horizon:
                     break
-                _heappop(heap)
+                _heappop(timers)
                 self.now = entry[0]
                 callback = event.callback
                 args = event.args

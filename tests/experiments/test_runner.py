@@ -491,8 +491,8 @@ def test_default_plan_covers_every_figure():
 
 def test_fig15_and_fig16_full_plans_are_paper_scale():
     """Fig. 15: tfc and tcp x 50-400 senders x 64/128/256 KB blocks at
-    10 Gb/s with 512 KB buffers; Fig. 16: the leaf-spine at
-    run_benchmark's defaults."""
+    10 Gb/s with 512 KB buffers; Fig. 16: the leaf-spine at the paper's
+    359-way query fan-in, run_benchmark's defaults otherwise."""
     fig15 = default_plan(["fig15"])
     assert [
         (s.kwargs["protocol"], s.kwargs["block_bytes"], s.kwargs["n_senders"])
@@ -508,9 +508,10 @@ def test_fig15_and_fig16_full_plans_are_paper_scale():
         for s in fig15
     } == {(3, 10_000_000_000, 512_000)}
     assert [s.kwargs for s in default_plan(["fig16"])] == [
-        {"protocol": protocol, "scale": "large"}
+        {"protocol": protocol, "scale": "large", "query_fanin": 359}
         for protocol in ("tfc", "dctcp", "tcp")
     ]
+    assert {s.kwargs["query_fanin"] for s in default_plan(["fig16"], quick=True)} == {359}
 
 
 def test_cells_are_named_after_their_runner_figure():

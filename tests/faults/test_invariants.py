@@ -30,6 +30,21 @@ def test_clean_run_has_no_violations():
     monitor.assert_clean()
 
 
+@pytest.mark.parametrize("protocol", ["bfc", "fairq"])
+def test_monitor_sweeps_fabrics_without_tfc_agents(protocol):
+    """A BFC or FairQ port agent carries no TFC state: the monitor skips
+    it and still sweeps every queue."""
+    topo = build_topology(dumbbell, protocol, buffer_bytes=256_000, n_senders=2, seed=0)
+    for i in range(2):
+        open_flow(topo.host(i), topo.hosts[-1], protocol)
+    assert any(port.agent is not None for switch in topo.network.switches for port in switch.ports)
+    monitor = InvariantMonitor(topo.network)
+    topo.network.run_for(milliseconds(1))
+    assert monitor.agents == []
+    assert monitor.checks_run >= 19  # one sweep per 50 us
+    monitor.assert_clean()
+
+
 def test_token_clamp_violation_raises_with_context():
     topo, _ = tfc_scenario()
     monitor = InvariantMonitor(topo.network)

@@ -333,7 +333,7 @@ def test_dead_count_survives_compaction_inside_a_same_time_group(sim):
     group.append(sim.schedule(10, lambda: None))
     group.append(sim.schedule(10, lambda: None))
     assert sim.run(until_ns=100) == 2
-    handles = [entry[3] for entry in sim._heap if entry[2] is None]
+    handles = [entry[2] for entry in sim._timers]
     assert sim._dead == sum(event.cancelled for event in handles) == 0
     assert sim.pending_events == 0
 
@@ -453,7 +453,7 @@ def test_compaction_keeps_every_posted_entry(sim):
     for event in doomed:
         event.cancel()  # the 256th dead entry is over half the heap: compacts
     assert sim._dead == 0
-    assert len(sim._heap) == 50
+    assert len(sim._heap) == 50 and sim._timers == []
     assert sim.pending_events == 50
     sim.run()
     assert log == list(range(50))
@@ -488,8 +488,9 @@ def test_pending_events_is_exact_beside_posted_siblings(sim):
 
 
 def test_a_packet_only_run_allocates_no_event():
-    """Frames host -> 2 switches -> host, as in the hop probe: every heap
-    entry is posted, and no handle event ever reaches the free list."""
+    """Frames host -> 2 switches -> host, as in the hop probe: every event
+    is posted, the timer heap stays empty, and no handle event ever
+    reaches the free list."""
     net = Network(seed=0)
     src, dst = net.add_host("A"), net.add_host("B")
     s1, s2 = net.add_switch("S1"), net.add_switch("S2")
@@ -500,7 +501,7 @@ def test_a_packet_only_run_allocates_no_event():
     for _ in range(20):
         src.send(Packet(src.node_id, dst.node_id, 1, 2, payload=MSS))
     while sim.run(max_events=1):
-        assert all(entry[2] is not None for entry in sim._heap)
+        assert sim._timers == []
     assert dst.rx_packets == 20
     assert sim.events_processed > 100
     assert sim._free == []

@@ -14,10 +14,15 @@ later, to the same time and earlier.  The two logs must match
 entry for entry: every firing with the clock and ``pending_events`` seen
 from inside the callback, every move's old and new deadline, and after
 every op the clock, ``peek_time()``, ``pending_events`` and the op's
-return value.  After every op the kernel's heap must hold exactly one
-entry per live or dead event plus one per pending post, under the key
-the post pushed; its dead-entry count must equal the cancelled handle
-entries there: compaction fires off that count.
+return value.  After every op the kernel's two heaps must hold exactly
+one entry per event: the packet heap one per pending post, under the
+key the post pushed and never a handle or a dead entry; the timer heap
+one per live or dead handle event and never a post.  The dead-entry
+count must equal the cancelled handle entries there: compaction fires
+off that count, measured against the timer heap alone, on the very
+cancel that crosses the threshold.  Some ops set posted and handle
+events at the very same nanosecond, so the merge of the two heads must
+break ties by ``seq``.
 
 Cancels target only live handles, keyed by tag: the kernel recycles a
 fired handle into a later event, so cancelling a retained one is outside
@@ -29,7 +34,7 @@ from bisect import insort
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import COMPACT_MIN_ENTRIES, Event, Simulator
 from tests.sim.kernel_envs import KERNEL_ENVS, exported
 
 OPS = 3_000
@@ -161,7 +166,11 @@ class KernelSide:
         self.fire(tag)
 
     def cancel(self, tag):
+        dead = self.sim._dead + 1
+        crossed = dead >= COMPACT_MIN_ENTRIES and 2 * dead > len(self.sim._timers)
         self.handles.pop(tag).cancel()
+        # The cancel that crosses the threshold compacts, no other does.
+        assert self.sim._dead == (0 if crossed else dead)
 
     def due(self, tag):
         return self.handles[tag].time
@@ -188,19 +197,26 @@ class KernelSide:
         return self.sim.run(until_ns=until_ns, max_events=max_events)
 
     def check(self):
-        heap = self.sim._heap
-        events = [entry[3] for entry in heap if entry[2] is None]
+        heap, timers = self.sim._heap, self.sim._timers
+        # Posted entries only in the packet heap, handle entries only in
+        # the timer heap.
+        assert all(len(entry) == 4 and entry[2] == self._fire_posted for entry in heap)
+        assert all(len(entry) == 3 and type(entry[2]) is Event for entry in timers)
+        events = [entry[2] for entry in timers]
         assert len({id(event) for event in events}) == len(events)
         live = {id(event) for event in events if not event.cancelled}
         assert live == {id(handle) for handle in self.handles.values()}
         assert self.sim._dead == len(events) - len(live)
-        # One entry per pending post, under the key it was pushed with:
-        # a posted entry is never stale.
-        posted = {entry[3][0]: entry[:2] for entry in heap if entry[2] is not None}
-        assert len(posted) == len(heap) - len(events)
+        # One entry per pending post, under the key it was pushed with: a
+        # posted entry is never stale, and none is dead.
+        posted = {entry[3][0]: entry[:2] for entry in heap}
+        assert len(posted) == len(heap)
         assert posted == self.posts
+        # One seq per entry across both heaps: the merge is a total order.
+        seqs = [entry[1] for entry in heap] + [entry[1] for entry in timers]
+        assert len(set(seqs)) == len(seqs)
         # A stale key never exceeds the real one: the order argument.
-        keys = [(entry[:2], (entry[3].time, entry[3].seq)) for entry in heap if entry[2] is None]
+        keys = [(entry[:2], (entry[2].time, entry[2].seq)) for entry in timers]
         assert all(key <= real for key, real in keys)
         self.stale += sum(key != real for key, real in keys)
 
@@ -281,12 +297,23 @@ def _play(side, seed):
                 reschedule_one(rng.randrange(1 << 30), rng)
             result = None
         elif roll < 0.63:
-            # Timer churn: arm a burst of long timers, cancel them all.
+            # Timer churn: arm a burst of long timers, cancel them all;
+            # at times beside a burst of pending posts, which the
+            # compaction threshold must not count.
+            if rng.random() < 0.15:
+                for _ in range(200):
+                    add(rng.randrange(1, 300_000_000), post=True)
             burst = [next(tags) for _ in range(300)]
             for tag in burst:
                 side.schedule(rng.randrange(1, 300_000_000), tag)
             for tag in burst:
                 side.cancel(tag)
+            result = None
+        elif roll < 0.65:
+            # Same-nanosecond ties between posted and handle events.
+            delay = rng.choice((0, rng.randrange(1, 50_000)))
+            for _ in range(rng.randrange(2, 9)):
+                add(delay, post=rng.random() < 0.5)
             result = None
         elif roll < 0.89:
             reach = 200_000 if roll < 0.87 else 400_000_000
@@ -308,7 +335,7 @@ def test_kernel_matches_sorted_list_oracle(monkeypatch, mode, seed):
     compact = Simulator._compact
 
     def counted(sim):
-        compactions.append((sim._dead, len(sim._heap)))
+        compactions.append((sim._dead, len(sim._timers)))
         compact(sim)
 
     monkeypatch.setattr(Simulator, "_compact", counted)
@@ -322,12 +349,17 @@ def test_kernel_matches_sorted_list_oracle(monkeypatch, mode, seed):
     fired = [entry[4] for entry in oracle if entry[0] == "fire"]
     # The script really ran events, posted and handle ones alike.
     assert fired.count(True) > 1_000 and fired.count(False) > 1_000
+    # Same-time posted and handle events fired back to back, each kind
+    # first: the two heads really tied.
+    fires = [(e[1], e[4]) for e in oracle if e[0] == "fire"]
+    ties = {(a[1], b[1]) for a, b in zip(fires, fires[1:]) if a[0] == b[0] and a[1] != b[1]}
+    assert ties == {(True, False), (False, True)}
     # Moves went later, to the same time and earlier; some re-keyed in
-    # place, leaving stale keys in the heap.
+    # place, leaving stale keys in the timer heap.
     moves = {(e[3] > e[2]) - (e[3] < e[2]) for e in oracle if e[0] == "move"}
     assert moves == {1, 0, -1}
     assert side.stale > 0
     # Timer churn crossed the compaction threshold: >= 256 dead entries
-    # and more than half the heap.
+    # and more than half the timer heap.
     assert compactions
     assert all(dead >= 256 and 2 * dead > size for dead, size in compactions)

@@ -5,8 +5,10 @@
 use is ``cancel``/``reschedule``.  Both draw from the same ``seq``
 counter, so the choice never changes event order — only the allocation.
 This walks every module of ``repro`` and fails on a statement that
-throws the handle away, and on any module but the kernel writing the
-clock: ``Simulator.now`` is a plain attribute only the run loop sets.
+throws the handle away, on any module but the kernel writing the
+clock (``Simulator.now`` is a plain attribute only the run loop sets),
+and on any module but the kernel touching the heaps or their
+bookkeeping: how pending events are stored is the kernel's decision.
 """
 
 import ast
@@ -16,6 +18,8 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 SCHEDULERS = ("schedule", "schedule_at")
+#: The Simulator's storage privates.
+PRIVATES = ("_heap", "_timers", "_free", "_dead", "_seq")
 
 
 def _is_schedule_call(node):
@@ -64,3 +68,16 @@ def test_only_the_kernel_writes_the_clock():
         if isinstance(leaf, ast.Attribute) and leaf.attr == "now"
     ]
     assert writers == [], f"only sim/engine.py sets the clock: {writers}"
+
+
+def test_only_the_kernel_touches_its_heaps():
+    """No module but ``sim/engine.py`` reads or writes a Simulator's
+    heaps, free list, dead count or sequence counter."""
+    touches = [
+        f"{name}:{node.lineno} .{node.attr}"
+        for name, tree in _modules()
+        if name != "sim/engine.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATES
+    ]
+    assert touches == [], f"only sim/engine.py touches its storage: {touches}"

@@ -131,12 +131,12 @@ def test_restarts_at_later_deadlines_keep_one_heap_entry(sim):
     timer = Timer(sim, lambda: log.append(sim.now))
     for delay in range(100, 1_100):
         timer.start(delay)
-    assert len(sim._heap) == 1
+    assert len(sim._timers) == 1
     assert sim.pending_events == 1
     assert timer.expiry == 1_099
     sim.run()
     assert log == [1_099]
-    assert not sim._heap
+    assert not sim._timers
 
 
 @pytest.mark.parametrize("first", [500, 200, 100], ids=["earlier", "same", "later"])
