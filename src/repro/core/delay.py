@@ -3,10 +3,11 @@
 When thousands of flows share a port, ``W = T/E`` drops below one MSS and a
 sender that received such a window could still only inject whole packets —
 the classic incast overload.  TFC fixes this *at the switch*: a per-port
-token-bucket counter accrues credit at the line rate; an RMA ACK carrying a
-window smaller than one MSS is only released (with its window rounded up to
-exactly one MSS) when a full MSS of credit is available, otherwise it waits
-in a FIFO delay queue.  ACKs carrying a window of at least one MSS pass
+token-bucket counter accrues credit at the line rate (here ``rho0`` times
+the line rate, DESIGN.md section 5a-9); an RMA ACK carrying a window smaller
+than one MSS is only released (with its window rounded up to exactly one
+MSS) when a full MSS of credit is available, otherwise it waits in a FIFO
+delay queue.  ACKs carrying a window of at least one MSS pass
 through immediately but still debit the counter, so the *total* window
 granted per slot never exceeds the token value.
 

@@ -10,13 +10,14 @@ in submission order.
 
 Determinism is preserved across worker counts: each cell's child seed is
 :func:`~repro.experiments.common.derive_cell_seed` of the root seed and
-the cell's identity labels, so ``--jobs 8`` returns bit-identical
-:class:`~repro.experiments.common.ExperimentResult` objects to a serial
-run — only wall-clock changes.  ``jobs <= 1`` without a cell timeout
-never touches multiprocessing at all (the serial path tests rely on),
-and processes that cannot start (sandboxes without /dev/shm, missing
-semaphores) fall back to the same serial path with a warning instead of
-dying.
+the cell's identity labels, protocol excluded (so every protocol at one
+plan point runs the same topology and arrival draws), and ``--jobs 8``
+returns bit-identical :class:`~repro.experiments.common.ExperimentResult`
+objects to a serial run — only wall-clock changes.  ``jobs <= 1`` without
+a cell timeout never touches multiprocessing at all (the serial path tests
+rely on), and processes that cannot start (sandboxes without /dev/shm,
+missing semaphores) fall back to the same serial path with a warning
+instead of dying.
 
 This is the one experiment entry point: every paper figure, the chaos
 fault catalogue, the TFC-vs-PFC head-to-head and the declarative
@@ -104,7 +105,10 @@ class CellSpec:
 
     ``kwargs`` must be picklable (they cross the process boundary).  The
     ``seed`` kwarg, when absent, is derived from ``root_seed`` and the
-    cell's identity so results do not depend on scheduling order.
+    cell's identity so results do not depend on scheduling order.  The
+    ``protocol`` kwarg is left out of that identity: the cells of one plan
+    point are a head-to-head, so they share their topology and arrival
+    seeds and differ only in the transport.
     """
 
     figure: str
@@ -120,7 +124,7 @@ class CellSpec:
         if "seed" in self.kwargs:
             return self
         labels = [self.figure] + [
-            f"{k}={self.kwargs[k]}" for k in sorted(self.kwargs)
+            f"{k}={self.kwargs[k]}" for k in sorted(self.kwargs) if k != "protocol"
         ]
         seed = derive_cell_seed(root_seed, *labels)
         return CellSpec(self.figure, {**self.kwargs, "seed": seed})

@@ -12,6 +12,9 @@ the hooks instead of reimplementing reliability:
 * ``next_packet_hook(packet)`` — decorate an outgoing data packet
   (RM marking, ECN capability...).
 
+The per-packet hooks are entered only in classes that override them,
+which is decided once, when the class is defined.
+
 Sequence numbers count payload bytes from zero; SYN/FIN do not consume
 sequence space (both ends are ours, so the simplification is safe).  RTT
 samples come from a timestamp echoed by the receiver, with Karn's rule
@@ -32,10 +35,6 @@ from ..sim.units import MILLISECOND, SECOND, microseconds
 DEFAULT_AWND = 1 << 20  # 1 MiB advertised window
 _MIN_RTTVAR_TERM_NS = microseconds(10)  # RFC 6298's clock-granularity floor
 
-#: In-flight entry of a full-MSS first transmission, shared by every such
-#: segment of every sender (the common case by far).
-_FRESH_FULL_SEGMENT: Tuple[int, bool] = (MSS, False)
-
 
 class FlowState(enum.Enum):
     """Lifecycle of a one-directional flow."""
@@ -43,8 +42,16 @@ class FlowState(enum.Enum):
     CLOSED = "closed"
     SYN_SENT = "syn_sent"
     ESTABLISHED = "established"
-    FIN_WAIT = "fin_wait"
     DONE = "done"
+
+
+# The members as plain module globals: an enum member read is a class
+# attribute lookup through the enum machinery, several times a global's
+# cost, and the per-ACK path makes a few of them.
+_CLOSED = FlowState.CLOSED
+_SYN_SENT = FlowState.SYN_SENT
+_ESTABLISHED = FlowState.ESTABLISHED
+_DONE = FlowState.DONE
 
 
 class RtoEstimator:
@@ -77,8 +84,17 @@ class RtoEstimator:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt_ns)
             self.srtt = 0.875 * self.srtt + 0.125 * rtt_ns
         self._backoff = 1
-        rto = self.srtt + max(4 * self.rttvar, _MIN_RTTVAR_TERM_NS)
-        self.rto_ns = self.current_rto_ns = int(min(max(rto, self.min_rto_ns), self.max_rto_ns))
+        # max()/min() spelled as comparisons, with the builtins' tie rules:
+        # one sample per ACK makes the calls themselves the cost.
+        rttvar_term = 4 * self.rttvar
+        if _MIN_RTTVAR_TERM_NS > rttvar_term:
+            rttvar_term = _MIN_RTTVAR_TERM_NS
+        rto = self.srtt + rttvar_term
+        if self.min_rto_ns > rto:
+            rto = self.min_rto_ns
+        if self.max_rto_ns < rto:
+            rto = self.max_rto_ns
+        self.rto_ns = self.current_rto_ns = int(rto)
 
     def backoff(self) -> None:
         """Double the timeout after an expiry (bounded by max_rto)."""
@@ -165,6 +181,19 @@ class Sender:
         "rto", "_rto_timer", "_fin_sent", "tenant", "receiver",
     )
 
+    # Which per-packet hooks a class overrides, fixed once per class by
+    # ``__init_subclass__``: the datapath enters a hook only where the
+    # protocol acts, never the base class's no-op.
+    _calls_ack_hook = False
+    _calls_next_packet_hook = False
+    _calls_on_ack_accepted = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._calls_ack_hook = cls.ack_hook is not Sender.ack_hook
+        cls._calls_next_packet_hook = cls.next_packet_hook is not Sender.next_packet_hook
+        cls._calls_on_ack_accepted = cls.on_ack_accepted is not Sender.on_ack_accepted
+
     def __init__(
         self,
         host: Host,
@@ -194,7 +223,7 @@ class Sender:
         #: :func:`repro.transport.registry.open_flow`; None = untenanted.
         self.tenant: Optional[str] = None
 
-        self.state = FlowState.CLOSED
+        self.state = _CLOSED
         self.long_lived = size_bytes is None
         self.flow_bytes = 0 if size_bytes is None else int(size_bytes)
         self.fin_on_empty = not self.long_lived and size_bytes is not None
@@ -207,8 +236,8 @@ class Sender:
         self.dupacks = 0
         self.recover_point: Optional[int] = None
 
-        # seq -> (payload_len, retransmitted?)
-        self._inflight: Dict[int, Tuple[int, bool]] = {}
+        # seq -> payload length of every unacknowledged segment
+        self._inflight: Dict[int, int] = {}
         self._high_tx = 0  # highest sequence ever transmitted
         self.rto = RtoEstimator(min_rto_ns=min_rto_ns)
         self._rto_timer = Timer(self.sim, self._on_rto, name="rto")
@@ -220,28 +249,28 @@ class Sender:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Open the flow (sends SYN). Idempotent."""
-        if self.state is not FlowState.CLOSED:
+        if self.state is not _CLOSED:
             return
         self.stats.start_ns = self.sim.now
-        self.state = FlowState.SYN_SENT
+        self.state = _SYN_SENT
         self._send_syn()
 
     def queue_bytes(self, nbytes: int) -> None:
         """Append application data to the flow (for on-off sources)."""
         if self.long_lived:
             raise ValueError("long-lived flows always have data queued")
-        if self.state is FlowState.DONE:
+        if self.state is _DONE:
             raise ValueError("flow already completed")
         self.flow_bytes += int(nbytes)
         self.fin_on_empty = False
-        if self.state is FlowState.ESTABLISHED:
+        if self.state is _ESTABLISHED:
             self.try_send()
 
     def finish(self) -> None:
         """Stop a long-lived/on-off flow once everything queued is acked."""
         self.long_lived = False
         self.fin_on_empty = True
-        if self.state is FlowState.ESTABLISHED:
+        if self.state is _ESTABLISHED:
             self._maybe_complete()
 
     def abort(self) -> None:
@@ -254,7 +283,7 @@ class Sender:
         None (the flow did not complete) and ``on_complete`` never fires.
         """
         self.close()
-        self.state = FlowState.DONE
+        self.state = _DONE
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -291,18 +320,14 @@ class Sender:
         self._rto_timer.start(self.rto.current_rto_ns)
 
     def _transmit(self, seq: int, length: int, retransmission: bool) -> None:
-        packet = Packet(self.flow_key, seq=seq, payload=length)
+        # Positional (key, dst, sport, dport, seq, ack, payload): keyword
+        # binding costs more than the rest of the constructor on this path.
+        packet = Packet(self.flow_key, None, 0, 0, seq, 0, length)
         packet.sent_at = self.sim.now
         packet.retransmitted = retransmission
-        self.next_packet_hook(packet)
-        if not retransmission:
-            previous = self._inflight.get(seq)
-            retransmission = previous is not None and previous[1]
-        self._inflight[seq] = (
-            _FRESH_FULL_SEGMENT
-            if length == MSS and not retransmission
-            else (length, retransmission)
-        )
+        if self._calls_next_packet_hook:
+            self.next_packet_hook(packet)
+        self._inflight[seq] = length
         self.stats.packets_sent += 1
         self.stats.bytes_sent += length
         if retransmission:
@@ -315,7 +340,7 @@ class Sender:
     # ------------------------------------------------------------------
     def try_send(self) -> None:
         """Send as much new data as the window and the app buffer allow."""
-        if self.state is not FlowState.ESTABLISHED:
+        if self.state is not _ESTABLISHED:
             return
         # A segment is sent only when it fully fits in the window (floor
         # quantisation, as in packet-counting kernel stacks).  The residual
@@ -323,7 +348,8 @@ class Sender:
         # adjustment compensates the resulting undershoot at the switch.
         # The window bound is hoisted out of the loop: cwnd/peer_awnd only
         # change from ACK processing, which is never re-entered from here.
-        limit = min(self.cwnd, self.peer_awnd) + 0.5
+        cwnd, awnd = self.cwnd, self.peer_awnd
+        limit = (awnd if awnd < cwnd else cwnd) + 0.5
         long_lived = self.long_lived
         while True:
             if long_lived:
@@ -344,35 +370,58 @@ class Sender:
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
         """Entry point from the host demux (SYN-ACKs and ACKs)."""
-        if packet.syn and packet.is_ack:
+        if not packet.is_ack:
+            return
+        if packet.syn:
             self._on_syn_ack(packet)
             return
-        if not packet.is_ack or self.state not in (FlowState.ESTABLISHED, FlowState.FIN_WAIT):
+        if self.state is not _ESTABLISHED:
             return
         flight_before = self.snd_nxt - self.snd_una
-        self.ack_hook(packet)
-        if packet.ack > self.snd_una:
-            newly_acked = packet.ack - self.snd_una
-            self._advance_una(packet.ack)
+        if self._calls_ack_hook:
+            self.ack_hook(packet)
+        ack = packet.ack
+        una = self.snd_una
+        if ack > una:
+            # Segments are contiguous from seq 0, so walk them off in
+            # order; the sweep only runs if retransmissions misaligned them.
+            inflight = self._inflight
+            seq = una
+            while seq < ack:
+                length = inflight.pop(seq, None)
+                if length is None:
+                    break
+                seq += length
+            if seq < ack and any(s < ack for s in inflight):
+                for stale in [s for s in inflight if s < ack]:
+                    del inflight[stale]
+            newly_acked = ack - una
+            self.stats.bytes_acked += newly_acked
+            self.snd_una = ack
+            if self.snd_nxt < ack:
+                # An old in-flight segment was acked after a go-back-N rewind.
+                self.snd_nxt = ack
             if packet.sent_at is not None and not packet.retransmitted:
                 self.rto.sample(self.sim.now - packet.sent_at)
             self.dupacks = 0
-            self.on_ack_accepted(packet, newly_acked)
+            if self._calls_on_ack_accepted:
+                self.on_ack_accepted(packet, newly_acked)
             if self.snd_nxt > self.snd_una:
                 self._rto_timer.start(self.rto.current_rto_ns)
             else:
                 self._rto_timer.stop()
             self.try_send()
-            self._maybe_complete()
-        elif packet.ack == self.snd_una and flight_before > 0:
+            if self.fin_on_empty and self.snd_una >= self.flow_bytes:
+                self._maybe_complete()
+        elif ack == una and flight_before > 0:
             self.dupacks += 1
             self.on_duplicate_ack(packet)
             self.try_send()
 
     def _on_syn_ack(self, packet: Packet) -> None:
-        if self.state is not FlowState.SYN_SENT:
+        if self.state is not _SYN_SENT:
             return  # duplicate SYN-ACK
-        self.state = FlowState.ESTABLISHED
+        self.state = _ESTABLISHED
         self.stats.established_ns = self.sim.now
         self._rto_timer.stop()
         if packet.sent_at is not None and not packet.retransmitted:
@@ -381,26 +430,8 @@ class Sender:
         self.try_send()
         self._maybe_complete()
 
-    def _advance_una(self, new_una: int) -> None:
-        # Segments are contiguous from seq 0, so walk them off in order;
-        # the filter fallback only runs if retransmissions misaligned them.
-        seq = self.snd_una
-        while seq < new_una:
-            entry = self._inflight.pop(seq, None)
-            if entry is None:
-                break
-            seq += entry[0]
-        if seq < new_una and any(s < new_una for s in self._inflight):
-            for stale in [s for s in self._inflight if s < new_una]:
-                del self._inflight[stale]
-        self.stats.bytes_acked += new_una - self.snd_una
-        self.snd_una = new_una
-        if self.snd_nxt < self.snd_una:
-            # An old in-flight segment was acked after a go-back-N rewind.
-            self.snd_nxt = self.snd_una
-
     def _maybe_complete(self) -> None:
-        if self.long_lived or self.state is FlowState.DONE:
+        if self.long_lived or self.state is _DONE:
             return
         all_acked = self.fin_on_empty and self.snd_una >= self.flow_bytes
         if all_acked and self.snd_nxt >= self.flow_bytes:
@@ -409,7 +440,7 @@ class Sender:
                 self.next_packet_hook(fin)
                 self.host.send(fin)
                 self._fin_sent = True
-            self.state = FlowState.DONE
+            self.state = _DONE
             self.stats.complete_ns = self.sim.now
             self._rto_timer.stop()
             self._inflight.clear()  # already empty; frees the table
@@ -436,13 +467,13 @@ class Sender:
         """Retransmit the first unacknowledged segment."""
         if self.snd_una >= self.snd_nxt:
             return
-        length = self._inflight.get(self.snd_una, (min(MSS, self.snd_nxt - self.snd_una), False))[0]
+        length = self._inflight.get(self.snd_una, min(MSS, self.snd_nxt - self.snd_una))
         self._transmit(self.snd_una, length, retransmission=True)
 
     def _on_rto(self) -> None:
-        if self.state is FlowState.DONE:
+        if self.state is _DONE:
             return
-        if self.state is FlowState.SYN_SENT:
+        if self.state is _SYN_SENT:
             self.rto.backoff()
             self._send_syn()
             return
@@ -506,6 +537,16 @@ class Receiver:
         "bytes_received", "reordered_segments", "_out_of_order",
         "fin_seen", "tenant",
     )
+
+    #: Whether the class overrides :meth:`ack_decoration_hook` (fixed once
+    #: per class, like the sender's hook flags).
+    _calls_ack_decoration_hook = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._calls_ack_decoration_hook = (
+            cls.ack_decoration_hook is not Receiver.ack_decoration_hook
+        )
 
     def __init__(
         self,
@@ -590,15 +631,17 @@ class Receiver:
 
     # ------------------------------------------------------------------
     def _send_ack(self, data_packet: Packet, syn: bool = False) -> None:
-        ack = Packet(self.ack_key, ack=self.rcv_nxt, is_ack=True, syn=syn)
-        # Echo the timestamp for RTT sampling (Karn: skip retransmissions).
-        if not data_packet.retransmitted:
-            ack.sent_at = data_packet.sent_at
-            ack.retransmitted = False
-        else:
-            ack.sent_at = None
+        # Positional (key, dst, sport, dport, seq, ack, payload, syn, fin,
+        # is_ack), as in Sender._transmit.
+        ack = Packet(self.ack_key, None, 0, 0, 0, self.rcv_nxt, 0, syn, False, True)
+        # Echo the timestamp for RTT sampling (Karn: skip retransmissions);
+        # a new packet starts with sent_at None and retransmitted False.
+        if data_packet.retransmitted:
             ack.retransmitted = True
-        self.ack_decoration_hook(ack, data_packet)
+        else:
+            ack.sent_at = data_packet.sent_at
+        if self._calls_ack_decoration_hook:
+            self.ack_decoration_hook(ack, data_packet)
         self.host.send(ack)
 
     def ack_decoration_hook(self, ack: Packet, data_packet: Packet) -> None:

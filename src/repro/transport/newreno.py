@@ -44,7 +44,7 @@ class NewRenoSender(Sender):
                 self.cwnd = max(self.cwnd - newly_acked + MSS, float(MSS))
             return
         if self.cwnd < self.ssthresh:
-            self.cwnd += min(newly_acked, MSS)  # slow start
+            self.cwnd += MSS if MSS < newly_acked else newly_acked  # slow start
         else:
             self.cwnd += MSS * MSS / self.cwnd  # congestion avoidance
 

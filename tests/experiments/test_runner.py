@@ -165,6 +165,17 @@ def test_cell_seed_depends_on_identity_not_order():
     assert pinned.kwargs["seed"] == 5
 
 
+def test_protocols_of_one_plan_point_share_their_workload():
+    """The protocol stays out of a derived cell seed, so the tfc, dctcp
+    and tcp cells of a quick fig16 point run one topology and one set of
+    arrival streams: they launch the same flows."""
+    specs = default_plan(["fig16"], quick=True)
+    assert {spec.kwargs["protocol"] for spec in specs} == {"tfc", "dctcp", "tcp"}
+    assert len({spec.resolved(0).kwargs["seed"] for spec in specs}) == 1
+    results = run_cells(specs, jobs=1, config=SimConfig(seed=0))
+    assert len({result.scalars["flows_launched"] for result in results}) == 1
+
+
 def test_derive_cell_seed_is_stable():
     """The derivation is a pure hash — pin one value so it never drifts."""
     assert derive_cell_seed(0, "fig14", "rho0=0.94") == derive_cell_seed(

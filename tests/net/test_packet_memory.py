@@ -117,7 +117,7 @@ def test_packets_carry_their_flows_key_objects(protocol):
 def test_full_segments_share_one_inflight_entry():
     _, sender = _paused_flow("tcp")
     _queue_more(sender, 20)
-    entries = [e for e in sender._inflight.values() if e == (MSS, False)]
+    entries = [e for e in sender._inflight.values() if e == MSS]
     assert len(entries) >= 20
     assert all(e is entries[0] for e in entries)
 
