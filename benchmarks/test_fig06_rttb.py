@@ -7,17 +7,19 @@ compensates).  This benchmark regenerates both CDFs.
 
 from conftest import run_once
 
-from repro.experiments import run_fig06
+from repro.experiments.fig06_rttb import run_fig06_cell
 from repro.metrics.stats import percentile
 
 
 def test_fig06_rttb_accuracy(benchmark, report):
-    result = run_once(benchmark, run_fig06, duration_s=3.0, sample_interval_s=0.25)
+    result = run_once(
+        benchmark, run_fig06_cell, duration_s=3.0, sample_interval_s=0.25
+    )
 
     rows = []
     for label, samples in (
-        ("measured rtt_b", result.rttb_samples_us),
-        ("referenced RTT", result.reference_samples_us),
+        ("measured rtt_b", result.series["rttb_samples_us"]),
+        ("referenced RTT", result.series["reference_samples_us"]),
     ):
         rows.append(
             [
@@ -33,9 +35,9 @@ def test_fig06_rttb_accuracy(benchmark, report):
         ["series", "min", "p50", "p90", "max"],
         rows,
     )
-    print(f"gap (reference mean - rtt_b mean): {result.gap_us:.1f} us")
+    print(f"gap (reference mean - rtt_b mean): {result['gap_us']:.1f} us")
 
     # Paper shape: rtt_b sits a small, roughly constant gap below the
     # reference because it excludes host processing jitter.
-    assert 0 < result.gap_us < 60
-    assert result.rttb_mean_us < result.reference_mean_us
+    assert 0 < result["gap_us"] < 60
+    assert result["rttb_mean_us"] < result["reference_mean_us"]

@@ -7,14 +7,20 @@ its ~30 KB marking threshold, and TCP pins the queue at the full buffer.
 
 from conftest import run_once
 
-from repro.experiments import run_staggered_flows
+from repro.experiments.fig08_queue import run_staggered_cell
 
 
 def run_all():
     return {
-        proto: run_staggered_flows(proto, interval_s=0.2, tail_s=0.4)
+        proto: run_staggered_cell(proto, interval_s=0.2, tail_s=0.4)
         for proto in ("tfc", "dctcp", "tcp")
     }
+
+
+def queue_mean_after(result, after_ns):
+    """Mean bottleneck queue over the samples taken at or after ``after_ns``."""
+    values = [v for t, v in result.series["queue_series"] if t >= after_ns]
+    return sum(values) / len(values) if values else 0.0
 
 
 def test_fig08_queue_length(benchmark, report):
@@ -24,9 +30,9 @@ def test_fig08_queue_length(benchmark, report):
     rows = [
         [
             proto.upper(),
-            f"{r.queue_mean_bytes(steady_after) / 1000:.1f}",
-            f"{r.queue_max_bytes() / 1000:.1f}",
-            r.drops,
+            f"{queue_mean_after(r, steady_after) / 1000:.1f}",
+            f"{r['queue_max_bytes'] / 1000:.1f}",
+            int(r["drops"]),
         ]
         for proto, r in results.items()
     ]
@@ -37,8 +43,8 @@ def test_fig08_queue_length(benchmark, report):
     )
 
     tfc, dctcp, tcp = results["tfc"], results["dctcp"], results["tcp"]
-    assert tfc.queue_mean_bytes(steady_after) < dctcp.queue_mean_bytes(steady_after)
-    assert dctcp.queue_mean_bytes(steady_after) < tcp.queue_mean_bytes(steady_after)
-    assert tfc.queue_max_bytes() < 40_000       # near zero-queueing
-    assert tcp.queue_max_bytes() > 200_000      # buffer-filling
-    assert tfc.drops == 0 and tcp.drops > 0
+    assert queue_mean_after(tfc, steady_after) < queue_mean_after(dctcp, steady_after)
+    assert queue_mean_after(dctcp, steady_after) < queue_mean_after(tcp, steady_after)
+    assert tfc["queue_max_bytes"] < 40_000       # near zero-queueing
+    assert tcp["queue_max_bytes"] > 200_000      # buffer-filling
+    assert tfc["drops"] == 0 and tcp["drops"] > 0

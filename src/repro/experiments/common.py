@@ -2,42 +2,21 @@
 
 Every driver follows the same recipe: build a topology with the queue
 discipline its protocol needs, install TFC agents when applicable, attach
-samplers, run, and return a small result object that both the benchmark
-harness and the tests can assert on.  The pieces shared by all of them
+samplers, run, and return an :class:`ExperimentResult` that the runner,
+the benchmarks and the tests all read.  The pieces shared by all of them
 live here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..net.pfc import PfcParams
 from ..net.topology import Topology
 from ..sim.rng import stable_seed
-from ..transport.registry import get_protocol, registered_protocols
+from ..transport.registry import get_protocol
 
-
-class _ProtocolLabels(Mapping):
-    """Live view of the registry's display labels.
-
-    A plain dict snapshot would go stale the moment a test or experiment
-    calls ``register_protocol``; this reads through to the registry so
-    report tables always label exactly the protocols that exist.
-    """
-
-    def __getitem__(self, name: str) -> str:
-        return get_protocol(name).display_label
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(registered_protocols())
-
-    def __len__(self) -> int:
-        return len(registered_protocols())
-
-
-PROTOCOL_LABELS = _ProtocolLabels()
 
 #: The paper's own comparison set — the default sweep of every figure.
 ALL_PROTOCOLS = ("tfc", "dctcp", "tcp")

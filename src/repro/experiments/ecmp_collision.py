@@ -27,44 +27,11 @@ all-on-one-path baseline, ``ecmp`` the collision case under study,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
+from ..metrics.stats import jain_fairness
 from ..net.topology import Topology, fat_tree
 from ..sim.units import seconds
 from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology
-
-
-@dataclass
-class CollisionResult:
-    """Fairness and congestion summary of one collision run."""
-
-    protocol: str
-    routing: str
-    flow_goodputs_bps: List[float]
-    uplink_bytes: List[int]
-    max_fabric_queue_bytes: int
-    drops: int
-
-    @property
-    def jain_fairness(self) -> float:
-        """Jain's index over per-flow goodputs (1.0 = perfectly fair)."""
-        values = self.flow_goodputs_bps
-        total = sum(values)
-        squares = sum(v * v for v in values)
-        if squares <= 0:
-            return 0.0
-        return (total * total) / (len(values) * squares)
-
-    @property
-    def uplink_spread(self) -> float:
-        """Max/mean load across uplinks (1.0 = perfectly spread)."""
-        loaded = self.uplink_bytes
-        mean = sum(loaded) / len(loaded) if loaded else 0.0
-        if mean <= 0:
-            return 0.0
-        return max(loaded) / mean
 
 
 def _uplink_ports(topo: Topology):
@@ -82,7 +49,7 @@ def _uplink_ports(topo: Topology):
     return ports
 
 
-def run_collision(
+def run_collision_cell(
     protocol: str = "tfc",
     routing: str = "ecmp",
     k: int = 4,
@@ -90,7 +57,7 @@ def run_collision(
     duration_s: float = 0.1,
     buffer_bytes: int = 256_000,
     seed: int = 0,
-) -> CollisionResult:
+) -> ExperimentResult:
     """``n_flows`` long cross-pod flows on a k-ary fat tree.
 
     Senders are the first ``n_flows`` hosts (pods 0 upward), receivers
@@ -121,54 +88,30 @@ def run_collision(
     goodputs = [
         s.receiver.bytes_received * 8.0 / duration_s for s in senders
     ]
-    uplinks = _uplink_ports(topo)
-    return CollisionResult(
-        protocol=protocol,
-        routing=routing,
-        flow_goodputs_bps=goodputs,
-        uplink_bytes=[port.tx_bytes for port in uplinks],
-        max_fabric_queue_bytes=max(
-            port.queue.max_bytes_seen
-            for switch in topo.switches
-            for port in switch.ports
-        ),
-        drops=topo.network.total_drops(),
+    uplink_bytes = [port.tx_bytes for port in _uplink_ports(topo)]
+    uplink_mean = sum(uplink_bytes) / len(uplink_bytes) if uplink_bytes else 0.0
+    max_fabric_queue_bytes = max(
+        port.queue.max_bytes_seen
+        for switch in topo.switches
+        for port in switch.ports
     )
-
-
-def run_collision_cell(
-    protocol: str = "tfc",
-    routing: str = "ecmp",
-    k: int = 4,
-    n_flows: int = 8,
-    duration_s: float = 0.1,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Picklable cell adapter for the parallel runner."""
-    res = run_collision(
-        protocol=protocol,
-        routing=routing,
-        k=k,
-        n_flows=n_flows,
-        duration_s=duration_s,
-        seed=seed,
-    )
-    goodputs = res.flow_goodputs_bps
-    scalars = {
-        "agg_goodput_gbps": sum(goodputs) / 1e9,
-        "min_flow_gbps": min(goodputs) / 1e9,
-        "max_flow_gbps": max(goodputs) / 1e9,
-        "jain_fairness": res.jain_fairness,
-        "uplink_spread": res.uplink_spread,
-        "max_fabric_queue_bytes": float(res.max_fabric_queue_bytes),
-        "drops": float(res.drops),
-    }
     return ExperimentResult(
         name=f"ecmp:{routing}:{protocol}:seed{seed}",
         protocol=protocol,
-        scalars=scalars,
+        scalars={
+            "agg_goodput_gbps": sum(goodputs) / 1e9,
+            "min_flow_gbps": min(goodputs) / 1e9,
+            "max_flow_gbps": max(goodputs) / 1e9,
+            "jain_fairness": jain_fairness(goodputs),
+            # Max/mean load across uplinks (1.0 = perfectly spread).
+            "uplink_spread": (
+                max(uplink_bytes) / uplink_mean if uplink_mean > 0 else 0.0
+            ),
+            "max_fabric_queue_bytes": float(max_fabric_queue_bytes),
+            "drops": float(topo.network.total_drops()),
+        },
         series={
             "flow_goodputs_bps": goodputs,
-            "uplink_bytes": res.uplink_bytes,
+            "uplink_bytes": uplink_bytes,
         },
     )

@@ -14,7 +14,6 @@ is taken from the probe flow's clean RTT samples at the sender.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
 from ..metrics.stats import mean
@@ -23,27 +22,6 @@ from ..sim.units import seconds, to_microseconds
 from ..transport.base import RtoEstimator
 from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology
-
-
-@dataclass
-class RttbResult:
-    """Samples of measured rtt_b and of the referenced RTT, in us."""
-
-    rttb_samples_us: List[float] = field(default_factory=list)
-    reference_samples_us: List[float] = field(default_factory=list)
-
-    @property
-    def rttb_mean_us(self) -> float:
-        return mean(self.rttb_samples_us)
-
-    @property
-    def reference_mean_us(self) -> float:
-        return mean(self.reference_samples_us)
-
-    @property
-    def gap_us(self) -> float:
-        """How far rtt_b sits below the referenced RTT (paper: ~6 us)."""
-        return self.reference_mean_us - self.rttb_mean_us
 
 
 class _RecordingRto(RtoEstimator):
@@ -69,11 +47,11 @@ class _RecordingRto(RtoEstimator):
         super().sample(rtt_ns)
 
 
-def run_fig06(
+def run_fig06_cell(
     duration_s: float = 4.0,
     sample_interval_s: float = 0.25,
     seed: int = 0,
-) -> RttbResult:
+) -> ExperimentResult:
     """Run the Fig. 6 scenario and collect both RTT estimates."""
     if not 0 < sample_interval_s <= duration_s:
         raise ValueError(
@@ -93,12 +71,13 @@ def run_fig06(
     # with a one-MSS window behaves exactly like that, and its sender-side
     # clean RTT samples (srtt inputs) are the referenced RTT.
     probe = open_flow(h1, h3, "tfc", awnd_bytes=1460)
-    result = RttbResult()
+    rttb_samples_us: List[float] = []
+    reference_samples_us: List[float] = []
     # No RTT sample has reached the probe's estimator yet, so a recording
     # one with the same bounds and timeout replaces it without a trace.
     rto = probe.rto
     probe.rto = _RecordingRto(
-        result.reference_samples_us,
+        reference_samples_us,
         min_rto_ns=rto.min_rto_ns,
         max_rto_ns=rto.max_rto_ns,
         initial_rto_ns=rto.rto_ns,
@@ -110,7 +89,7 @@ def run_fig06(
     interval_ns = seconds(sample_interval_s)
 
     def sample_rttb() -> None:
-        result.rttb_samples_us.append(to_microseconds(agent.rttb_ns))
+        rttb_samples_us.append(to_microseconds(agent.rttb_ns))
         # Paper: rtt_b is "measured at the interval of 1 second", i.e. the
         # window restarts each sample; reset the minimum like the testbed.
         agent.rttb_ns = agent.params.init_rttb_ns
@@ -118,28 +97,19 @@ def run_fig06(
 
     net.sim.post(interval_ns, sample_rttb)
     net.run_for(seconds(duration_s))
-    return result
-
-
-def run_fig06_cell(
-    duration_s: float = 4.0,
-    sample_interval_s: float = 0.25,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner."""
-    res = run_fig06(
-        duration_s=duration_s, sample_interval_s=sample_interval_s, seed=seed
-    )
+    rttb_mean_us = mean(rttb_samples_us)
+    reference_mean_us = mean(reference_samples_us)
     return ExperimentResult(
         name=f"fig06:seed{seed}",
         protocol="tfc",
         scalars={
-            "rttb_mean_us": res.rttb_mean_us,
-            "reference_mean_us": res.reference_mean_us,
-            "gap_us": res.gap_us,
+            "rttb_mean_us": rttb_mean_us,
+            "reference_mean_us": reference_mean_us,
+            # How far rtt_b sits below the referenced RTT (paper: ~6 us).
+            "gap_us": reference_mean_us - rttb_mean_us,
         },
         series={
-            "rttb_samples_us": list(res.rttb_samples_us),
-            "reference_samples_us": list(res.reference_samples_us),
+            "rttb_samples_us": rttb_samples_us,
+            "reference_samples_us": reference_samples_us,
         },
     )

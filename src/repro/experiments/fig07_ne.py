@@ -14,7 +14,6 @@ while active); "inactive" flows keep their connection but queue nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..net.topology import testbed
@@ -29,24 +28,7 @@ def _mean_srtt(senders) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-@dataclass
-class NeResult:
-    """Measured vs expected effective-flow counts over time."""
-
-    # (time_s, measured_E, expected_E)
-    samples: List[Tuple[float, float, float]] = field(default_factory=list)
-    rtt_ratio: float = 2.0
-
-    def max_error(self) -> float:
-        """Worst absolute deviation between measured and expected E."""
-        return max(abs(m - e) for _, m, e in self.samples)
-
-    def mean_error(self) -> float:
-        """Mean absolute deviation."""
-        return sum(abs(m - e) for _, m, e in self.samples) / len(self.samples)
-
-
-def run_fig07(
+def run_fig07_cell(
     n2: int = 5,
     n1_max: int = 10,
     step_s: float = 0.04,
@@ -54,7 +36,7 @@ def run_fig07(
     settle_s: float = 0.2,
     rate_bps: int = 10 * GBPS,
     seed: int = 0,
-) -> NeResult:
+) -> ExperimentResult:
     """Ramp n1 active cross-rack flows up then down; record measured E.
 
     The links default to 10 Gbps so that W = T/E stays above one MSS for
@@ -107,40 +89,33 @@ def run_fig07(
         net.sim.post(when - net.sim.now, apply_step, n1)
 
     agent = topo.bottleneck("to_H6").agent
-    result = NeResult()
+    # (time_s, measured_E, expected_E)
+    samples: List[Tuple[float, float, float]] = []
+    rtt_ratio = 2.0
 
     def sample() -> None:
+        nonlocal rtt_ratio
         measured = float(agent.published_e)
         # Expected E per Eq. 1: each cross flow counts as rtt_m / rtt_f.
         # Use the live RTT estimates so the prediction reflects the actual
         # topology rather than a hard-coded hop ratio (paper used ~1.5).
         intra_rtt = _mean_srtt(intra_senders)
         cross_rtt = _mean_srtt(cross_senders[: max(state["n1"], 1)])
-        ratio = cross_rtt / intra_rtt if intra_rtt and cross_rtt else 2.0
-        result.rtt_ratio = ratio
-        expected = state["n1"] / ratio + n2
-        result.samples.append((net.sim.now_seconds, measured, expected))
+        rtt_ratio = cross_rtt / intra_rtt if intra_rtt and cross_rtt else 2.0
+        expected = state["n1"] / rtt_ratio + n2
+        samples.append((net.sim.now_seconds, measured, expected))
         net.sim.post(seconds(sample_interval_s), sample)
 
     net.sim.post(seconds(settle_s * 0.9), sample)
     net.run_until(end_ns)
-    return result
-
-
-def run_fig07_cell(
-    n2: int = 5,
-    n1_max: int = 10,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner."""
-    res = run_fig07(n2=n2, n1_max=n1_max, seed=seed)
+    errors = [abs(measured - expected) for _, measured, expected in samples]
     return ExperimentResult(
         name=f"fig07:n2={n2}:n1max={n1_max}:seed{seed}",
         protocol="tfc",
         scalars={
-            "max_error": res.max_error(),
-            "mean_error": res.mean_error(),
-            "rtt_ratio": res.rtt_ratio,
+            "max_error": max(errors),
+            "mean_error": sum(errors) / len(errors),
+            "rtt_ratio": rtt_ratio,
         },
-        series={"samples": list(res.samples)},
+        series={"samples": samples},
     )

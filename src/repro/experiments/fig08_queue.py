@@ -17,10 +17,7 @@ in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-from ..metrics.samplers import QueueSampler, RateSampler, Series, convergence_time_ns
+from ..metrics.samplers import QueueSampler, RateSampler, convergence_time_ns
 from ..metrics.stats import jain_fairness
 from ..net.topology import testbed
 from ..sim.units import microseconds, milliseconds, seconds
@@ -28,70 +25,7 @@ from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology
 
 
-@dataclass
-class StaggeredFlowsResult:
-    """Everything Figs. 8, 9 and 10 read off the shared scenario."""
-
-    protocol: str
-    n_flows: int
-    interval_ns: int
-    queue_series: Series = field(default_factory=list)
-    goodput_series: Dict[int, Series] = field(default_factory=dict)
-    drops: int = 0
-    timeouts: int = 0
-
-    # ------------------------------------------------------------------
-    # Fig. 8 views
-    # ------------------------------------------------------------------
-    def queue_mean_bytes(self, after_ns: int = 0) -> float:
-        values = [v for t, v in self.queue_series if t >= after_ns]
-        return sum(values) / len(values) if values else 0.0
-
-    def queue_max_bytes(self) -> float:
-        return max((v for _, v in self.queue_series), default=0.0)
-
-    # ------------------------------------------------------------------
-    # Fig. 9 views
-    # ------------------------------------------------------------------
-    def steady_state_fairness(self) -> float:
-        """Jain index across flows once all are active."""
-        start = (self.n_flows - 1) * self.interval_ns
-        rates = []
-        for series in self.goodput_series.values():
-            values = [v for t, v in series if t >= start + self.interval_ns // 2]
-            rates.append(sum(values) / len(values) if values else 0.0)
-        return jain_fairness(rates)
-
-    def aggregate_goodput_bps(self) -> float:
-        """Mean aggregate goodput once all flows are active."""
-        start = (self.n_flows - 1) * self.interval_ns + self.interval_ns // 2
-        total = 0.0
-        for series in self.goodput_series.values():
-            values = [v for t, v in series if t >= start]
-            total += sum(values) / len(values) if values else 0.0
-        return total
-
-    # ------------------------------------------------------------------
-    # Fig. 10 view
-    # ------------------------------------------------------------------
-    def convergence_ns(
-        self,
-        flow_index: int,
-        link_rate_bps: float,
-        tolerance: float = 0.25,
-    ) -> Optional[int]:
-        """Time from flow start until it holds its fair share."""
-        series = self.goodput_series[flow_index]
-        start_ns = flow_index * self.interval_ns
-        active = flow_index + 1  # flows running once this one starts
-        target = link_rate_bps * (1460 / 1518) / active
-        reached = convergence_time_ns(
-            [(t, v) for t, v in series if t >= start_ns], target, tolerance
-        )
-        return None if reached is None else reached - start_ns
-
-
-def run_staggered_flows(
+def run_staggered_cell(
     protocol: str,
     n_flows: int = 4,
     interval_s: float = 0.25,
@@ -100,8 +34,15 @@ def run_staggered_flows(
     queue_sample_us: float = 100.0,
     buffer_bytes: int = 256_000,
     seed: int = 0,
-) -> StaggeredFlowsResult:
-    """Run the shared Figs. 8-10 scenario for one protocol."""
+) -> ExperimentResult:
+    """Run the shared Figs. 8-10 scenario for one protocol.
+
+    Fig. 8 reads ``queue_series`` and the queue scalars; Fig. 9 the
+    per-flow ``goodput_series:flow{i}`` and the steady-state fairness and
+    aggregate goodput once all flows run; Fig. 10 ``convergence_ns:flow{i}``,
+    the time from flow i's start until it holds its fair share of the
+    bottleneck within 25 % (-1 = never).
+    """
     topo = build_topology(testbed, protocol, buffer_bytes=buffer_bytes, seed=seed)
     net = topo.network
     h1, h2, h3 = topo.host(0), topo.host(1), topo.host(2)
@@ -113,12 +54,8 @@ def run_staggered_flows(
         for i in range(n_flows)
     ]
 
-    result = StaggeredFlowsResult(
-        protocol=protocol, n_flows=n_flows, interval_ns=interval_ns
-    )
-    queue_sampler = QueueSampler(
-        net.sim, topo.bottleneck("to_H3"), microseconds(queue_sample_us)
-    )
+    bottleneck = topo.bottleneck("to_H3")
+    queue_sampler = QueueSampler(net.sim, bottleneck, microseconds(queue_sample_us))
     rate_samplers = [
         RateSampler(
             net.sim,
@@ -131,40 +68,39 @@ def run_staggered_flows(
 
     net.run_for((n_flows - 1) * interval_ns + seconds(tail_s))
 
-    result.queue_series = queue_sampler.series
-    result.goodput_series = {
-        i: sampler.series for i, sampler in enumerate(rate_samplers)
+    queue = [v for _, v in queue_sampler.series]
+    # Per-flow mean goodput once every flow has run for half an interval.
+    steady_ns = (n_flows - 1) * interval_ns + interval_ns // 2
+    rates = []
+    for sampler in rate_samplers:
+        values = [v for t, v in sampler.series if t >= steady_ns]
+        rates.append(sum(values) / len(values) if values else 0.0)
+    scalars = {
+        "queue_mean_bytes": sum(queue) / len(queue) if queue else 0.0,
+        "queue_max_bytes": max(queue, default=0.0),
+        "fairness": jain_fairness(rates),
+        "aggregate_goodput_bps": sum(rates),
+        "drops": float(net.total_drops()),
+        "timeouts": float(sum(sender.stats.timeouts for sender in senders)),
     }
-    result.drops = net.total_drops()
-    result.timeouts = sum(sender.stats.timeouts for sender in senders)
-    return result
-
-
-def run_staggered_cell(
-    protocol: str,
-    n_flows: int = 4,
-    interval_s: float = 0.25,
-    tail_s: float = 0.5,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner."""
-    res = run_staggered_flows(
-        protocol,
-        n_flows=n_flows,
-        interval_s=interval_s,
-        tail_s=tail_s,
-        seed=seed,
-    )
+    for i in range(1, n_flows):
+        start_ns = i * interval_ns
+        # Flow i shares the bottleneck with the i flows started before it.
+        target = bottleneck.rate_bps * (1460 / 1518) / (i + 1)
+        reached = convergence_time_ns(
+            [(t, v) for t, v in rate_samplers[i].series if t >= start_ns],
+            target,
+            0.25,
+        )
+        scalars[f"convergence_ns:flow{i}"] = (
+            -1.0 if reached is None else float(reached - start_ns)
+        )
+    series = {"queue_series": queue_sampler.series}
+    for i, sampler in enumerate(rate_samplers):
+        series[f"goodput_series:flow{i}"] = sampler.series
     return ExperimentResult(
         name=f"fig08:{protocol}:n{n_flows}:seed{seed}",
         protocol=protocol,
-        scalars={
-            "queue_mean_bytes": res.queue_mean_bytes(),
-            "queue_max_bytes": res.queue_max_bytes(),
-            "fairness": res.steady_state_fairness(),
-            "aggregate_goodput_bps": res.aggregate_goodput_bps(),
-            "drops": float(res.drops),
-            "timeouts": float(res.timeouts),
-        },
-        series={"queue_series": list(res.queue_series)},
+        scalars=scalars,
+        series=series,
     )

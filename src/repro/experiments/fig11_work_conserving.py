@@ -11,9 +11,6 @@ goodput (S1 slightly below S2) and the S2 queue hovering near one packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
 from ..metrics.samplers import QueueSampler, RateSampler, Series
 from ..net.topology import multi_bottleneck
 from ..sim.units import microseconds, milliseconds, seconds
@@ -21,35 +18,13 @@ from ..transport.registry import open_flow
 from .common import ExperimentResult, build_topology
 
 
-@dataclass
-class WorkConservingResult:
-    """Aggregated goodput through each bottleneck plus queue series."""
-
-    protocol: str
-    s1_goodput_series: Series = field(default_factory=list)
-    s2_goodput_series: Series = field(default_factory=list)
-    s1_queue_series: Series = field(default_factory=list)
-    s2_queue_series: Series = field(default_factory=list)
-    drops: int = 0
-
-    def _steady(self, series: Series, skip_frac: float = 0.3) -> List[float]:
-        skip = int(len(series) * skip_frac)
-        return [v for _, v in series[skip:]]
-
-    def s1_goodput_bps(self) -> float:
-        values = self._steady(self.s1_goodput_series)
-        return sum(values) / len(values) if values else 0.0
-
-    def s2_goodput_bps(self) -> float:
-        values = self._steady(self.s2_goodput_series)
-        return sum(values) / len(values) if values else 0.0
-
-    def s2_queue_mean_bytes(self) -> float:
-        values = self._steady(self.s2_queue_series)
-        return sum(values) / len(values) if values else 0.0
+def _steady_mean(series: Series) -> float:
+    """Mean of a series past its first 30 % (handshakes, token convergence)."""
+    values = [v for _, v in series[int(len(series) * 0.3):]]
+    return sum(values) / len(values) if values else 0.0
 
 
-def run_fig11(
+def run_fig11_cell(
     protocol: str = "tfc",
     n1: int = 8,
     n2: int = 2,
@@ -57,7 +32,7 @@ def run_fig11(
     duration_s: float = 1.0,
     buffer_bytes: int = 256_000,
     seed: int = 0,
-) -> WorkConservingResult:
+) -> ExperimentResult:
     """Run the two-bottleneck scenario and measure both links."""
     topo = build_topology(
         multi_bottleneck, protocol, buffer_bytes=buffer_bytes, seed=seed
@@ -74,7 +49,6 @@ def run_fig11(
     via_s1 = senders_via_s1 + senders_n2
     via_s2 = senders_n2 + senders_n3
 
-    result = WorkConservingResult(protocol=protocol)
     s1_rate = RateSampler(
         net.sim,
         (lambda: sum(s.receiver.bytes_received for s in via_s1)),
@@ -85,33 +59,17 @@ def run_fig11(
         (lambda: sum(s.receiver.bytes_received for s in via_s2)),
         milliseconds(20),
     )
-    s1_queue = QueueSampler(net.sim, topo.bottleneck("s1_up"), microseconds(100))
     s2_queue = QueueSampler(net.sim, topo.bottleneck("s2_to_h3"), microseconds(100))
 
     net.run_for(seconds(duration_s))
 
-    result.s1_goodput_series = s1_rate.series
-    result.s2_goodput_series = s2_rate.series
-    result.s1_queue_series = s1_queue.series
-    result.s2_queue_series = s2_queue.series
-    result.drops = net.total_drops()
-    return result
-
-
-def run_fig11_cell(
-    protocol: str = "tfc",
-    duration_s: float = 1.0,
-    seed: int = 0,
-) -> "ExperimentResult":
-    """Picklable cell adapter for the parallel runner."""
-    res = run_fig11(protocol=protocol, duration_s=duration_s, seed=seed)
     return ExperimentResult(
         name=f"fig11:{protocol}:seed{seed}",
         protocol=protocol,
         scalars={
-            "s1_goodput_bps": res.s1_goodput_bps(),
-            "s2_goodput_bps": res.s2_goodput_bps(),
-            "s2_queue_mean_bytes": res.s2_queue_mean_bytes(),
-            "drops": float(res.drops),
+            "s1_goodput_bps": _steady_mean(s1_rate.series),
+            "s2_goodput_bps": _steady_mean(s2_rate.series),
+            "s2_queue_mean_bytes": _steady_mean(s2_queue.series),
+            "drops": float(net.total_drops()),
         },
     )

@@ -11,43 +11,30 @@ The reported rows are:
 * background flows — 99.9th-percentile FCT per size bucket (TFC wins for
   mice, large flows pay a modest price because queries stop timing out and
   keep their bandwidth).
+
+The ``mpath`` figure replays the same mix on a k-ary fat tree per routing
+policy (``scale="fattree"``), the multi-path setting the paper's §6.3
+argues for but its testbed could not build: does TFC's FCT advantage
+survive ECMP hash collisions, and what does per-packet spraying (maximal
+reordering) cost each protocol?
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..metrics.fct import FctCollector
-from ..net.topology import leaf_spine, testbed
+from ..net.topology import fat_tree, leaf_spine, testbed
 from ..sim.units import MILLISECOND, seconds
 from ..workloads.empirical import BenchmarkWorkload
 from .common import ExperimentResult, build_topology
 
 
-@dataclass
-class BenchmarkResult:
-    """FCT summaries for one protocol under the benchmark workload."""
-
-    protocol: str
-    collector: FctCollector
-    flows_launched: int
-    drops: int
-
-    def query_summary_us(self) -> Dict[str, float]:
-        return self.collector.tail_summary_us("query")
-
-    def background_p999_us(self) -> Dict[str, float]:
-        return self.collector.bucketed_p999_us("background")
-
-    def completion_fraction(self) -> float:
-        launched = self.flows_launched
-        return self.collector.completed() / launched if launched else 0.0
-
-
-def run_benchmark(
+def run_benchmark_cell(
     protocol: str,
     scale: str = "testbed",
+    routing: Optional[str] = None,
+    k: int = 4,
     duration_s: float = 2.0,
     drain_s: float = 1.0,
     query_rate_per_s: float = 200.0,
@@ -56,29 +43,44 @@ def run_benchmark(
     background_rate_per_s: float = 30.0,
     min_rto_ns: int = 200 * MILLISECOND,
     seed: int = 0,
-) -> BenchmarkResult:
-    """Run the benchmark workload at testbed or large scale.
+) -> ExperimentResult:
+    """Run the benchmark workload at testbed, large or fat-tree scale.
 
     ``scale="testbed"`` is the 9-host Fig. 4 network with a modest query
     fan-in; ``scale="large"`` is the leaf-spine of Fig. 16 where every
-    query fans in from many servers (the paper uses all 359).  After the
-    generation window, the run continues for ``drain_s`` so in-flight
-    flows can finish.
+    query fans in from many servers (the paper uses all 359);
+    ``scale="fattree"`` is a ``k``-ary fat tree under the testbed run's
+    workload, so differences against the single-path numbers are the
+    fabric's and the policy's.  ``routing`` (None = the network's
+    default) picks the routing policy.  After the generation window, the
+    run continues for ``drain_s`` so in-flight flows can finish.
 
     ``min_rto_ns`` defaults to the Linux 200 ms minimum RTO the paper's
     stacks used — it is what turns baseline incast drops into the
     order-of-magnitude FCT gaps of Figs. 13a and 16a.
+
+    The result carries plain scalars and the sorted FCT records, so it
+    crosses a process boundary without dragging simulation objects along.
     """
     if scale == "testbed":
-        topo = build_topology(testbed, protocol, buffer_bytes=256_000, seed=seed)
-        fanin = query_fanin if query_fanin is not None else 6
+        builder, buffer_bytes, extra = testbed, 256_000, {}
     elif scale == "large":
-        topo = build_topology(
-            leaf_spine, protocol, buffer_bytes=512_000, seed=seed
-        )
-        fanin = query_fanin if query_fanin is not None else 40
+        builder, buffer_bytes, extra = leaf_spine, 512_000, {}
+    elif scale == "fattree":
+        builder, buffer_bytes, extra = fat_tree, 256_000, {"k": k}
     else:
-        raise ValueError(f"scale must be 'testbed' or 'large', got {scale!r}")
+        raise ValueError(
+            f"scale must be 'testbed', 'large' or 'fattree', got {scale!r}"
+        )
+    topo = build_topology(
+        builder, protocol, buffer_bytes=buffer_bytes, seed=seed, routing=routing,
+        **extra,
+    )
+    if query_fanin is None:
+        query_fanin = 40 if scale == "large" else min(6, len(topo.hosts) - 1)
+    figure, label = "fig13", scale
+    if scale == "fattree":
+        figure, label = "mpath", f"fattree{k}:{routing}"
 
     collector = FctCollector()
     workload = BenchmarkWorkload(
@@ -86,49 +88,37 @@ def run_benchmark(
         protocol,
         duration_ns=seconds(duration_s),
         query_rate_per_s=query_rate_per_s,
-        query_fanin=fanin,
+        query_fanin=query_fanin,
         short_rate_per_s=short_rate_per_s,
         background_rate_per_s=background_rate_per_s,
         min_rto_ns=min_rto_ns,
-        seed_name=f"benchmark:{scale}:{seed}",
+        seed_name=f"benchmark:{label}:{seed}",
         collector=collector,
     )
     topo.network.run_for(seconds(duration_s + drain_s))
-    return BenchmarkResult(
-        protocol=protocol,
-        collector=collector,
-        flows_launched=workload.flows_launched,
-        drops=topo.network.total_drops(),
-    )
 
-
-def run_benchmark_cell(
-    protocol: str, scale: str = "testbed", seed: int = 0, **kwargs
-) -> ExperimentResult:
-    """Runner entry point: :func:`run_benchmark` with every keyword
-    forwarded, flattened into plain scalars/series so the result crosses
-    a process boundary without dragging simulation objects along.
-    """
-    res = run_benchmark(protocol, scale=scale, seed=seed, **kwargs)
+    launched = workload.flows_launched
+    completed = collector.completed()
     scalars = {
-        "flows_launched": float(res.flows_launched),
-        "completed": float(res.collector.completed()),
-        "completion_fraction": res.completion_fraction(),
-        "drops": float(res.drops),
-        "total_timeouts": float(res.collector.total_timeouts()),
+        "flows_launched": float(launched),
+        "completed": float(completed),
+        "completion_fraction": completed / launched if launched else 0.0,
+        "drops": float(topo.network.total_drops()),
+        "total_timeouts": float(collector.total_timeouts()),
     }
-    if res.collector.completed("query"):
-        for key, value in res.query_summary_us().items():
+    if collector.completed("query"):
+        for key, value in collector.tail_summary_us("query").items():
             scalars[f"query_fct_us:{key}"] = value
-    for bucket, value in res.background_p999_us().items():
+    for bucket, value in collector.bucketed_p999_us("background").items():
         scalars[f"bg_p999_us:{bucket}"] = value
     records = sorted(
         (r.category, r.size_bytes, r.fct_ns, r.timeouts)
-        for r in res.collector.records
+        for r in collector.records
     )
     return ExperimentResult(
-        name=f"fig13:{scale}:{protocol}:seed{seed}",
+        name=f"{figure}:{label}:{protocol}:seed{seed}",
         protocol=protocol,
         scalars=scalars,
         series={"fct_records": records},
     )
+

@@ -40,6 +40,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import ROUTING_NAMES, SimConfig
@@ -62,7 +63,6 @@ from .fig11_work_conserving import run_fig11_cell
 from .fig12_incast import run_incast_cell
 from .fig13_benchmark import run_benchmark_cell
 from .fig14_rho import run_rho_cell
-from .multipath_benchmark import run_multipath_cell
 from .pfc_pathology import FABRICS as PFC_FABRICS
 from .pfc_pathology import SCENARIOS as PFC_SCENARIOS
 from .pfc_pathology import run_pathology_cell
@@ -85,7 +85,7 @@ FIGURE_CELLS: Dict[str, CellFn] = {
     "fig16": run_benchmark_cell,
     "baselines": run_baselines_cell,
     "ecmp": run_collision_cell,
-    "mpath": run_multipath_cell,
+    "mpath": partial(run_benchmark_cell, scale="fattree", routing="ecmp"),
     "pfc": run_pathology_cell,
     "chaos": run_chaos_cell,
     "scenario": run_scenario_cell,
@@ -512,7 +512,7 @@ def default_plan(
                         )
         elif figure == "fig16":
             # The 360-server leaf-spine, every query fanning in from all
-            # 359 other servers as in the paper; run_benchmark's defaults
+            # 359 other servers as in the paper; run_benchmark_cell's defaults
             # otherwise.
             window = {"duration_s": 0.05, "drain_s": 0.2} if quick else {}
             for protocol in ALL_PROTOCOLS:

@@ -73,8 +73,6 @@ class Protocol:
     name: str
     sender_cls: Type[Sender]
     receiver_cls: Type[Receiver]
-    #: Human-readable label for report tables ("" = name.upper()).
-    label: str = ""
     #: Typed per-protocol parameter slot.
     params_cls: Optional[type] = None
     default_params: Optional[object] = None
@@ -85,11 +83,6 @@ class Protocol:
     monitor_invariants: bool = False
 
     # ------------------------------------------------------------------
-    @property
-    def display_label(self) -> str:
-        """Label for tables (explicit ``label`` or the uppercased name)."""
-        return self.label or self.name.upper()
-
     def resolve_params(self, params: Optional[object] = None) -> Optional[object]:
         """Validate ``params`` against the typed slot (None = defaults)."""
         if params is None:
@@ -203,7 +196,6 @@ def _ensure_registry() -> Dict[str, Protocol]:
             "pfc",
             NewRenoSender,
             NewRenoReceiver,
-            label="TCP+PFC",
             params_cls=PfcParams,
             installer=enable_pfc,
         )
@@ -212,7 +204,6 @@ def _ensure_registry() -> Dict[str, Protocol]:
             "bfc",
             BfcSender,
             BfcReceiver,
-            label="TCP+BFC",
             params_cls=BfcParams,
             default_params=BfcParams(),
             make_queue=make_bfc_queue,
@@ -222,22 +213,15 @@ def _ensure_registry() -> Dict[str, Protocol]:
             "tbtcp",
             TbtcpSender,
             TbtcpReceiver,
-            label="TB-TCP",
             params_cls=TbtcpParams,
             default_params=TbtcpParams(),
             make_queue=make_tbtcp_queue,
         )
-        PROTOCOLS["tracks"] = Protocol(
-            "tracks",
-            TracksSender,
-            TracksReceiver,
-            label="T-RACKs",
-        )
+        PROTOCOLS["tracks"] = Protocol("tracks", TracksSender, TracksReceiver)
         PROTOCOLS["fairq"] = Protocol(
             "fairq",
             FairqSender,
             FairqReceiver,
-            label="FairQ",
             params_cls=FairqParams,
             default_params=FairqParams(),
             make_queue=make_fairq_queue,

@@ -1,6 +1,9 @@
 """Parallel experiment runner: determinism across worker counts, crash
 surfacing, seed derivation, and the serial fallback path."""
 
+import ast
+import importlib
+import inspect
 import pickle
 
 import pytest
@@ -500,10 +503,35 @@ def test_default_plan_covers_every_figure():
         assert spec.figure in FIGURE_CELLS
 
 
+def test_figure_modules_expose_only_their_cells():
+    """A figure point is computed in one place, its runner cell: no module
+    behind ``FIGURE_CELLS`` keeps a second public ``run_*`` driver beside
+    its cell(s).  The chaos and PFC drivers return typed reports that the
+    fault tests assert on, so they keep theirs."""
+    drivers = {
+        "repro.experiments.chaos": {"run_chaos"},
+        "repro.experiments.pfc_pathology": {"run_pathology"},
+    }
+    cells = {}
+    for cell in FIGURE_CELLS.values():
+        cell = getattr(cell, "func", cell)  # functools.partial
+        cells.setdefault(cell.__module__, set()).add(cell.__name__)
+    for module, names in sorted(cells.items()):
+        tree = ast.parse(inspect.getsource(importlib.import_module(module)))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Assign):
+                bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        runs = {name for name in bound if name.startswith("run_")}
+        assert runs - names - drivers.get(module, set()) == set(), module
+
+
 def test_fig15_and_fig16_full_plans_are_paper_scale():
     """Fig. 15: tfc and tcp x 50-400 senders x 64/128/256 KB blocks at
     10 Gb/s with 512 KB buffers; Fig. 16: the leaf-spine at the paper's
-    359-way query fan-in, run_benchmark's defaults otherwise."""
+    359-way query fan-in, run_benchmark_cell's defaults otherwise."""
     fig15 = default_plan(["fig15"])
     assert [
         (s.kwargs["protocol"], s.kwargs["block_bytes"], s.kwargs["n_senders"])

@@ -77,11 +77,18 @@ def test_config_namespace_is_the_selection_surface():
 
 @pytest.mark.parametrize(
     "module",
-    ("repro.sim.shard", "repro.experiments.shard_scale", "repro.perf", "repro.analysis"),
+    (
+        "repro.sim.shard",
+        "repro.experiments.shard_scale",
+        "repro.perf",
+        "repro.analysis",
+        "repro.experiments.multipath_benchmark",
+    ),
 )
 def test_retired_modules_are_gone(module):
     """Every simulation runs on one serial ``Simulator``, ``bench/`` is
-    the only benchmark harness, and the runner prints every report."""
+    the only benchmark harness, the runner prints every report, and the
+    fat-tree benchmark is Fig. 13's cell at ``scale="fattree"``."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
 

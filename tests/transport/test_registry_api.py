@@ -47,15 +47,6 @@ def test_parameterless_protocol_rejects_params():
         tracks.resolve_params(TfcParams())
 
 
-def test_display_labels():
-    assert get_protocol("tcp").display_label == "TCP"
-    assert get_protocol("pfc").display_label == "TCP+PFC"
-    assert get_protocol("bfc").display_label == "TCP+BFC"
-    assert get_protocol("tbtcp").display_label == "TB-TCP"
-    assert get_protocol("tracks").display_label == "T-RACKs"
-    assert get_protocol("fairq").display_label == "FairQ"
-
-
 # ----------------------------------------------------------------------
 # Protocol-owned queue factory
 # ----------------------------------------------------------------------
@@ -104,9 +95,7 @@ def test_register_protocol_end_to_end():
     class MySender(NewRenoSender):
         protocol_name = "myproto"
 
-    spec = Protocol(
-        "myproto", MySender, NewRenoReceiver, label="My/Proto"
-    )
+    spec = Protocol("myproto", MySender, NewRenoReceiver)
     register_protocol(spec)
     try:
         assert "myproto" in registered_protocols()
